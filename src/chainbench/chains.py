@@ -18,6 +18,14 @@ torsion data, a null-homotopy solver, mapping cones and cylinders,
 suspensions, direct sums, pushouts along levelwise split injections,
 short exact sequence handling with rotation, and an independent
 homology-equivalence test that never builds a cone.
+
+A general null-homotopy is found by vectorising every block of the
+unknown map into one Kronecker system (leibniz_system) and solving it
+at once.  A contraction, a null-homotopy of the identity, is cheaper:
+it is built one degree at a time from the bottom up, solving
+d_(n+1) k_n == 1 - k_(n-1) d_n with one small solve per degree.  The
+right-hand side is always a cycle, so a degree where it is not a
+boundary proves H_n != 0, and hence that no contraction exists.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .exact_linalg import (
     Ring,
     ShapeMismatch,
     ZZ,
+    block_matrix,
     kernel_basis,
     kernel_lattice_basis_mod,
     kron,
@@ -425,8 +434,33 @@ def find_null_homotopy(f: GradedMap):
 
 
 def find_contraction(c: ChainComplex):
-    """Homotopy k with dk == identity, or None when c is not contractible."""
-    return find_null_homotopy(GradedMap.identity(c))
+    """Homotopy k with dk == identity, or None when c is not contractible.
+
+    k is built one degree at a time from the bottom up: at degree n it
+    solves d_(n+1) k_n == 1 - k_(n-1) d_n with a single solve_linear
+    call, taking k_(n-1) == 0 below the bottom degree and across any
+    degree of rank 0.  The right-hand side is always a cycle, since
+    d_n (1 - k_(n-1) d_n) == k_(n-2) d_(n-1) d_n == 0 by induction.
+    When c is contractible its cycles are boundaries and every step
+    solves, because the source is free.  When a step has no solution,
+    one of its columns is a cycle that is not a boundary, so H_n is
+    nonzero and no contraction exists; this holds over Z, Q and Z/m.
+    """
+    ring = c.ring
+    blocks = {}
+    for n in c.degrees():
+        rhs = Matrix.identity(ring, c.rank(n))
+        below = blocks.get(n - 1)
+        if below is not None:
+            rhs = rhs - below @ c.diff(n)
+        k_n = solve_linear(c.diff(n + 1), rhs)
+        if k_n is None:
+            return None
+        blocks[n] = k_n
+    k = GradedMap.build(c, c, 1, blocks)
+    if k.leibniz() != GradedMap.identity(c):
+        raise AssertionError("solver produced a wrong contraction")
+    return k
 
 
 def is_contractible(c: ChainComplex) -> bool:
@@ -491,7 +525,7 @@ def direct_sum(*parts: ChainComplex) -> DirectSumData:
                 else:
                     row.append(Matrix.zero(ring, pi.rank(n - 1), pj.rank(n)))
             grid.append(row)
-        diffs[n] = _grid_to_matrix(ring, grid)
+        diffs[n] = block_matrix(grid)
     total = ChainComplex.build(ring, ranks, diffs, validate=False)
     inclusions = []
     projections = []
@@ -513,16 +547,6 @@ def direct_sum(*parts: ChainComplex) -> DirectSumData:
         inclusions.append(GradedMap.build(p, total, 0, inc))
         projections.append(GradedMap.build(total, p, 0, prj))
     return DirectSumData(total, tuple(inclusions), tuple(projections))
-
-
-def _grid_to_matrix(ring, grid):
-    out = None
-    for row in grid:
-        strip = row[0]
-        for blk in row[1:]:
-            strip = strip.hstack(blk)
-        out = strip if out is None else out.vstack(strip)
-    return out if out is not None else Matrix.zero(ring, 0, 0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .chains import ChainComplex, GradedMap, find_null_homotopy, homology, is_acyclic
-from .exact_linalg import QQ, ShapeMismatch
+from .exact_linalg import QQ, ShapeMismatch, _is_prime
 from .ladder import D0Complex, morphism_space
 
 
@@ -35,17 +35,6 @@ def _sorted_divisors(n: int) -> list:
         f += 1
     large.reverse()
     return small + large
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

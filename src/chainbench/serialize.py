@@ -7,6 +7,13 @@ cannot be read as the declared shape and carries the JSON path of the
 first offending field, while InvalidObject means the shapes were fine
 but the encoded object breaks a defining identity (a boundary that
 does not square to zero, an edge map that is not a chain map).
+
+Declared sizes are capped at MAX_TOTAL_RANK: the total rank of one
+complex, of a complex after tensoring with a bimodule, a bimodule or
+edge rank, and a tower's level count.  Exact elimination on total
+rank r costs about r^2 memory and r^3 time, and a file can declare a
+rank far beyond what it spells out entry by entry, so anything above
+the cap is a FormatError rather than a computation that never ends.
 """
 
 from __future__ import annotations
@@ -27,12 +34,25 @@ from .exact_linalg import QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
 from .ladder import D0Complex, D0Morphism
 
 
+MAX_TOTAL_RANK = 4096
+
+
 class FormatError(ValueError):
     """The payload does not match the expected shape at some JSON path."""
 
 
 class InvalidObject(ValueError):
     """Well-shaped data encoding an object that breaks its own axioms."""
+
+
+def _check_size(value: int, where: str, what: str) -> None:
+    if value > MAX_TOTAL_RANK:
+        raise FormatError(f"{where}: {what} {value} exceeds the limit of {MAX_TOTAL_RANK}")
+
+
+def _tensor_target(c: ChainComplex, s: Bimodule, where: str) -> ChainComplex:
+    _check_size(c.total_rank * s.rank, where, "tensored total rank")
+    return tensor_with_bimodule(c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +187,7 @@ def load_complex(value, where: str = "complex", validate: bool = True) -> ChainC
         if r < 0:
             raise FormatError(f"{where}.ranks[{key}]: rank must be nonnegative")
         ranks[n] = r
+    _check_size(sum(ranks.values()), f"{where}.ranks", "total rank")
     if not isinstance(obj["differentials"], dict):
         raise FormatError(f"{where}.differentials: expected an object")
     diffs = {}
@@ -237,6 +258,7 @@ def load_diagram(value, where: str = "diagram") -> DiagramOfBimodules:
         for key in ("s_rank", "t_rank", "u_rank", "levels"):
             if key in value:
                 params[key] = load_int(value[key], f"{where}.{key}")
+                _check_size(params[key], f"{where}.{key}", key)
         try:
             return preset_diagram(name, ring, **params)
         except ValueError as err:
@@ -263,6 +285,7 @@ def load_diagram(value, where: str = "diagram") -> DiagramOfBimodules:
         rank = load_int(espec["rank"], f"{where}.edges[{i}].rank")
         if rank < 1:
             raise FormatError(f"{where}.edges[{i}].rank: bimodule rank must be positive")
+        _check_size(rank, f"{where}.edges[{i}].rank", "bimodule rank")
         edges.append(
             Edge(espec["name"], espec["source"], espec["target"], Bimodule(rings[espec["target"]], rank))
         )
@@ -307,7 +330,9 @@ def load_dcomplex(value, where: str = "dcomplex", validate: bool = True) -> DCom
     for e in diagram.edges:
         if e.name not in obj["edge_maps"]:
             raise FormatError(f"{where}.edge_maps: missing edge {e.name!r}")
-        target = tensor_with_bimodule(complexes[e.target], e.bimodule)
+        target = _tensor_target(
+            complexes[e.target], e.bimodule, f"{where}.edge_maps[{e.name}]"
+        )
         maps[e.name] = load_blocks(
             obj["edge_maps"][e.name],
             complexes[e.source],
@@ -335,6 +360,7 @@ def load_bimodule(value, where: str = "bimodule") -> Bimodule:
     rank = load_int(obj["rank"], f"{where}.rank")
     if rank < 1:
         raise FormatError(f"{where}.rank: bimodule rank must be positive")
+    _check_size(rank, f"{where}.rank", "bimodule rank")
     return Bimodule(ring, rank)
 
 
@@ -355,6 +381,7 @@ def load_d0complex(value, where: str = "d0complex", validate: bool = True) -> D0
     )
     bim = load_bimodule(obj["bimodule"], f"{where}.bimodule")
     count = load_int(obj["level_count"], f"{where}.level_count")
+    _check_size(count, f"{where}.level_count", "level count")
     if not isinstance(obj["levels"], list):
         raise FormatError(f"{where}.levels: expected a list")
     if count != len(obj["levels"]):
@@ -377,7 +404,7 @@ def load_d0complex(value, where: str = "d0complex", validate: bool = True) -> D0
         load_blocks(
             item,
             levels[i + 1],
-            tensor_with_bimodule(levels[i], bim),
+            _tensor_target(levels[i], bim, f"{where}.descents[{i}]"),
             0,
             f"{where}.descents[{i}]",
         )

@@ -1,10 +1,15 @@
 """End-to-end checks of the command-line verbs and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainbench
 from chainbench.chains import ChainComplex, GradedMap
 from chainbench.cli import main
 from chainbench.diagrams import Bimodule, DComplex, preset_diagram
@@ -257,6 +262,32 @@ def test_fuzz_verb_deterministic(capsys):
     capsys.readouterr()
     assert main(["fuzz", "--ring", "Z/1"]) == 2
     capsys.readouterr()
+
+
+def test_oversized_complex_exits_2_in_a_subprocess(tmp_path):
+    """A declared rank far past the cap must be refused, not computed.
+
+    Run as a child process with a timeout, so that a regression fails
+    this test instead of hanging the suite.
+    """
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"kind":"complex","ring":"Z","ranks":{"0":"100000000000"},"differentials":{}}',
+        encoding="utf-8",
+    )
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "chainbench", "homology", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert "exceeds the limit" in done.stdout
+    assert "Traceback" not in done.stderr
 
 
 def test_unknown_verb_rejected_with_usage(capsys):

@@ -13,6 +13,7 @@ from chainbench.fuzz import random_complex, random_kernel_tower, random_reduced_
 from chainbench.ladder import D0Morphism, constant_tower
 from chainbench.ladder import test_object as probe
 from chainbench.serialize import (
+    MAX_TOTAL_RANK,
     FormatError,
     InvalidObject,
     detect_kind,
@@ -25,6 +26,7 @@ from chainbench.serialize import (
     dump_scenario,
     dumps,
     load_any,
+    load_bimodule,
     load_complex,
     load_d0complex,
     load_d0morphism,
@@ -99,6 +101,33 @@ def test_complex_loader_diagnostics():
     relaxed = load_complex(bad, validate=False)
     with pytest.raises(ValueError):
         relaxed.validate()
+
+
+def test_oversized_declarations_are_format_errors():
+    over = str(MAX_TOTAL_RANK + 1)
+    with pytest.raises(FormatError, match="total rank .* exceeds the limit"):
+        load_complex({"ring": "Z", "ranks": {"0": "100000000000"}, "differentials": {}})
+    half = str(MAX_TOTAL_RANK // 2 + 1)
+    with pytest.raises(FormatError, match="ranks: total rank"):
+        load_complex({"ring": "Q", "ranks": {"0": half, "1": half}, "differentials": {}})
+    at_cap = load_complex({"ring": "Z", "ranks": {"0": str(MAX_TOTAL_RANK)}, "differentials": {}})
+    assert at_cap.total_rank == MAX_TOTAL_RANK
+    with pytest.raises(FormatError, match="bimodule rank"):
+        load_bimodule({"ring": "Z", "rank": over})
+    with pytest.raises(FormatError, match=r"edges\[0\]\.rank"):
+        load_diagram(
+            {"vertices": [["v", "Z"]], "edges": [{"name": "x", "source": "v", "target": "v", "rank": over}]}
+        )
+    with pytest.raises(FormatError, match="s_rank"):
+        load_diagram({"name": "D1", "s_rank": over})
+    tower = dump_d0complex(probe("g_m", 1, 2, Bimodule(ZZ, 1)))
+    tower["level_count"] = over
+    with pytest.raises(FormatError, match="level count"):
+        load_d0complex(tower)
+    wide = dump_d0complex(constant_tower(moore(1), 2, Bimodule(ZZ, 1)))
+    wide["bimodule"]["rank"] = str(MAX_TOTAL_RANK // 2 + 1)
+    with pytest.raises(FormatError, match="tensored total rank"):
+        load_d0complex(wide)
 
 
 def test_graded_map_round_trip_and_chain_flag():
