@@ -19,6 +19,12 @@ suspensions, direct sums, pushouts along levelwise split injections,
 short exact sequence handling with rotation, and an independent
 homology-equivalence test that never builds a cone.
 
+Homology costs one elimination per stored differential: one Smith
+form each over Z, one rank each over a field.  H_n is read off the
+data of d_n and d_(n+1), and a differential that is not stored costs
+nothing.  Over composite Z/m each degree instead takes a lattice route:
+a kernel lattice of d_n mod m, a solve and a Smith form over Z.
+
 A general null-homotopy is found by vectorising every block of the
 unknown map into one Kronecker system (leibniz_system) and solving it
 at once.  A contraction, a null-homotopy of the identity, is cheaper:
@@ -291,27 +297,34 @@ class HomologySummary:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_at(c: ChainComplex, n: int) -> HomologySummary:
-    ring = c.ring
-    modulus = ring.modulus if ring.kind == "Zmod" else None
-    if c.rank(n) == 0:
-        return HomologySummary(0, (), modulus)
-    if ring.is_field():
-        cycles = kernel_basis(c.diff(n)).cols
-        image = matrix_rank(c.diff(n + 1))
-        return HomologySummary(cycles - image, (), modulus)
-    if ring.kind == "Z":
-        cycles = kernel_basis(c.diff(n))
-        in_cycle_coords = solve_linear(cycles, c.diff(n + 1))
-        if in_cycle_coords is None:
-            raise AssertionError("boundaries fell outside the cycle lattice")
-        snf = smith_normal_form(in_cycle_coords)
-        betti = cycles.cols - snf.rank
-        torsion = tuple(int(x) for x in snf.invariant_factors if x != 1)
-        return HomologySummary(betti, torsion, None)
+_TRIVIAL = HomologySummary(0, ())
+
+
+def _differential_data(c: ChainComplex, n: int):
+    """Rank and non-unit invariant factors of d_n, over Z or a field.
+
+    Over Z this is one Smith form, over a field one rank.  A
+    differential that is not stored is zero and costs nothing.
+    """
+    d = c._diff_map.get(n)
+    if d is None:
+        return 0, ()
+    if c.ring.kind == "Z":
+        snf = smith_normal_form(d)
+        return snf.rank, tuple(int(x) for x in snf.invariant_factors if x != 1)
+    return matrix_rank(d), ()
+
+
+def _summary(c: ChainComplex, n: int, below, above) -> HomologySummary:
+    """H_n from the (rank, torsion) data of d_n (below) and d_(n+1) (above)."""
+    modulus = c.ring.modulus if c.ring.kind == "Zmod" else None
+    return HomologySummary(c.rank(n) - below[0] - above[0], above[1], modulus)
+
+
+def _homology_mod_composite(c: ChainComplex, n: int) -> HomologySummary:
     # Z/m with composite m: compare the cycle lattice with the lattice
     # spanned by boundaries together with m times everything.
-    m = ring.modulus
+    m = c.ring.modulus
     basis = kernel_lattice_basis_mod(c.diff(n).to_ring(ZZ), m)
     cn = c.rank(n)
     gens = c.diff(n + 1).to_ring(ZZ).hstack(Matrix.identity(ZZ, cn).scale(m))
@@ -325,19 +338,60 @@ def homology_at(c: ChainComplex, n: int) -> HomologySummary:
     return HomologySummary(0, torsion, m)
 
 
+def _composite(ring: Ring) -> bool:
+    return ring.kind == "Zmod" and not ring.is_field()
+
+
+def homology_at(c: ChainComplex, n: int) -> HomologySummary:
+    """H_n from d_n and d_(n+1); see _iter_homology for the method.
+
+    A degree of rank 0 stores no differential on either side, so its
+    trivial homology costs nothing over any ring.
+    """
+    if _composite(c.ring) and c.rank(n) > 0:
+        return _homology_mod_composite(c, n)
+    return _summary(c, n, _differential_data(c, n), _differential_data(c, n + 1))
+
+
+def _iter_homology(c: ChainComplex):
+    """Yield (n, H_n) for every degree of c in increasing order.
+
+    Over Z and over a field each stored differential is eliminated
+    once, when first needed: H_n has betti rank C_n - rank d_n -
+    rank d_(n+1), and its torsion is the non-unit invariant factors of
+    d_(n+1).  This holds because the cycles Z_n are a direct summand of
+    C_n, since C_n / Z_n embeds in the free module C_(n-1), so d_(n+1)
+    has the same invariant factors as a map into Z_n.  Over composite
+    Z/m each degree takes the lattice route of _homology_mod_composite.
+    """
+    if _composite(c.ring):
+        for n in c.degrees():
+            yield n, _homology_mod_composite(c, n)
+        return
+    data = {}
+
+    def at(k):
+        if k not in data:
+            data[k] = _differential_data(c, k)
+        return data[k]
+
+    for n in c.degrees():
+        yield n, _summary(c, n, at(n), at(n + 1))
+
+
 def homology(c: ChainComplex) -> dict:
-    return {n: homology_at(c, n) for n in c.degrees()}
+    return dict(_iter_homology(c))
 
 
 def is_acyclic(c: ChainComplex) -> bool:
-    return all(homology_at(c, n).is_trivial() for n in c.degrees())
+    return all(h.is_trivial() for _, h in _iter_homology(c))
 
 
 def same_homology(a: ChainComplex, b: ChainComplex) -> bool:
-    degrees = set(a.degrees()) | set(b.degrees())
-    for n in degrees:
-        ha, hb = homology_at(a, n), homology_at(b, n)
-        if (ha.betti, ha.torsion) != (hb.betti, hb.torsion):
+    ha, hb = homology(a), homology(b)
+    for n in set(ha) | set(hb):
+        sa, sb = ha.get(n, _TRIVIAL), hb.get(n, _TRIVIAL)
+        if (sa.betti, sa.torsion) != (sb.betti, sb.torsion):
             return False
     return True
 
@@ -961,11 +1015,12 @@ def is_homology_equivalence(f: GradedMap) -> bool:
     """
     _require_chain_map(f, degree=0, what="map")
     ring = f.source.ring
-    if ring.kind == "Zmod" and not ring.is_field():
+    if _composite(ring):
         raise ValueError("homology equivalence over composite Z/m is not supported")
     src, tgt = f.source, f.target
-    for n in sorted(set(src.degrees()) | set(tgt.degrees())):
-        hs, ht = homology_at(src, n), homology_at(tgt, n)
+    hsrc, htgt = homology(src), homology(tgt)
+    for n in sorted(set(hsrc) | set(htgt)):
+        hs, ht = hsrc.get(n, _TRIVIAL), htgt.get(n, _TRIVIAL)
         if (hs.betti, hs.torsion) != (ht.betti, ht.torsion):
             return False
         if ht.is_trivial():

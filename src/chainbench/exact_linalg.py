@@ -13,7 +13,16 @@ which is the interface the chain-level code actually consumes.
 Pivot selection in the Smith reduction is pinned: among the nonzero
 entries of the remaining block, take one of smallest absolute value,
 breaking ties by smallest (row, column).  This makes the returned
-normal form data deterministic across runs and platforms.
+normal form data deterministic across runs and platforms.  Over Z and
+Z/p no nonzero entry is smaller than 1, so the row-major scan stops at
+the first entry of absolute value 1; over Q it always scans the whole
+block.  The divisibility check that follows each pivot is skipped when
+the pivot is 1.
+
+The elementary operations of the Smith reduction work on raw entries,
+whole rows at a time.  Integer and rational arithmetic is closed and
+canonical, so no per-entry normalisation is needed; the only reduction
+is % m over Z/m.
 """
 
 from __future__ import annotations
@@ -80,6 +89,14 @@ class Ring:
 
     def normalize(self, x):
         """Coerce x into the canonical representation for this ring."""
+        if type(x) is int:
+            if self.kind == "Z":
+                return x
+            if self.kind == "Q":
+                return Fraction(x)
+            return x % self.modulus
+        if type(x) is Fraction and self.kind == "Q":
+            return x
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:
@@ -420,77 +437,87 @@ class SNFResult:
 
 
 class _SnfWorker:
-    """Mutable state for the Smith reduction with tracked elementary ops."""
+    """Mutable state for the Smith reduction with tracked elementary ops.
+
+    Entries are raw ring values and every operation is plain arithmetic
+    on whole rows: integers and fractions are closed and canonical, so
+    the only reduction left is % m over Z/m.  pinv and q only ever see
+    column operations, so they are kept transposed (pinv_t, q_t), which
+    turns each of those into a row operation too.
+    """
 
     def __init__(self, a: Matrix):
         self.ring = a.ring
+        self.mod = a.ring.modulus
         self.r = a.rows
         self.c = a.cols
         self.d = [list(row) for row in a.entries]
         self.p = self._eye(self.r)
-        self.pinv = self._eye(self.r)
-        self.q = self._eye(self.c)
+        self.pinv_t = self._eye(self.r)
+        self.q_t = self._eye(self.c)
         self.qinv = self._eye(self.c)
 
     def _eye(self, n):
         z, o = self.ring.zero, self.ring.one
         return [[o if i == j else z for j in range(n)] for i in range(n)]
 
+    def _axpy(self, x, y, c):
+        """The row x + c * y."""
+        m = self.mod
+        if m is None:
+            return [a + c * b for a, b in zip(x, y)]
+        return [(a + c * b) % m for a, b in zip(x, y)]
+
+    def _scaled(self, x, u):
+        """The row u * x."""
+        m = self.mod
+        if m is None:
+            return [u * a for a in x]
+        return [u * a % m for a in x]
+
     def swap_rows(self, i, j):
         if i == j:
             return
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.p[i], self.p[j] = self.p[j], self.p[i]
-        for row in self.pinv:
-            row[i], row[j] = row[j], row[i]
+        for rows in (self.d, self.p, self.pinv_t):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in self.d:
             row[i], row[j] = row[j], row[i]
-        for row in self.q:
-            row[i], row[j] = row[j], row[i]
-        self.qinv[i], self.qinv[j] = self.qinv[j], self.qinv[i]
+        for rows in (self.q_t, self.qinv):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def add_row(self, i, j, c):
         """row_i += c * row_j (on d and p); inverse op recorded on pinv."""
-        norm = self.ring.normalize
-        di, dj = self.d[i], self.d[j]
-        for k in range(self.c):
-            di[k] = norm(di[k] + c * dj[k])
-        pi, pj = self.p[i], self.p[j]
-        for k in range(self.r):
-            pi[k] = norm(pi[k] + c * pj[k])
-        for row in self.pinv:
-            row[j] = norm(row[j] - c * row[i])
+        d, p, pt = self.d, self.p, self.pinv_t
+        d[i] = self._axpy(d[i], d[j], c)
+        p[i] = self._axpy(p[i], p[j], c)
+        pt[j] = self._axpy(pt[j], pt[i], -c)
 
     def add_col(self, j, i, c):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
-        norm = self.ring.normalize
+        m = self.mod
         for row in self.d:
-            row[j] = norm(row[j] + c * row[i])
-        for row in self.q:
-            row[j] = norm(row[j] + c * row[i])
-        qi, qj = self.qinv[i], self.qinv[j]
-        for k in range(self.c):
-            qi[k] = norm(qi[k] - c * qj[k])
+            x = row[i]
+            if x:
+                row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
+        qt, qinv = self.q_t, self.qinv
+        qt[j] = self._axpy(qt[j], qt[i], c)
+        qinv[i] = self._axpy(qinv[i], qinv[j], -c)
 
     def negate_row(self, i):
-        norm = self.ring.normalize
-        self.d[i] = [norm(-x) for x in self.d[i]]
-        self.p[i] = [norm(-x) for x in self.p[i]]
-        for row in self.pinv:
-            row[i] = norm(-row[i])
+        """row_i *= -1 (over Z only)."""
+        for rows in (self.d, self.p, self.pinv_t):
+            rows[i] = [-x for x in rows[i]]
 
     def scale_row(self, i, u):
         """row_i *= u for a unit u (fields only)."""
-        norm = self.ring.normalize
         uinv = self.ring.invert(u)
-        self.d[i] = [norm(u * x) for x in self.d[i]]
-        self.p[i] = [norm(u * x) for x in self.p[i]]
-        for row in self.pinv:
-            row[i] = norm(uinv * row[i])
+        self.d[i] = self._scaled(self.d[i], u)
+        self.p[i] = self._scaled(self.p[i], u)
+        self.pinv_t[i] = self._scaled(self.pinv_t[i], uinv)
 
     def result(self) -> SNFResult:
         ring = self.ring
@@ -498,16 +525,10 @@ class _SnfWorker:
         return SNFResult(
             d=mk(self.d, self.r, self.c),
             p=mk(self.p, self.r, self.r),
-            q=mk(self.q, self.c, self.c),
-            pinv=mk(self.pinv, self.r, self.r),
+            q=mk(zip(*self.q_t), self.c, self.c),
+            pinv=mk(zip(*self.pinv_t), self.r, self.r),
             qinv=mk(self.qinv, self.c, self.c),
         )
-
-
-def _abs_key(ring: Ring, x):
-    if ring.kind == "Zmod":
-        return x
-    return abs(x)
 
 
 def smith_normal_form(a: Matrix) -> SNFResult:
@@ -525,69 +546,70 @@ def smith_normal_form(a: Matrix) -> SNFResult:
             "smith_normal_form over Z/m with composite m is not supported; "
             "lift the problem to Z"
         )
+    # Over Z and Z/p no nonzero entry has a key below 1, so the scan
+    # may stop at the first key of 1; over Q smaller keys exist.
+    stop_at_one = ring.kind != "Q"
     w = _SnfWorker(a)
-    z = ring.zero
+    d = w.d
     t = 0
     limit = min(w.r, w.c)
     while t < limit:
         best = None
         bi = bj = -1
         for i in range(t, w.r):
+            row = d[i]
             for j in range(t, w.c):
-                v = w.d[i][j]
-                if v == z:
-                    continue
-                key = (_abs_key(ring, v), i, j)
-                if best is None or key < best:
-                    best = key
-                    bi, bj = i, j
+                v = row[j]
+                if v:
+                    key = abs(v)
+                    if best is None or key < best:
+                        best, bi, bj = key, i, j
+                        if key == 1 and stop_at_one:
+                            break
+            if best == 1 and stop_at_one:
+                break
         if best is None:
             break
         w.swap_rows(t, bi)
         w.swap_cols(t, bj)
         if field:
-            w.scale_row(t, ring.invert(w.d[t][t]))
-        elif w.d[t][t] < 0:
+            w.scale_row(t, ring.invert(d[t][t]))
+        elif d[t][t] < 0:
             w.negate_row(t)
-        piv = w.d[t][t]
+        piv = d[t][t]
         restart = False
         for i in range(t + 1, w.r):
-            x = w.d[i][t]
-            if x == z:
+            x = d[i][t]
+            if not x:
                 continue
-            if field:
-                qq = x  # pivot is 1
-            else:
-                qq = x // piv
-            if qq != z:
+            qq = x if field else x // piv  # over a field the pivot is 1
+            if qq:
                 w.add_row(i, t, -qq)
-            if w.d[i][t] != z:
+            if d[i][t]:
                 restart = True
         if restart:
             continue
+        top = d[t]
         for j in range(t + 1, w.c):
-            x = w.d[t][j]
-            if x == z:
+            x = top[j]
+            if not x:
                 continue
-            if field:
-                qq = x
-            else:
-                qq = x // piv
-            if qq != z:
+            qq = x if field else x // piv
+            if qq:
                 w.add_col(j, t, -qq)
-            if w.d[t][j] != z:
+            if top[j]:
                 restart = True
         if restart:
             continue
-        if not field:
+        if not field and piv != 1:
             bad_row = -1
             for i in range(t + 1, w.r):
-                if any(w.d[i][j] % piv != 0 for j in range(t + 1, w.c)):
+                if any(x % piv for x in d[i][t + 1:]):
                     bad_row = i
                     break
             if bad_row >= 0:
                 # Pull the offending row up so the Euclidean steps see it.
-                w.add_row(t, bad_row, ring.one)
+                w.add_row(t, bad_row, 1)
                 continue
         t += 1
     return w.result()

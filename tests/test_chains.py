@@ -4,13 +4,15 @@ standard constructions.
 The homology oracle is the generator itself: random complexes are
 assembled from atoms with recorded homology and conjugated by
 unimodular matrices, so the expected answer is known before the code
-under test runs.
+under test runs.  The earlier cycle-lattice homology, kept in
+snf_oracle, must agree with the current one degree by degree.
 """
 
 import random
 
 import pytest
 
+import snf_oracle
 from chainbench.exact_linalg import Matrix, QQ, ShapeMismatch, ZZ, Zmod
 from chainbench.chains import (
     ChainComplex,
@@ -181,6 +183,63 @@ def test_homology_matches_generator_expectation():
         for n, want in sample.expected.items():
             if n not in got:
                 assert want.is_trivial()
+
+
+def _check_against_cycle_lattice_oracle(c):
+    got = homology(c)
+    assert list(got) == list(c.degrees())
+    lo, hi = (c.min_degree, c.max_degree) if c.ranks else (0, 0)
+    for n in range(lo - 1, hi + 2):
+        want = snf_oracle.homology_at(c, n)
+        assert homology_at(c, n) == want, (n, c)
+        if n in got:
+            assert got[n] == want, (n, c)
+    return got
+
+
+def test_homology_matches_cycle_lattice_oracle():
+    rng = random.Random(20261019)
+    rings = (ZZ, QQ, Zmod(5))
+    for i in range(210):
+        ring = rings[i % len(rings)]
+        sample = random_complex(
+            rng, ring, max_atoms=rng.choice((4, 8)), force_acyclic=(i % 7 == 0)
+        )
+        got = _check_against_cycle_lattice_oracle(sample.complex)
+        for n in set(got) | set(sample.expected):
+            have = got.get(n, HomologySummary(0, ()))
+            want = sample.expected.get(n, HomologySummary(0, ()))
+            assert (have.betti, have.torsion) == (want.betti, want.torsion), (ring, n)
+
+
+def test_homology_hand_built_cases():
+    cases = [
+        # A rank-3 degree with no differentials at all.
+        (ChainComplex.build(ZZ, {2: 3}, {}), {2: (3, ())}),
+        # Z --2--> Z.
+        (two_term(ZZ, 2), {0: (0, (2,)), 1: (0, ())}),
+        # d_1 has full rank while d_2 carries torsion into its kernel.
+        (
+            ChainComplex.build(
+                ZZ, {0: 1, 1: 2, 2: 1},
+                {1: mk(ZZ, [[2, 4]]), 2: mk(ZZ, [[6], [-3]])},
+            ),
+            {0: (0, (2,)), 1: (0, (3,)), 2: (0, ())},
+        ),
+        # Degree 0 has neighbours of rank 0 on both sides.
+        (
+            ChainComplex.build(ZZ, {0: 2, 2: 1, 3: 1}, {3: mk(ZZ, [[4]])}),
+            {0: (2, ()), 2: (0, (4,)), 3: (0, ())},
+        ),
+    ]
+    for c, want in cases:
+        got = _check_against_cycle_lattice_oracle(c)
+        assert {n: (s.betti, s.torsion) for n, s in got.items()} == want
+        for ring in (QQ, Zmod(5)):
+            moved = ChainComplex.build(
+                ring, c.ranks, {n: m.to_ring(ring) for n, m in c.diffs}
+            )
+            _check_against_cycle_lattice_oracle(moved)
 
 
 def test_direct_sum_homology_merges():

@@ -290,6 +290,31 @@ def test_oversized_complex_exits_2_in_a_subprocess(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
+    """A complex of rank 4096 with no differentials has H_0 = Z^4096.
+
+    Such a degree costs no elimination at all; the timeout turns a
+    regression to a cubic Smith form into a failure, not a hang.
+    """
+    path = tmp_path / "free.json"
+    path.write_text(
+        '{"kind":"complex","ring":"Z","ranks":{"0":"4096"},"differentials":{}}',
+        encoding="utf-8",
+    )
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "chainbench", "homology", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["homology"]["0"]["betti"] == "4096"
+
+
 def test_unknown_verb_rejected_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

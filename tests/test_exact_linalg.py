@@ -3,7 +3,8 @@
 Oracles used here are independent of the code under test: sympy for
 Smith invariant factors, ranks, and nullspaces; brute-force bounded-box
 enumeration for Diophantine solvability; full enumeration for Z/m
-solvability and kernel structure.
+solvability and kernel structure.  The earlier Smith reduction, kept in
+snf_oracle, pins the exact Smith data the current one must return.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import snf_oracle
 from chainbench.exact_linalg import (
     Matrix,
     NonFreeKernel,
@@ -97,6 +99,16 @@ def test_normalization_and_equality():
     assert isinstance(b[0, 0], Fraction)
     with pytest.raises(ValueError):
         ZZ.normalize(Fraction(1, 2))
+    # Plain ints and fractions take a fast path; anything else keeps
+    # the general coercions and their errors.
+    assert type(QQ.normalize(3)) is Fraction and QQ.normalize(3) == 3
+    assert Zmod(7).normalize(-1) == 6
+    assert type(ZZ.normalize(Fraction(4, 2))) is int
+    assert ZZ.normalize(True) is True
+    with pytest.raises(TypeError, match="as an element of Z/7"):
+        Zmod(7).normalize(Fraction(1, 2))
+    with pytest.raises(TypeError, match="as a rational"):
+        QQ.normalize(0.5)
     assert mk(ZZ, [[1]]) != mk(QQ, [[1]])
     assert hash(mk(ZZ, [[1, 2]])) == hash(mk(ZZ, [[1, 2]]))
 
@@ -257,6 +269,50 @@ def test_snf_over_fields():
             )
             if ring is QQ:
                 assert res.rank == lifted.rank()
+
+
+def _snf_oracle_inputs():
+    """Seeded matrices over Z, Q, Z/2, Z/5 and Z/7 of every shape class."""
+    rings = (ZZ, QQ, Zmod(2), Zmod(5), Zmod(7))
+    for ring in rings:
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (3, 4)):
+            yield Matrix.zero(ring, rows, cols)
+        yield Matrix.identity(ring, 4)
+    rng = random.Random(20261018)
+    for k in range(1250):
+        ring = rings[k % len(rings)]
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice((1, 2, 5, 20, 100))
+        density = rng.choice((0.15, 0.5, 1.0))
+        data = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                x = rng.randint(-bound, bound) if rng.random() < density else 0
+                if ring is QQ:
+                    x = Fraction(x, rng.choice((1, 1, 2, 3, 7)))
+                row.append(x)
+            data.append(row)
+        yield mk(ring, data)
+    for _ in range(3):
+        yield rand_matrix(rng, ZZ, 30, 30, bound=9)
+
+
+def test_snf_matches_oracle_bit_for_bit():
+    count = 0
+    for a in _snf_oracle_inputs():
+        got, want = smith_normal_form(a), snf_oracle.smith_normal_form(a)
+        for name in ("d", "p", "q", "pinv", "qinv"):
+            assert getattr(got, name) == getattr(want, name), (name, a)
+        count += 1
+    assert count >= 1000
+
+
+def test_snf_of_large_identity_is_trivial():
+    eye = Matrix.identity(ZZ, 300)
+    res = smith_normal_form(eye)
+    assert res.d == eye and res.p == eye and res.q == eye
+    assert res.pinv == eye and res.qinv == eye
 
 
 def test_snf_zmod_composite_rejected():
