@@ -25,13 +25,20 @@ data of d_n and d_(n+1), and a differential that is not stored costs
 nothing.  Over composite Z/m each degree instead takes a lattice route:
 a kernel lattice of d_n mod m, a solve and a Smith form over Z.
 
-A general null-homotopy is found by vectorising every block of the
-unknown map into one Kronecker system (leibniz_system) and solving it
-at once.  A contraction, a null-homotopy of the identity, is cheaper:
-it is built one degree at a time from the bottom up, solving
-d_(n+1) k_n == 1 - k_(n-1) d_n with one small solve per degree.  The
-right-hand side is always a cycle, so a degree where it is not a
-boundary proves H_n != 0, and hence that no contraction exists.
+Null-homotopies, chain maps and tower morphisms are kernel or preimage
+certificates of one operator, the graded differential on blocks of
+maps.  _BlockSystem is the one assembler of such systems: its unknowns
+are matrix blocks named by keys and vectorised row-major, and each
+condition is a group of rows of Kronecker coefficients.  _leibniz_rows
+appends the rows of df for one pair of complexes; leibniz_system, the
+tower systems of the ladder module and the fuzzers are all built on
+it.  A general null-homotopy solves that system for every block of the
+unknown map at once.  A contraction, a null-homotopy of the identity,
+is cheaper: it is built one degree at a time from the bottom up,
+solving d_(n+1) k_n == 1 - k_(n-1) d_n with one small solve per
+degree.  The right-hand side is always a cycle, so a degree where it
+is not a boundary proves H_n != 0, and hence that no contraction
+exists.
 """
 
 from __future__ import annotations
@@ -400,67 +407,145 @@ def same_homology(a: ChainComplex, b: ChainComplex) -> bool:
 # Null-homotopies
 
 
+class _BlockSystem:
+    """Assembler for linear conditions on a family of matrix unknowns.
+
+    Each unknown is a matrix block named by a key.  Its coordinates are
+    the row-major vectorization of the block, and the blocks are
+    stacked in the order their keys were registered; blocks with no
+    entries are not registered.  A condition appends a group of rows
+    that pairs unknown keys with coefficient matrices; terms on keys
+    that are not registered are dropped.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.sizes = {}
+        self.offsets = {}
+        self.total = 0
+        self.row_groups = []
+
+    def unknown(self, key, rows: int, cols: int) -> None:
+        if rows <= 0 or cols <= 0 or key in self.sizes:
+            return
+        self.sizes[key] = (rows, cols)
+        self.offsets[key] = self.total
+        self.total += rows * cols
+
+    def has(self, key) -> bool:
+        return key in self.sizes
+
+    def condition(self, row_count: int, terms) -> None:
+        """Add row_count rows; terms pairs unknown keys with coefficients."""
+        if row_count == 0:
+            return
+        kept = [(k, m) for k, m in terms if k in self.sizes]
+        self.row_groups.append((row_count, kept))
+
+    def matrix(self) -> Matrix:
+        rows = sum(r for r, _ in self.row_groups)
+        z = self.ring.zero
+        grid = [[z] * self.total for _ in range(rows)]
+        base = 0
+        for row_count, kept in self.row_groups:
+            for key, coeff in kept:
+                off = self.offsets[key]
+                for r, entries in enumerate(coeff.entries):
+                    row = grid[base + r]
+                    for s, v in enumerate(entries, off):
+                        if v != z:
+                            row[s] += v
+            base += row_count
+        if rows == 0:
+            return Matrix.zero(self.ring, 0, self.total)
+        return Matrix.from_rows(self.ring, grid)
+
+    def slice_rows(self, stacked: Matrix, key) -> Matrix:
+        """Rows of a solution matrix belonging to one unknown block."""
+        if key not in self.sizes:
+            return Matrix.zero(self.ring, 0, stacked.cols)
+        off = self.offsets[key]
+        p, t = self.sizes[key]
+        return stacked.rows_slice(off, off + p * t)
+
+    def block(self, vector: Matrix, key) -> Matrix:
+        """One registered unknown block of a coordinate column, as a matrix."""
+        return unvec_row_major(self.slice_rows(vector, key), *self.sizes[key])
+
+    def stack(self, placements, width: int) -> Matrix:
+        """Coordinate matrix with `width` columns, zero outside placements.
+
+        placements maps unknown keys to matrices whose rows are the
+        coordinates of that block; a zero placement on a key that is
+        not registered is allowed and ignored.
+        """
+        rows = [(self.ring.zero,) * width] * self.total
+        for key, mat in placements.items():
+            if key not in self.sizes:
+                if not mat.is_zero():
+                    raise AssertionError("placement targets an absent unknown block")
+                continue
+            p, t = self.sizes[key]
+            if mat.shape != (p * t, width):
+                raise AssertionError("placement shape mismatch")
+            off = self.offsets[key]
+            rows[off:off + p * t] = mat.entries
+        return Matrix(self.ring, self.total, width, tuple(rows))
+
+
+def _coeff_left(a: Matrix, t: int) -> Matrix:
+    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
+    return kron(a, Matrix.identity(a.ring, t))
+
+
+def _coeff_right(b: Matrix, p: int) -> Matrix:
+    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
+    return kron(Matrix.identity(b.ring, p), b.transpose())
+
+
+def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, degree: int, key) -> None:
+    """Append the rows of df for the degree-`degree` map f: src -> tgt.
+
+    The block of f at source degree n is the unknown key(n).  For each
+    source degree n in increasing order, one row group holds
+    vec((df)_n) = vec(d f_n - (-1)^degree f_(n-1) d), so the rows are
+    laid out like the unknowns of a degree-(degree - 1) map.
+    """
+    sign = 1 if degree % 2 == 0 else -1
+    for n, t in src.ranks:
+        p = tgt.rank(n + degree - 1)
+        if p == 0:
+            continue
+        here, below = key(n), key(n - 1)
+        terms = []
+        if system.has(here):
+            terms.append((here, _coeff_left(tgt.diff(n + degree), t)))
+        if system.has(below):
+            terms.append((below, _coeff_right(src.diff(n), p).scale(-sign)))
+        system.condition(p * t, terms)
+
+
+def _map_system(src: ChainComplex, tgt: ChainComplex, degree: int) -> _BlockSystem:
+    """Unknowns for the blocks of a degree-`degree` map, keyed by source degree."""
+    system = _BlockSystem(src.ring)
+    for n, t in src.ranks:
+        system.unknown(n, tgt.rank(n + degree), t)
+    return system
+
+
 def leibniz_system(src: ChainComplex, tgt: ChainComplex, degree: int):
     """Matrix of the graded differential acting on degree-`degree` maps.
 
-    Returns (a, var_ns, var_size, eq_ns).  Columns of a correspond to
-    the stacked row-major vectorizations of the blocks in var_ns; rows
-    to the vectorized blocks of the resulting degree-(degree - 1) map
-    in eq_ns.  Kernel vectors of a are precisely the chain conditions,
-    and solving a x == vec(f) finds preimages under d.
+    Returns (a, system).  The columns of a are the coordinates of the
+    unknown blocks of system, keyed by source degree; its rows are the
+    coordinates of the resulting degree-(degree - 1) map, laid out like
+    _map_system(src, tgt, degree - 1).  Kernel vectors of a are
+    precisely the chain maps, and solving a x == b finds preimages
+    under d.
     """
-    ring = src.ring
-    ns = list(src.degrees())
-    var_size = {n: tgt.rank(n + degree) * src.rank(n) for n in ns}
-    active = [n for n in ns if var_size[n] > 0]
-    sign = 1 if degree % 2 == 0 else -1
-    strips = []
-    eq_ns = []
-    for n in ns:
-        eq_rows = tgt.rank(n + degree - 1) * src.rank(n)
-        if eq_rows == 0:
-            continue
-        if active:
-            pieces = []
-            for k in active:
-                if k == n:
-                    pieces.append(kron(tgt.diff(n + degree), Matrix.identity(ring, src.rank(n))))
-                elif k == n - 1:
-                    blk = kron(
-                        Matrix.identity(ring, tgt.rank(n + degree - 1)),
-                        src.diff(n).transpose(),
-                    )
-                    pieces.append(blk.scale(-sign))
-                else:
-                    pieces.append(Matrix.zero(ring, eq_rows, var_size[k]))
-            strip = pieces[0]
-            for p in pieces[1:]:
-                strip = strip.hstack(p)
-        else:
-            strip = Matrix.zero(ring, eq_rows, 0)
-        strips.append(strip)
-        eq_ns.append(n)
-    total_vars = sum(var_size[k] for k in active)
-    if strips:
-        a = strips[0]
-        for s in strips[1:]:
-            a = a.vstack(s)
-    else:
-        a = Matrix.zero(ring, 0, total_vars)
-    return a, active, var_size, eq_ns
-
-
-def graded_map_from_vector(src, tgt, degree, active, var_size, x) -> GradedMap:
-    """Reassemble a GradedMap from a stacked coefficient column vector."""
-    blocks = {}
-    offset = 0
-    for n in active:
-        size = var_size[n]
-        blocks[n] = unvec_row_major(
-            x.rows_slice(offset, offset + size), tgt.rank(n + degree), src.rank(n)
-        )
-        offset += size
-    return GradedMap.build(src, tgt, degree, blocks)
+    system = _map_system(src, tgt, degree)
+    _leibniz_rows(system, src, tgt, degree, lambda n: n)
+    return system.matrix(), system
 
 
 def find_null_homotopy(f: GradedMap):
@@ -471,17 +556,14 @@ def find_null_homotopy(f: GradedMap):
     if not f.leibniz().is_zero():
         raise ValueError("df is nonzero, so no H with dH == f can exist")
     src, tgt, d = f.source, f.target, f.degree
-    a, active, var_size, eq_ns = leibniz_system(src, tgt, d + 1)
-    if not eq_ns:
+    a, system = leibniz_system(src, tgt, d + 1)
+    if a.rows == 0:
         return GradedMap.zero(src, tgt, d + 1)
-    rhs = [vec_row_major(f.block(n)) for n in eq_ns]
-    b = rhs[0]
-    for r in rhs[1:]:
-        b = b.vstack(r)
+    b = _map_system(src, tgt, d).stack({n: vec_row_major(m) for n, m in f.blocks}, 1)
     x = solve_linear(a, b)
     if x is None:
         return None
-    h = graded_map_from_vector(src, tgt, d + 1, active, var_size, x)
+    h = GradedMap.build(src, tgt, d + 1, {n: system.block(x, n) for n in system.sizes})
     if h.leibniz() != f:
         raise AssertionError("solver produced a wrong homotopy")
     return h

@@ -510,11 +510,23 @@ def _cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Largest value of a count option (fuzz --n, --max-n).  The nilpotency
+# search takes time quadratic in --max-n even on a rank-1 loop, about a
+# second at this bound and half a minute at ten times it.
+MAX_COUNT = 100
+
 
 def _seed(value: str) -> int:
     got = int(value)
     if not 0 <= got < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return got
+
+
+def _count(value: str) -> int:
+    got = int(value)
+    if not 0 <= got <= MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"count must be between 0 and {MAX_COUNT}")
     return got
 
 
@@ -540,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("cone", _cmd_cone, "mapping cone homology; passes when acyclic")
 
     p = add("nilpotency", _cmd_nilpotency, "least degree with long composites bounding")
-    p.add_argument("--max-n", type=int, default=6, help="largest degree to try")
+    p.add_argument("--max-n", type=_count, default=6, help="largest degree to try")
 
     p = add("classify", _cmd_classify, "tower membership verdicts at a cut index")
     p.add_argument("--n", type=int, default=None, help="cut index (default: top level)")
@@ -559,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="cut index for the factorization")
 
     p = add("tp-check", _cmd_tp_check, "contraction-operator differential relations")
-    p.add_argument("--max-n", type=int, default=4, help="largest operator index to check")
+    p.add_argument("--max-n", type=_count, default=4, help="largest operator index to check")
 
     p = add("delta-check", _cmd_delta_check, "twisted differential squares to zero")
     p.add_argument("--seed", type=_seed, default=0, help="seed for the probe map")
@@ -575,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fuzz", _cmd_fuzz, "randomized invariant suite", needs_file=False)
     p.add_argument("--seed", type=_seed, default=0, help="seed for all instances")
-    p.add_argument("--n", type=int, default=20, help="instance count")
+    p.add_argument("--n", type=_count, default=20, help="instance count")
     p.add_argument("--ring", default="Z", help="coefficients: Z, Q, or Z/<m>")
 
     return parser

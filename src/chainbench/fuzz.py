@@ -21,7 +21,6 @@ from .chains import (
     ChainComplex,
     GradedMap,
     HomologySummary,
-    graded_map_from_vector,
     leibniz_system,
 )
 
@@ -218,12 +217,12 @@ def random_chain_map(rng: random.Random, src: ChainComplex, tgt: ChainComplex, d
     the nose.  Over composite Z/m the kernel may fail to be free; use
     explicit constructions there instead.
     """
-    a, active, var_size, _ = leibniz_system(src, tgt, degree)
-    if not active:
+    a, system = leibniz_system(src, tgt, degree)
+    if not system.total:
         return GradedMap.zero(src, tgt, degree)
     k = kernel_basis(a)
-    coeffs = random_matrix(rng, src.ring, k.cols, 1, bound)
-    return graded_map_from_vector(src, tgt, degree, active, var_size, k @ coeffs)
+    x = k @ random_matrix(rng, src.ring, k.cols, 1, bound)
+    return GradedMap.build(src, tgt, degree, {n: system.block(x, n) for n in system.sizes})
 
 
 def random_null_homotopic(rng: random.Random, src: ChainComplex, tgt: ChainComplex, degree: int = 0, bound: int = 2):

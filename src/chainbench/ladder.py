@@ -30,7 +30,6 @@ from .exact_linalg import (
     ShapeMismatch,
     is_split_surjection,
     kernel_basis,
-    kron,
     solve_linear,
     split_with_complement,
 )
@@ -38,6 +37,10 @@ from .chains import (
     ChainComplex,
     GradedMap,
     SESData,
+    _BlockSystem,
+    _coeff_left,
+    _coeff_right,
+    _leibniz_rows,
     cone,
     cylinder,
     direct_sum,
@@ -466,71 +469,12 @@ def d0_zero_morphism(source: D0Complex, target: D0Complex) -> D0Morphism:
 # exact linear system per degree q.  Conditions beyond the top level
 # are implied: ascents are identities there, which forces the stable
 # block, and the commuting squares push the last descent condition up.
-
-
-class _BlockSystem:
-    """Assembler for linear conditions on a family of matrix unknowns."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.sizes = {}
-        self.offsets = {}
-        self.total = 0
-        self.row_groups = []
-
-    def unknown(self, key, rows: int, cols: int) -> None:
-        if rows <= 0 or cols <= 0 or key in self.sizes:
-            return
-        self.sizes[key] = (rows, cols)
-        self.offsets[key] = self.total
-        self.total += rows * cols
-
-    def has(self, key) -> bool:
-        return key in self.sizes
-
-    def condition(self, row_count: int, terms) -> None:
-        """Add row_count rows; terms pairs unknown keys with coefficients."""
-        if row_count == 0:
-            return
-        kept = [(k, m) for k, m in terms if k in self.sizes]
-        self.row_groups.append((row_count, kept))
-
-    def matrix(self) -> Matrix:
-        rows = sum(r for r, _ in self.row_groups)
-        z = self.ring.zero
-        grid = [[z] * self.total for _ in range(rows)]
-        base = 0
-        for row_count, kept in self.row_groups:
-            for key, coeff in kept:
-                off = self.offsets[key]
-                for r in range(coeff.rows):
-                    row = grid[base + r]
-                    for s in range(coeff.cols):
-                        v = coeff[r, s]
-                        if v != z:
-                            row[off + s] = self.ring.normalize(row[off + s] + v)
-            base += row_count
-        if rows == 0:
-            return Matrix.zero(self.ring, 0, self.total)
-        return Matrix.from_rows(self.ring, grid)
-
-    def slice_rows(self, stacked: Matrix, key) -> Matrix:
-        """Rows of a solution matrix belonging to one unknown block."""
-        if key not in self.sizes:
-            return Matrix.zero(self.ring, 0, stacked.cols)
-        off = self.offsets[key]
-        p, t = self.sizes[key]
-        return stacked.rows_slice(off, off + p * t)
-
-
-def _coeff_left(a: Matrix, t: int) -> Matrix:
-    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
-    return kron(a, Matrix.identity(a.ring, t))
-
-
-def _coeff_right(b: Matrix, p: int) -> Matrix:
-    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
-    return kron(Matrix.identity(b.ring, p), b.transpose())
+#
+# The systems are assembled by chains._BlockSystem with unknown keys
+# ("f", i, l).  The chain condition of each level map and the boundary
+# of the family complex are the rows of the graded differential, which
+# chains._leibniz_rows appends level by level; the same function
+# assembles chains.leibniz_system.
 
 
 def _coeff_tensor_then(b: Matrix, p: int, s: int) -> Matrix:
@@ -593,58 +537,10 @@ def _compat_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -
             )
 
 
-def _chain_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex) -> None:
+def _leibniz_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:
+    """Rows of the graded differential of every level map of a family."""
     for i in range(d.top_index + 1):
-        dc, cc = d.level(i), c.level(i)
-        for l in dc.degrees():
-            t = dc.rank(l)
-            p_out = cc.rank(l - 1)
-            if t == 0 or p_out == 0:
-                continue
-            sys_.condition(
-                p_out * t,
-                [
-                    (("f", i, l), _coeff_left(cc.diff(l), t)),
-                    (("f", i, l - 1), -_coeff_right(dc.diff(l), p_out)),
-                ],
-            )
-
-
-def _leibniz_matrix(sys_q: _BlockSystem, sys_p: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> Matrix:
-    """Matrix of the boundary operator on raw degree-q families."""
-    ring = c.bimodule.base
-    sign = ring.normalize(-1) if q % 2 == 0 else ring.one
-    z = ring.zero
-    grid = [[z] * sys_q.total for _ in range(sys_p.total)]
-
-    def place(out_key, in_key, coeff):
-        if not (sys_p.has(out_key) and sys_q.has(in_key)) or coeff.is_zero():
-            return
-        roff = sys_p.offsets[out_key]
-        coff = sys_q.offsets[in_key]
-        for r in range(coeff.rows):
-            row = grid[roff + r]
-            for s_ in range(coeff.cols):
-                v = coeff[r, s_]
-                if v != z:
-                    row[coff + s_] = ring.normalize(row[coff + s_] + v)
-
-    for i in range(d.top_index + 1):
-        dc, cc = d.level(i), c.level(i)
-        for l in dc.degrees():
-            t = dc.rank(l)
-            p = cc.rank(l + q)
-            if t == 0 or p == 0:
-                continue
-            place(("f", i, l), ("f", i, l), _coeff_left(cc.diff(l + q), t))
-            place(
-                ("f", i, l + 1),
-                ("f", i, l),
-                _coeff_right(dc.diff(l + 1), p).scale(sign),
-            )
-    if sys_p.total == 0 or sys_q.total == 0:
-        return Matrix.zero(ring, sys_p.total, sys_q.total)
-    return Matrix.from_rows(ring, grid)
+        _leibniz_rows(sys_, d.level(i), c.level(i), q, lambda l, i=i: ("f", i, l))
 
 
 @dataclass(frozen=True)
@@ -702,7 +598,10 @@ def hom_complex(d: D0Complex, c: D0Complex) -> HomComplex:
         sys_p, kp = systems[q - 1]
         if kq.cols == 0:
             continue
-        image = _leibniz_matrix(sys_q, sys_p, d, c, q) @ kq
+        boundary = _BlockSystem(ring)
+        _register_family(boundary, d, c, q)
+        _leibniz_conditions(boundary, d, c, q)
+        image = boundary.matrix() @ kq
         if kp.cols == 0:
             if not image.is_zero():
                 raise AssertionError("boundary left the compatible families")
@@ -741,7 +640,6 @@ def _climb_column(c: D0Complex, start_level: int, block_degree: int, seed: Matri
 
 def _unit_probe_iso(systems, hom, c, m, kernel):
     """Mutually inverse chain maps between the family complex and Ker(alpha_m)."""
-    ring = c.bimodule.base
     to_blocks, from_blocks = {}, {}
     for q, (sys_q, kq) in systems.items():
         dim = kq.cols
@@ -755,9 +653,8 @@ def _unit_probe_iso(systems, hom, c, m, kernel):
         if x is None:
             raise AssertionError("unit evaluation escaped the descent kernel")
         to_blocks[q] = x
-        raw = Matrix.zero(ring, sys_q.total, kdim)
         climbed = _climb_column(c, m, q, kernel.inclusion.block(q))
-        raw = _stack_into(sys_q, raw, {("f", i, 0): mat for i, mat in climbed.items()})
+        raw = sys_q.stack({("f", i, 0): mat for i, mat in climbed.items()}, kdim)
         y = solve_linear(kq, raw)
         if y is None:
             raise AssertionError("kernel family failed the compatibility conditions")
@@ -773,27 +670,8 @@ def _unit_probe_iso(systems, hom, c, m, kernel):
     return to_kernel, from_kernel
 
 
-def _stack_into(sys_, raw: Matrix, placements) -> Matrix:
-    """Overwrite unknown-block row slices of a raw-coordinate matrix."""
-    rows = [list(r) for r in raw.entries]
-    for key, mat in placements.items():
-        if not sys_.has(key):
-            if not mat.is_zero():
-                raise AssertionError("placement targets an absent unknown block")
-            continue
-        off = sys_.offsets[key]
-        p, t = sys_.sizes[key]
-        if mat.rows != p * t:
-            raise AssertionError("placement shape mismatch")
-        for r in range(mat.rows):
-            for s_ in range(mat.cols):
-                rows[off + r][s_] = mat[r, s_]
-    return Matrix.from_rows(raw.ring, rows)
-
-
 def _capped_probe_ses(systems, hom, c, m, kernel, sub_kernel):
     """Short exact sequence around the capped-probe family complex."""
-    ring = c.bimodule.base
     sub_shift = shift_unsigned(sub_kernel.complex, -1)
     i_blocks, p_blocks = {}, {}
     for q, (sys_q, kq) in systems.items():
@@ -807,9 +685,8 @@ def _capped_probe_ses(systems, hom, c, m, kernel, sub_kernel):
         kdim = sub_kernel.complex.rank(q + 1)
         if dim == 0 or kdim == 0:
             continue
-        raw = Matrix.zero(ring, sys_q.total, kdim)
         climbed = _climb_column(c, m + 1, q + 1, sub_kernel.inclusion.block(q + 1))
-        raw = _stack_into(sys_q, raw, {("f", i, 1): mat for i, mat in climbed.items()})
+        raw = sys_q.stack({("f", i, 1): mat for i, mat in climbed.items()}, kdim)
         y = solve_linear(kq, raw)
         if y is None:
             raise AssertionError("capped-slot family failed the compatibility conditions")
@@ -864,24 +741,18 @@ def morphism_space(d: D0Complex, c: D0Complex) -> MorphismSpace:
     sys_ = _BlockSystem(ring)
     _register_family(sys_, d, c, 0)
     _compat_conditions(sys_, d, c, 0)
-    _chain_conditions(sys_, d, c)
+    _leibniz_conditions(sys_, d, c, 0)
     k = kernel_basis(sys_.matrix())
     basis = []
     for col in range(k.cols):
-        vec = k.cols_slice(col, col + 1)
+        vec = k.column(col)
         components = []
         for i in range(d.top_index + 1):
-            blocks = {}
-            for l in d.level(i).degrees():
-                key = ("f", i, l)
-                if not sys_.has(key):
-                    continue
-                p, t = sys_.sizes[key]
-                chunk = sys_.slice_rows(vec, key)
-                rows = [
-                    [chunk[r * t + s_, 0] for s_ in range(t)] for r in range(p)
-                ]
-                blocks[l] = Matrix.from_rows(ring, rows)
+            blocks = {
+                l: sys_.block(vec, ("f", i, l))
+                for l in d.level(i).degrees()
+                if sys_.has(("f", i, l))
+            }
             components.append(GradedMap.build(d.level(i), c.level(i), 0, blocks))
         basis.append(D0Morphism.build(d, c, components))
     return MorphismSpace(k.cols, tuple(basis))

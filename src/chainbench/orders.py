@@ -24,19 +24,6 @@ def _require_integers(c: ChainComplex) -> None:
         raise ValueError("order invariants are defined for integer complexes only")
 
 
-def _sorted_divisors(n: int) -> list:
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f * f != n:
-                large.append(n // f)
-        f += 1
-    large.reverse()
-    return small + large
-
-
 # ---------------------------------------------------------------------------
 # Order of homology
 
@@ -95,24 +82,24 @@ class AnnihilatorReport:
 
 
 def annihilator_exponent(c: ChainComplex) -> AnnihilatorReport:
-    """Search for the least multiple of the identity that bounds.
+    """Least multiple of the identity that bounds, with one exact solve.
 
-    Any N that works is a multiple of the homology exponent e, and the
-    annihilating multiples form an ideal whose generator divides e
-    squared, so sweeping the divisors of e squared in increasing order
-    finds the minimum.  Each candidate is decided by an exact solve.
+    A bounded complex of finitely generated free abelian groups splits
+    into elementary pieces: Z in one degree, and Z --t--> Z with t != 0.
+    With finite homology only the second kind occurs, and on such a
+    piece N times the identity bounds exactly when t divides N, with
+    homotopy N / t.  So N id bounds exactly when N is a multiple of the
+    homology exponent e, the least common multiple of the t, and the
+    answer is e with the witness solved for e id.
     """
     _require_integers(c)
     if not homology_order(c).finite:
         return AnnihilatorReport(None, None)
     e = _homology_exponent(c)
-    for n in _sorted_divisors(e * e):
-        witness = find_null_homotopy(GradedMap.identity(c).scale(n))
-        if witness is not None:
-            return AnnihilatorReport(n, witness)
-    raise AssertionError(
-        "no divisor of the squared homology exponent annihilates the complex"
-    )
+    witness = find_null_homotopy(GradedMap.identity(c).scale(e))
+    if witness is None:
+        raise AssertionError("the homology exponent times the identity does not bound")
+    return AnnihilatorReport(e, witness)
 
 
 # ---------------------------------------------------------------------------

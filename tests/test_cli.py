@@ -11,7 +11,7 @@ import pytest
 
 import chainbench
 from chainbench.chains import ChainComplex, GradedMap
-from chainbench.cli import main
+from chainbench.cli import MAX_COUNT, main
 from chainbench.diagrams import Bimodule, DComplex, preset_diagram
 from chainbench.exact_linalg import QQ, ZZ, Matrix
 from chainbench.fuzz import random_kernel_tower, random_reduced_ladder
@@ -313,6 +313,32 @@ def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["homology"]["0"]["betti"] == "4096"
+
+
+def test_count_options_out_of_range_exit_2(tmp_path, capsys):
+    """Negative or oversized counts are usage errors, never a verdict."""
+    jordan = write(tmp_path, "jordan.json", dump_dcomplex(jordan_dcomplex()))
+    scenario = scenario_file(tmp_path)
+    commands = [
+        ["fuzz", "--n"],
+        ["nilpotency", jordan, "--max-n"],
+        ["tp-check", scenario, "--max-n"],
+    ]
+    for command in commands:
+        for bad in ("-3", "-1", str(MAX_COUNT + 1), "10000000000", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + [bad, "--json"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: argument" in captured.err
+            if bad != "two":
+                assert f"between 0 and {MAX_COUNT}" in captured.err
+    assert main(["nilpotency", jordan, "--max-n", str(MAX_COUNT)]) == 0
+    assert main(["nilpotency", jordan, "--max-n", "0"]) == 1
+    assert main(["tp-check", scenario, "--max-n", str(MAX_COUNT)]) == 0
+    assert main(["fuzz", "--n", "0"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_verb_rejected_with_usage(capsys):

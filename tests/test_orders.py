@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+import leibniz_oracle
 from chainbench.chains import (
     ChainComplex,
     GradedMap,
@@ -149,7 +150,8 @@ def test_annihilator_for_a_two_step_diagonal():
     # Any homotopy H with dH = N id must in particular solve the degree-0
     # equation against diag(2, 4), which is invertible over the rationals,
     # so H is forced to be N times diag(1/2, 1/4) and is integral exactly
-    # when 4 divides N.  The solver sweep must land on 4 itself.
+    # when 4 divides N.  The one solve, for the homology exponent, must
+    # succeed at 4 itself.
     c = ChainComplex.build(ZZ, {0: 2, 1: 2}, {1: Matrix.from_rows(ZZ, [[2, 0], [0, 4]])})
     exponent = 1
     for s in homology(c).values():
@@ -179,6 +181,28 @@ def test_annihilator_sandwich_and_contractibility_fuzz():
         made = random_complex(rng, ZZ, force_acyclic=True)
         assert annihilator_exponent(made.complex).exponent == 1
         assert is_contractible(made.complex)
+
+
+def test_annihilator_matches_divisor_sweep_oracle():
+    # The retained oracle sweeps the divisors of the squared exponent
+    # with one solve each; the library solves once, for the exponent.
+    cases = [
+        two_term(1),
+        two_term(2),
+        two_term(12),
+        ChainComplex.zero_complex(ZZ),
+        ChainComplex.build(ZZ, {0: 1}, {}),
+        ChainComplex.build(ZZ, {0: 2, 1: 2}, {1: Matrix.from_rows(ZZ, [[2, 0], [0, 4]])}),
+    ]
+    for seed in range(12):
+        rng = random.Random(2000 + seed)
+        cases.append(torsion_complex(rng, random_atoms(rng)))
+        rng = random.Random(3000 + seed)
+        cases.append(torsion_complex(rng, random_atoms(rng)))
+    for seed in range(8):
+        cases.append(random_complex(random.Random(3100 + seed), ZZ, force_acyclic=True).complex)
+    for c in cases:
+        assert annihilator_exponent(c) == leibniz_oracle.annihilator_exponent(c)
 
 
 def test_classify_frozen_examples():
