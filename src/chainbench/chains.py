@@ -22,8 +22,10 @@ homology-equivalence test that never builds a cone.
 Homology costs one elimination per stored differential: one Smith
 form each over Z, one rank each over a field.  H_n is read off the
 data of d_n and d_(n+1), and a differential that is not stored costs
-nothing.  Over composite Z/m each degree instead takes a lattice route:
-a kernel lattice of d_n mod m, a solve and a Smith form over Z.
+nothing.  Over composite Z/m each degree instead takes the
+congruence-lattice route of exact_linalg._congruence_quotient: the
+lattice of integer cycles of d_n mod m, modulo the boundaries and m
+times everything, read off one Smith form over Z.
 
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
@@ -51,9 +53,9 @@ from .exact_linalg import (
     Ring,
     ShapeMismatch,
     ZZ,
+    _congruence_quotient,
     block_matrix,
     kernel_basis,
-    kernel_lattice_basis_mod,
     kron,
     rank as matrix_rank,
     is_split_surjection,
@@ -329,19 +331,12 @@ def _summary(c: ChainComplex, n: int, below, above) -> HomologySummary:
 
 
 def _homology_mod_composite(c: ChainComplex, n: int) -> HomologySummary:
-    # Z/m with composite m: compare the cycle lattice with the lattice
-    # spanned by boundaries together with m times everything.
+    # Z/m with composite m: the cycle lattice of d_n mod m, modulo the
+    # boundaries together with m times everything.
     m = c.ring.modulus
-    basis = kernel_lattice_basis_mod(c.diff(n).to_ring(ZZ), m)
-    cn = c.rank(n)
-    gens = c.diff(n + 1).to_ring(ZZ).hstack(Matrix.identity(ZZ, cn).scale(m))
-    coords = solve_linear(basis, gens)
-    if coords is None:
-        raise AssertionError("boundaries fell outside the cycle lattice mod m")
-    factors = smith_normal_form(coords).diagonal
-    if any(x == 0 for x in factors):
-        raise AssertionError("homology mod m came out infinite")
-    torsion = tuple(int(x) for x in factors if x != 1)
+    gens = c.diff(n + 1).to_ring(ZZ).hstack(Matrix.identity(ZZ, c.rank(n)).scale(m))
+    _, snf = _congruence_quotient(c.diff(n).to_ring(ZZ), gens, m)
+    torsion = tuple(int(x) for x in snf.diagonal if x != 1)
     return HomologySummary(0, torsion, m)
 
 

@@ -29,6 +29,11 @@ from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
 from .chains import ChainComplex, GradedMap, direct_sum, find_null_homotopy
 
 
+# Largest total rank of a complex that loading or a path composite may
+# produce; exact elimination on total rank r costs about r^3 time.
+MAX_TOTAL_RANK = 4096
+
+
 @dataclass(frozen=True)
 class Bimodule:
     """Free bimodule of finite rank with per-generator twists.
@@ -322,7 +327,9 @@ def path_composite(x: DComplex, path, start: str | None = None) -> PathComposite
     """Composite along a path; twist factors accumulate on the right.
 
     The empty path is the identity, reported at `start` (which may be
-    omitted when the diagram has a single vertex).
+    omitted when the diagram has a single vertex).  Raises ValueError
+    naming the path when the target of the composite would have total
+    rank above MAX_TOTAL_RANK.
     """
     path = tuple(path)
     if not path:
@@ -332,17 +339,23 @@ def path_composite(x: DComplex, path, start: str | None = None) -> PathComposite
             start = x.diagram.vertices[0][0]
         c = x.complex_at(start)
         return PathComposite((), GradedMap.identity(c), identity_bimodule(c.ring))
-    first = x.diagram.edge(path[0])
-    here = first.target
-    acc = first.bimodule
-    out = x.map_for(path[0])
-    for name in path[1:]:
-        e = x.diagram.edge(name)
-        if e.source != here:
-            raise ValueError(f"path breaks at edge {name}")
-        out = tensor_map_with_bimodule(x.map_for(name), acc) @ out
+    # Check the whole path before composing anything.
+    edges = [x.diagram.edge(name) for name in path]
+    rank = edges[0].bimodule.rank
+    for prev, e in zip(edges, edges[1:]):
+        if e.source != prev.target:
+            raise ValueError(f"path breaks at edge {e.name}")
+        rank *= e.bimodule.rank
+        size = x.complex_at(e.target).total_rank * rank
+        if size > MAX_TOTAL_RANK:
+            raise ValueError(
+                f"composite along path {list(path)} reaches total rank {size}, "
+                f"over the limit of {MAX_TOTAL_RANK}"
+            )
+    acc, out = edges[0].bimodule, x.map_for(path[0])
+    for e in edges[1:]:
+        out = tensor_map_with_bimodule(x.map_for(e.name), acc) @ out
         acc = tensor_bimodules(e.bimodule, acc)
-        here = e.target
     return PathComposite(path, out, acc)
 
 

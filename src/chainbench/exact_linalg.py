@@ -19,16 +19,19 @@ the first entry of absolute value 1; over Q it always scans the whole
 block.  The divisibility check that follows each pivot is skipped when
 the pivot is 1.
 
-The elementary operations of the Smith reduction work on raw entries,
-whole rows at a time.  Integer and rational arithmetic is closed and
-canonical, so no per-entry normalisation is needed; the only reduction
-is % m over Z/m.
+The Smith reduction and _rref share one row arithmetic, _axpy and
+_scaled, on raw entries, whole rows at a time: integer and rational
+arithmetic is closed and canonical, so the only reduction is % m over
+Z/m.  det is one Bareiss elimination over every ring (over Q after
+clearing each row's denominators).  Over composite Z/m, kernels and
+homology share one congruence-lattice route, _congruence_quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class ShapeMismatch(ValueError):
@@ -119,16 +122,6 @@ class Ring:
         if self.kind == "Zmod":
             return _is_prime(self.modulus)
         return False
-
-    def is_unit(self, x) -> bool:
-        x = self.normalize(x)
-        if self.kind == "Z":
-            return x in (1, -1)
-        if self.kind == "Q":
-            return x != 0
-        import math
-
-        return math.gcd(x, self.modulus) == 1
 
     def invert(self, x):
         """Multiplicative inverse; raises ValueError when x is not a unit."""
@@ -436,6 +429,20 @@ class SNFResult:
         return tuple(x for x in self.diagonal if x != z)
 
 
+def _axpy(x, y, c, m):
+    """The row x + c * y, reduced % m unless m is None."""
+    if m is None:
+        return [a + c * b for a, b in zip(x, y)]
+    return [(a + c * b) % m for a, b in zip(x, y)]
+
+
+def _scaled(x, u, m):
+    """The row u * x, reduced % m unless m is None."""
+    if m is None:
+        return [u * a for a in x]
+    return [u * a % m for a in x]
+
+
 class _SnfWorker:
     """Mutable state for the Smith reduction with tracked elementary ops.
 
@@ -461,20 +468,6 @@ class _SnfWorker:
         z, o = self.ring.zero, self.ring.one
         return [[o if i == j else z for j in range(n)] for i in range(n)]
 
-    def _axpy(self, x, y, c):
-        """The row x + c * y."""
-        m = self.mod
-        if m is None:
-            return [a + c * b for a, b in zip(x, y)]
-        return [(a + c * b) % m for a, b in zip(x, y)]
-
-    def _scaled(self, x, u):
-        """The row u * x."""
-        m = self.mod
-        if m is None:
-            return [u * a for a in x]
-        return [u * a % m for a in x]
-
     def swap_rows(self, i, j):
         if i == j:
             return
@@ -491,10 +484,10 @@ class _SnfWorker:
 
     def add_row(self, i, j, c):
         """row_i += c * row_j (on d and p); inverse op recorded on pinv."""
-        d, p, pt = self.d, self.p, self.pinv_t
-        d[i] = self._axpy(d[i], d[j], c)
-        p[i] = self._axpy(p[i], p[j], c)
-        pt[j] = self._axpy(pt[j], pt[i], -c)
+        d, p, pt, m = self.d, self.p, self.pinv_t, self.mod
+        d[i] = _axpy(d[i], d[j], c, m)
+        p[i] = _axpy(p[i], p[j], c, m)
+        pt[j] = _axpy(pt[j], pt[i], -c, m)
 
     def add_col(self, j, i, c):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
@@ -504,8 +497,8 @@ class _SnfWorker:
             if x:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
         qt, qinv = self.q_t, self.qinv
-        qt[j] = self._axpy(qt[j], qt[i], c)
-        qinv[i] = self._axpy(qinv[i], qinv[j], -c)
+        qt[j] = _axpy(qt[j], qt[i], c, m)
+        qinv[i] = _axpy(qinv[i], qinv[j], -c, m)
 
     def negate_row(self, i):
         """row_i *= -1 (over Z only)."""
@@ -514,10 +507,10 @@ class _SnfWorker:
 
     def scale_row(self, i, u):
         """row_i *= u for a unit u (fields only)."""
-        uinv = self.ring.invert(u)
-        self.d[i] = self._scaled(self.d[i], u)
-        self.p[i] = self._scaled(self.p[i], u)
-        self.pinv_t[i] = self._scaled(self.pinv_t[i], uinv)
+        uinv, m = self.ring.invert(u), self.mod
+        self.d[i] = _scaled(self.d[i], u, m)
+        self.p[i] = _scaled(self.p[i], u, m)
+        self.pinv_t[i] = _scaled(self.pinv_t[i], uinv, m)
 
     def result(self) -> SNFResult:
         ring = self.ring
@@ -618,26 +611,24 @@ def smith_normal_form(a: Matrix) -> SNFResult:
 def _rref(a: Matrix):
     """Reduced row echelon form over a field; returns (rows, pivot columns)."""
     ring = a.ring
-    z = ring.zero
+    mod = ring.modulus
     m = [list(row) for row in a.entries]
     pivots = []
     prow = 0
     for col in range(a.cols):
         sel = -1
         for i in range(prow, a.rows):
-            if m[i][col] != z:
+            if m[i][col]:
                 sel = i
                 break
         if sel < 0:
             continue
         m[prow], m[sel] = m[sel], m[prow]
-        inv = ring.invert(m[prow][col])
-        m[prow] = [ring.normalize(inv * x) for x in m[prow]]
+        mp = m[prow] = _scaled(m[prow], ring.invert(m[prow][col]), mod)
         for i in range(a.rows):
-            if i != prow and m[i][col] != z:
-                f = m[i][col]
-                mi, mp = m[i], m[prow]
-                m[i] = [ring.normalize(xi - f * xp) for xi, xp in zip(mi, mp)]
+            f = m[i][col]
+            if f and i != prow:
+                m[i] = _axpy(m[i], mp, -f, mod)
         pivots.append(col)
         prow += 1
         if prow == a.rows:
@@ -696,6 +687,9 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
         raise ShapeMismatch(f"ring mismatch: {a.ring} vs {b.ring}")
     if a.rows != b.rows:
         raise ShapeMismatch(f"a has {a.rows} rows but b has {b.rows}")
+    if a.cols == 0:
+        # Only the empty x exists; it solves exactly when b is zero.
+        return Matrix.zero(a.ring, 0, b.cols) if b.is_zero() else None
     if a.ring.is_field():
         return _solve_field(a, b)
     if a.ring.kind == "Z":
@@ -713,7 +707,7 @@ def _kernel_field(a: Matrix) -> Matrix:
         v = [z] * a.cols
         v[f] = o
         for idx, p in enumerate(pivots):
-            v[p] = a.ring.normalize(-m[idx][f])
+            v[p] = -m[idx][f]
         columns.append(v)
     return Matrix.from_columns(a.ring, columns, a.cols)
 
@@ -746,21 +740,35 @@ def kernel_lattice_basis_mod(a: Matrix, m: int) -> Matrix:
     return basis
 
 
+def _congruence_quotient(a: Matrix, gens: Matrix, m: int):
+    """The lattice L = {x : a @ x == 0 mod m} modulo integer generators.
+
+    Returns (basis, snf): basis is kernel_lattice_basis_mod(a, m), and
+    snf is the Smith form of the coordinates of the columns of gens in
+    that basis, so its diagonal lists the invariant factors of L modulo
+    the span of gens.  gens must lie in L and contain m Z^c, which
+    keeps the quotient finite.
+    """
+    basis = kernel_lattice_basis_mod(a, m)
+    coords = _solve_integer(basis, gens)
+    if coords is None:
+        raise AssertionError("generators fell outside the congruence lattice")
+    snf = smith_normal_form(coords)
+    if any(f == 0 for f in snf.diagonal):
+        raise AssertionError("congruence quotient came out infinite")
+    return basis, snf
+
+
 def _kernel_zmod_composite(a: Matrix) -> Matrix:
     ring = a.ring
     m = ring.modulus
-    c = a.cols
     # Integer vectors x with a x == 0 mod m form a full-rank lattice L
-    # inside Z^c (it contains m Z^c).  Compute a basis for L, express
-    # m Z^c in that basis, and read the quotient off a Smith form.
-    basis = kernel_lattice_basis_mod(a.to_ring(ZZ), m)
-    coords = _solve_integer(basis, Matrix.identity(ZZ, c).scale(m))
-    if coords is None:
-        raise AssertionError("m Z^c escaped the kernel lattice")
-    snf_c = smith_normal_form(coords)
+    # inside Z^c (it contains m Z^c).  The kernel over Z/m is L / m Z^c,
+    # which is free exactly when its invariant factors are all 1 or m.
+    basis, snf_c = _congruence_quotient(
+        a.to_ring(ZZ), Matrix.identity(ZZ, a.cols).scale(m), m
+    )
     factors = snf_c.diagonal
-    if any(f == 0 for f in factors):
-        raise AssertionError("degenerate quotient in Z/m kernel computation")
     bad = [int(f) for f in factors if f not in (1, m)]
     if bad:
         raise NonFreeKernel(
@@ -871,29 +879,14 @@ def det(a: Matrix):
         return _det_bareiss(a.entries)
     if a.ring.kind == "Zmod":
         return _det_bareiss(a.entries) % a.ring.modulus
-    # Rational: eliminate with exact fractions.
-    n = a.rows
-    m = [list(row) for row in a.entries]
-    sign = 1
-    out = Fraction(1)
-    for k in range(n):
-        sel = -1
-        for i in range(k, n):
-            if m[i][k] != 0:
-                sel = i
-                break
-        if sel < 0:
-            return Fraction(0)
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        piv = m[k][k]
-        out *= piv
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / piv
-                m[i] = [xi - f * xk for xi, xk in zip(m[i], m[k])]
-    return out * sign
+    # Rational: clear each row's denominators, then eliminate over Z.
+    rows = []
+    scale = 1
+    for row in a.entries:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return Fraction(_det_bareiss(rows), scale)
 
 
 def rank(a: Matrix) -> int:

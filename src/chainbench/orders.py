@@ -12,7 +12,7 @@ on admits no nonzero morphism into a tower whose level 1 is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from .chains import ChainComplex, GradedMap, find_null_homotopy, homology, is_acyclic
 from .exact_linalg import QQ, ShapeMismatch, _is_prime
@@ -41,26 +41,21 @@ class OrderReport:
     order: int | None
 
 
+def _finite_torsion(c: ChainComplex):
+    """Torsion of every degree from one homology table; None if infinite."""
+    summaries = homology(c).values()
+    if any(s.betti for s in summaries):
+        return None
+    return [t for s in summaries for t in s.torsion]
+
+
 def homology_order(c: ChainComplex) -> OrderReport:
     """Order of the homology of an integer complex, or not finite."""
     _require_integers(c)
-    summaries = homology(c)
-    if any(s.betti for s in summaries.values()):
+    torsion = _finite_torsion(c)
+    if torsion is None:
         return OrderReport(False, None)
-    order = 1
-    for s in summaries.values():
-        for t in s.torsion:
-            order *= t
-    return OrderReport(True, order)
-
-
-def _homology_exponent(c: ChainComplex) -> int:
-    """Least positive integer killing every homology group."""
-    e = 1
-    for s in homology(c).values():
-        for t in s.torsion:
-            e = lcm(e, t)
-    return e
+    return OrderReport(True, prod(torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +88,10 @@ def annihilator_exponent(c: ChainComplex) -> AnnihilatorReport:
     answer is e with the witness solved for e id.
     """
     _require_integers(c)
-    if not homology_order(c).finite:
+    torsion = _finite_torsion(c)
+    if torsion is None:
         return AnnihilatorReport(None, None)
-    e = _homology_exponent(c)
+    e = lcm(*torsion)
     witness = find_null_homotopy(GradedMap.identity(c).scale(e))
     if witness is None:
         raise AssertionError("the homology exponent times the identity does not bound")

@@ -8,7 +8,8 @@ first offending field, while InvalidObject means the shapes were fine
 but the encoded object breaks a defining identity (a boundary that
 does not square to zero, an edge map that is not a chain map).
 
-Declared sizes are capped at MAX_TOTAL_RANK: the total rank of one
+Declared sizes are capped at MAX_TOTAL_RANK (defined in diagrams,
+which also caps path composites with it): the total rank of one
 complex, of a complex after tensoring with a bimodule, a bimodule or
 edge rank, and a tower's level count.  Exact elimination on total
 rank r costs about r^2 memory and r^3 time, and a file can declare a
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from .chains import ChainComplex, GradedMap
 from .diagrams import (
+    MAX_TOTAL_RANK,
     Bimodule,
     DComplex,
     DiagramOfBimodules,
@@ -32,9 +34,6 @@ from .diagrams import (
 )
 from .exact_linalg import QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
 from .ladder import D0Complex, D0Morphism
-
-
-MAX_TOTAL_RANK = 4096
 
 
 class FormatError(ValueError):

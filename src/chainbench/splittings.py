@@ -36,19 +36,17 @@ from .ladder import D0Complex
 
 
 def tensor_power(c: ChainComplex, s: Bimodule, i: int) -> ChainComplex:
-    """The complex c (x) S^i, with S^0 leaving c untouched."""
-    out = c
-    for _ in range(i):
-        out = tensor_with_bimodule(out, s)
-    return out
+    """The complex c (x) S^i, in one step: S^i is free of rank s.rank ** i."""
+    if i == 0:
+        return c
+    return tensor_with_bimodule(c, Bimodule(s.base, s.rank ** i))
 
 
 def tensor_power_map(f: GradedMap, s: Bimodule, i: int) -> GradedMap:
     """The map f (x) id on i extra tensor factors of the bimodule."""
-    out = f
-    for _ in range(i):
-        out = tensor_map_with_bimodule(out, s)
-    return out
+    if i == 0:
+        return f
+    return tensor_map_with_bimodule(f, Bimodule(s.base, s.rank ** i))
 
 
 @dataclass(frozen=True)

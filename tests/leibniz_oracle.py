@@ -10,7 +10,8 @@ the tower-side assemblers, where _leibniz_matrix places the boundary of
 the family complex with its own grid loop; hom_complex, _unit_probe_iso,
 _stack_into and _capped_probe_ses build the family complex on it.  annihilator_exponent sweeps
 the divisors of the squared homology exponent, one exact solve per
-candidate.  The library now assembles every one of these systems with
+candidate, with the helper _homology_exponent that reads a second
+homology table.  The library now assembles every one of these systems with
 one block assembler and one Leibniz function, and finds the annihilator
 with one solve; the tests require the results to agree exactly.
 """
@@ -18,8 +19,9 @@ with one solve; the tests require the results to agree exactly.
 from __future__ import annotations
 
 import random
+from math import lcm
 
-from chainbench.chains import ChainComplex, GradedMap, shift_unsigned, validate_ses
+from chainbench.chains import ChainComplex, GradedMap, homology, shift_unsigned, validate_ses
 from chainbench.exact_linalg import (
     Matrix,
     ShapeMismatch,
@@ -46,7 +48,6 @@ from chainbench.ladder import (
 )
 from chainbench.orders import (
     AnnihilatorReport,
-    _homology_exponent,
     _require_integers,
     homology_order,
 )
@@ -455,6 +456,15 @@ def _sorted_divisors(n: int) -> list:
         f += 1
     large.reverse()
     return small + large
+
+
+def _homology_exponent(c: ChainComplex) -> int:
+    """Least positive integer killing every homology group."""
+    e = 1
+    for s in homology(c).values():
+        for t in s.torsion:
+            e = lcm(e, t)
+    return e
 
 
 def annihilator_exponent(c: ChainComplex) -> AnnihilatorReport:

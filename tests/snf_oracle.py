@@ -1,24 +1,36 @@
 """Reference implementations kept as test oracles.
 
 smith_normal_form and homology_at below are the library's earlier
-versions, kept verbatim.  The Smith reduction normalises every entry
+versions, kept verbatim, and so are _rref with the field solve and
+kernel built on it, the rational determinant loop, and the two
+composite Z/m lattice routes (_kernel_zmod_composite and the homology
+one, _homology_mod_composite).  The Smith reduction normalises every entry
 through Ring.normalize after each elementary operation, builds one
 (key, row, column) tuple per candidate pivot and rescans the trailing
 block for divisibility after every pivot.  homology_at reads H_n off
 the cycle lattice: a kernel basis of d_n, the coordinates of d_(n+1)
 in that basis found by a solve, and a Smith form of those coordinates.
-The library now computes the same results more cheaply; the tests
-require the two to agree exactly.
+The old _rref normalises every entry it writes through Ring.normalize,
+det eliminates with fractions over Q, and each lattice route solves and
+Smith-reduces on its own.  The library now computes the same results
+more cheaply, or from one shared routine; the tests require the two to
+agree exactly.
 """
 
 from __future__ import annotations
 
 from chainbench.chains import ChainComplex, HomologySummary
+from fractions import Fraction
+
 from chainbench.exact_linalg import (
     ZZ,
     Matrix,
+    NonFreeKernel,
     Ring,
+    ShapeMismatch,
     SNFResult,
+    _det_bareiss,
+    _solve_integer,
     kernel_basis,
     kernel_lattice_basis_mod,
     rank as matrix_rank,
@@ -218,9 +230,13 @@ def homology_at(c: ChainComplex, n: int) -> HomologySummary:
         betti = cycles.cols - snf.rank
         torsion = tuple(int(x) for x in snf.invariant_factors if x != 1)
         return HomologySummary(betti, torsion, None)
+    return _homology_mod_composite(c, n)
+
+
+def _homology_mod_composite(c: ChainComplex, n: int) -> HomologySummary:
     # Z/m with composite m: compare the cycle lattice with the lattice
     # spanned by boundaries together with m times everything.
-    m = ring.modulus
+    m = c.ring.modulus
     basis = kernel_lattice_basis_mod(c.diff(n).to_ring(ZZ), m)
     cn = c.rank(n)
     gens = c.diff(n + 1).to_ring(ZZ).hstack(Matrix.identity(ZZ, cn).scale(m))
@@ -232,3 +248,118 @@ def homology_at(c: ChainComplex, n: int) -> HomologySummary:
         raise AssertionError("homology mod m came out infinite")
     torsion = tuple(int(x) for x in factors if x != 1)
     return HomologySummary(0, torsion, m)
+
+
+def _rref(a: Matrix):
+    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    ring = a.ring
+    z = ring.zero
+    m = [list(row) for row in a.entries]
+    pivots = []
+    prow = 0
+    for col in range(a.cols):
+        sel = -1
+        for i in range(prow, a.rows):
+            if m[i][col] != z:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        inv = ring.invert(m[prow][col])
+        m[prow] = [ring.normalize(inv * x) for x in m[prow]]
+        for i in range(a.rows):
+            if i != prow and m[i][col] != z:
+                f = m[i][col]
+                mi, mp = m[i], m[prow]
+                m[i] = [ring.normalize(xi - f * xp) for xi, xp in zip(mi, mp)]
+        pivots.append(col)
+        prow += 1
+        if prow == a.rows:
+            break
+    return m, pivots
+
+
+def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
+    aug = a.hstack(b)
+    m, pivots = _rref(aug)
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[a.ring.zero] * b.cols for _ in range(a.cols)]
+    for idx, p in enumerate(pivots):
+        for j in range(b.cols):
+            x[p][j] = m[idx][a.cols + j]
+    return Matrix(a.ring, a.cols, b.cols, tuple(tuple(r) for r in x))
+
+
+def _kernel_field(a: Matrix) -> Matrix:
+    m, pivots = _rref(a)
+    pivot_set = set(pivots)
+    free = [j for j in range(a.cols) if j not in pivot_set]
+    z, o = a.ring.zero, a.ring.one
+    columns = []
+    for f in free:
+        v = [z] * a.cols
+        v[f] = o
+        for idx, p in enumerate(pivots):
+            v[p] = a.ring.normalize(-m[idx][f])
+        columns.append(v)
+    return Matrix.from_columns(a.ring, columns, a.cols)
+
+
+def _kernel_zmod_composite(a: Matrix) -> Matrix:
+    ring = a.ring
+    m = ring.modulus
+    c = a.cols
+    # Integer vectors x with a x == 0 mod m form a full-rank lattice L
+    # inside Z^c (it contains m Z^c).  Compute a basis for L, express
+    # m Z^c in that basis, and read the quotient off a Smith form.
+    basis = kernel_lattice_basis_mod(a.to_ring(ZZ), m)
+    coords = _solve_integer(basis, Matrix.identity(ZZ, c).scale(m))
+    if coords is None:
+        raise AssertionError("m Z^c escaped the kernel lattice")
+    snf_c = smith_normal_form(coords)
+    factors = snf_c.diagonal
+    if any(f == 0 for f in factors):
+        raise AssertionError("degenerate quotient in Z/m kernel computation")
+    bad = [int(f) for f in factors if f not in (1, m)]
+    if bad:
+        raise NonFreeKernel(
+            f"kernel over {ring} is not free: cyclic pieces of sizes {bad}"
+        )
+    picked = [i for i, f in enumerate(factors) if f == m]
+    generators = (basis @ snf_c.pinv).select_columns(picked)
+    return generators.to_ring(ring)
+
+
+def det(a: Matrix):
+    """Exact determinant in the base ring."""
+    if not a.is_square():
+        raise ShapeMismatch("determinant needs a square matrix")
+    if a.ring.kind == "Z":
+        return _det_bareiss(a.entries)
+    if a.ring.kind == "Zmod":
+        return _det_bareiss(a.entries) % a.ring.modulus
+    # Rational: eliminate with exact fractions.
+    n = a.rows
+    m = [list(row) for row in a.entries]
+    sign = 1
+    out = Fraction(1)
+    for k in range(n):
+        sel = -1
+        for i in range(k, n):
+            if m[i][k] != 0:
+                sel = i
+                break
+        if sel < 0:
+            return Fraction(0)
+        if sel != k:
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
+        piv = m[k][k]
+        out *= piv
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / piv
+                m[i] = [xi - f * xk for xi, xk in zip(m[i], m[k])]
+    return out * sign

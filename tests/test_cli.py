@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import chainbench
 from chainbench.chains import ChainComplex, GradedMap
 from chainbench.cli import MAX_COUNT, main
-from chainbench.diagrams import Bimodule, DComplex, preset_diagram
+from chainbench.diagrams import Bimodule, DComplex, loop_object, preset_diagram, tensor_with_bimodule
 from chainbench.exact_linalg import QQ, ZZ, Matrix
 from chainbench.fuzz import random_kernel_tower, random_reduced_ladder
 from chainbench.ladder import D0Morphism, check_an_local, constant_tower
@@ -313,6 +314,38 @@ def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["homology"]["0"]["betti"] == "4096"
+
+
+def test_nilpotency_composite_over_the_cap_exits_2_in_a_subprocess(tmp_path):
+    """A loop over a rank-64 bimodule on a rank-1 complex, with a map
+    that is not nilpotent: the length-3 composite would have total rank
+    64^3, so the search must stop with exit 2 and a message."""
+    c = ChainComplex.build(ZZ, {0: 1}, {})
+    s = Bimodule(ZZ, 64)
+    f = GradedMap.build(
+        c, tensor_with_bimodule(c, s), 0, {0: Matrix.from_rows(ZZ, [[1]] * 64)}
+    )
+    path = write(tmp_path, "loop64.json", dump_dcomplex(loop_object(f, s)))
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # Without the cap the child would build a 262144 x 4096 matrix; the
+    # address-space limit turns that into a failure instead of a host
+    # running out of memory.
+    limit = (1 << 30, 1 << 30)
+    done = subprocess.run(
+        [sys.executable, "-m", "chainbench", "nilpotency", path, "--max-n", "100", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert done.returncode == 2
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "error"
+    assert "over the limit of 4096" in report["message"]
+    assert "Traceback" not in done.stderr
 
 
 def test_count_options_out_of_range_exit_2(tmp_path, capsys):

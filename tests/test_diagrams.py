@@ -12,6 +12,7 @@ from chainbench.chains import (
     find_null_homotopy,
     same_homology,
 )
+from chainbench import diagrams, serialize
 from chainbench.diagrams import (
     Bimodule,
     DComplex,
@@ -264,6 +265,23 @@ def test_path_composite_rejects_broken_path():
     dcx = DComplex.build(diagram, {"a": c, "b": c}, {"alpha": f, "beta": f})
     with pytest.raises(ValueError):
         path_composite(dcx, ["alpha", "alpha"])
+
+
+def test_path_composite_caps_the_total_rank(monkeypatch):
+    """A loop over a rank-4 bimodule on a rank-1 complex, under a cap
+    lowered to 64 so that a missing check stays cheap: the length-3
+    composite reaches the cap exactly, the length-4 one would exceed it."""
+    assert serialize.MAX_TOTAL_RANK is diagrams.MAX_TOTAL_RANK == 4096
+    monkeypatch.setattr(diagrams, "MAX_TOTAL_RANK", 64)
+    c = ChainComplex.build(ZZ, {0: 1}, {})
+    s = Bimodule(ZZ, 4)
+    f = GradedMap.build(c, tensor_with_bimodule(c, s), 0, {0: Matrix.from_rows(ZZ, [[1]] * 4)})
+    obj = loop_object(f, s)
+    assert path_composite(obj, ["x"] * 3).map.target.total_rank == 64
+    with pytest.raises(ValueError, match=r"\['x', 'x', 'x', 'x'\].*256.*64"):
+        path_composite(obj, ["x"] * 4)
+    with pytest.raises(ValueError, match="path"):
+        nilpotency_degree(obj, 5)
 
 
 def test_path_composite_is_chain_map_and_accumulates_twists():

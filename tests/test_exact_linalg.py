@@ -38,6 +38,7 @@ from chainbench.exact_linalg import (
     unvec_row_major,
     vec_row_major,
 )
+from chainbench.exact_linalg import _rref, _solve_integer, _solve_zmod_composite
 
 
 def mk(ring, data):
@@ -597,6 +598,98 @@ def test_det_against_sympy():
         assert det(aq) == Fraction(expected)
     u = rand_unimodular(rng, 4)
     assert det(u) in (1, -1)
+
+
+# ---------------------------------------------------------------------------
+# One elimination core against the routines it replaced.  repr keeps the
+# entry types apart (1 == Fraction(1), but their reprs differ), so every
+# comparison below is bit for bit.
+
+
+def test_field_elimination_matches_oracle_bit_for_bit():
+    rng = random.Random(20261021)
+    count = 0
+    for a in _snf_oracle_inputs():
+        if not a.ring.is_field():
+            continue
+        want_rows, want_pivots = snf_oracle._rref(a)
+        assert repr(_rref(a)) == repr((want_rows, want_pivots)), a
+        assert rank(a) == len(want_pivots)
+        assert repr(kernel_basis(a)) == repr(snf_oracle._kernel_field(a)), a
+        solvable = a @ rand_matrix(rng, a.ring, a.cols, 2)
+        for b in (rand_matrix(rng, a.ring, a.rows, rng.randint(1, 3)), solvable):
+            assert repr(solve_linear(a, b)) == repr(snf_oracle._solve_field(a, b)), (a, b)
+        count += 1
+    assert count >= 1000
+
+
+def test_solve_without_unknowns_matches_elimination():
+    """A system with no unknowns is answered without eliminating; the
+    answer must be the one each elimination route gives."""
+    routes = (
+        (ZZ, _solve_integer),
+        (Zmod(6), _solve_zmod_composite),
+        (QQ, snf_oracle._solve_field),
+        (Zmod(5), snf_oracle._solve_field),
+    )
+    for ring, route in routes:
+        for rows in (0, 1, 4):
+            a = Matrix.zero(ring, rows, 0)
+            cases = [Matrix.zero(ring, rows, 2)]
+            if rows:
+                cases.append(mk(ring, [[0, 0]] * (rows - 1) + [[0, 1]]))
+            for b in cases:
+                want = route(a, b)
+                assert (want is None) == (not b.is_zero())
+                assert repr(solve_linear(a, b)) == repr(want), (ring, rows, b)
+
+
+def test_det_matches_oracle_bit_for_bit():
+    rng = random.Random(20261022)
+    for ring in (ZZ, QQ, Zmod(4), Zmod(7)):
+        cases = [Matrix.zero(ring, 0, 0), Matrix.zero(ring, 3, 3), Matrix.identity(ring, 4)]
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            bound = rng.choice((1, 3, 9))
+            if ring is QQ:
+                data = [
+                    [Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3, 4, 7, 12)))
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+                a = mk(ring, data)
+            else:
+                a = rand_matrix(rng, ring, n, n, bound=bound)
+            if n > 1 and rng.random() < 0.2:
+                a = mk(ring, a.entries[:-1] + (a.entries[0],))  # singular
+            cases.append(a)
+        for a in cases:
+            assert repr(det(a)) == repr(snf_oracle.det(a)), a
+    with pytest.raises(ShapeMismatch):
+        det(Matrix.zero(QQ, 2, 3))
+
+
+def _kernel_outcome(fn, a):
+    try:
+        return repr(fn(a))
+    except NonFreeKernel as err:
+        return f"NonFreeKernel: {err}"
+
+
+def test_kernel_zmod_composite_matches_oracle():
+    rng = random.Random(20261023)
+    outcomes = []
+    for ring in (Zmod(4), Zmod(6), Zmod(12)):
+        cases = [Matrix.zero(ring, 0, 3), Matrix.zero(ring, 2, 0), Matrix.zero(ring, 2, 3),
+                 Matrix.identity(ring, 3)]
+        for _ in range(80):
+            cases.append(rand_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, 4)))
+        for a in cases:
+            got = _kernel_outcome(kernel_basis, a)
+            assert got == _kernel_outcome(snf_oracle._kernel_zmod_composite, a), a
+            outcomes.append(got)
+    raised = sum(1 for o in outcomes if o.startswith("NonFreeKernel"))
+    assert 20 < raised < len(outcomes) - 20
 
 
 def test_rank_variants():

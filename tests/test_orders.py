@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 import leibniz_oracle
+from chainbench import orders
 from chainbench.chains import (
     ChainComplex,
     GradedMap,
@@ -203,6 +204,31 @@ def test_annihilator_matches_divisor_sweep_oracle():
         cases.append(random_complex(random.Random(3100 + seed), ZZ, force_acyclic=True).complex)
     for c in cases:
         assert annihilator_exponent(c) == leibniz_oracle.annihilator_exponent(c)
+
+
+def test_annihilator_reads_one_homology_table(monkeypatch):
+    calls = []
+    real = orders.homology
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(orders, "homology", counted)
+    diagonal = ChainComplex.build(ZZ, {0: 2, 1: 2}, {1: Matrix.from_rows(ZZ, [[2, 0], [0, 4]])})
+    free = ChainComplex.build(ZZ, {0: 1}, {})
+    cases = (diagonal, free, two_term(6))
+    reports = []
+    for c in cases:
+        calls.clear()
+        reports.append(annihilator_exponent(c))
+        assert calls == [c]
+        calls.clear()
+        homology_order(c)
+        assert calls == [c]
+    monkeypatch.undo()
+    for c, report in zip(cases, reports):
+        assert report == leibniz_oracle.annihilator_exponent(c)
 
 
 def test_classify_frozen_examples():

@@ -6,9 +6,10 @@ import pytest
 
 from chainbench.exact_linalg import ShapeMismatch, ZZ, QQ, Zmod
 from chainbench.chains import ChainComplex, GradedMap
-from chainbench.diagrams import Bimodule, tensor_with_bimodule
+from chainbench.diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
 from chainbench.ladder import D0Complex, test_object as probe
 from chainbench.fuzz import (
+    random_complex,
     random_graded_map,
     random_kernel_tower,
     random_reduced_ladder,
@@ -22,6 +23,7 @@ from chainbench.splittings import (
     invert_homotopy,
     t_operator,
     t_differential_holds,
+    tensor_power,
     tensor_power_map,
 )
 
@@ -320,3 +322,20 @@ def test_inversion_sign_ledger():
         for p in range(6):
             step = -1 if (p * q) % 2 else 1
             assert inversion_sign(p, q) == base * step
+
+
+def test_tensor_power_matches_iterated_tensoring():
+    """One Kronecker step with S^i equals i steps with S."""
+    rng = random.Random(20261025)
+    for ring in RINGS:
+        for s_rank in (1, 2, 3):
+            s = Bimodule(ring, s_rank)
+            src = random_complex(rng, ring, max_atoms=3).complex
+            tgt = random_complex(rng, ring, max_atoms=3).complex
+            f = random_graded_map(rng, src, tgt, 1)
+            c_iter, f_iter = src, f
+            for i in range(4):
+                assert tensor_power(src, s, i) == c_iter
+                assert tensor_power_map(f, s, i) == f_iter
+                c_iter = tensor_with_bimodule(c_iter, s)
+                f_iter = tensor_map_with_bimodule(f_iter, s)
