@@ -17,7 +17,10 @@ On top of the two core types this module provides homology with exact
 torsion data, a null-homotopy solver, mapping cones and cylinders,
 suspensions, direct sums, pushouts along levelwise split injections,
 short exact sequence handling with rotation, and an independent
-homology-equivalence test that never builds a cone.
+homology-equivalence test that never builds a cone.  Every block
+matrix of these constructions is assembled by
+exact_linalg.block_matrix from its nonzero blocks alone: the blocks
+not given are zero, so nothing here pads with zero matrices.
 
 Homology costs one elimination per stored differential: one Smith
 form each over Z, one rank each over a field.  H_n is read off the
@@ -29,9 +32,10 @@ times everything, read off one Smith form over Z.
 
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
-maps.  _BlockSystem is the one assembler of such systems: its unknowns
-are matrix blocks named by keys and vectorised row-major, and each
-condition is a group of rows of Kronecker coefficients.  _leibniz_rows
+maps.  _BlockSystem collects such systems: its unknowns are matrix
+blocks named by keys and vectorised row-major, each condition is a
+group of rows of Kronecker coefficients, and block_matrix assembles
+the conditions as block rows over the unknowns.  _leibniz_rows
 appends the rows of df for one pair of complexes; leibniz_system, the
 tower systems of the ladder module and the fuzzers are all built on
 it.  A general null-homotopy solves that system for every block of the
@@ -403,14 +407,16 @@ def same_homology(a: ChainComplex, b: ChainComplex) -> bool:
 
 
 class _BlockSystem:
-    """Assembler for linear conditions on a family of matrix unknowns.
+    """Linear conditions on a family of matrix unknowns, for block_matrix.
 
     Each unknown is a matrix block named by a key.  Its coordinates are
     the row-major vectorization of the block, and the blocks are
     stacked in the order their keys were registered; blocks with no
     entries are not registered.  A condition appends a group of rows
     that pairs unknown keys with coefficient matrices; terms on keys
-    that are not registered are dropped.
+    that are not registered are dropped, and terms on the same key are
+    summed.  matrix() and stack() hand the unknowns as block columns,
+    or block rows, to exact_linalg.block_matrix.
     """
 
     def __init__(self, ring):
@@ -434,26 +440,22 @@ class _BlockSystem:
         """Add row_count rows; terms pairs unknown keys with coefficients."""
         if row_count == 0:
             return
-        kept = [(k, m) for k, m in terms if k in self.sizes]
+        kept = {}
+        for k, m in terms:
+            if k in self.sizes:
+                kept[k] = kept[k] + m if k in kept else m
         self.row_groups.append((row_count, kept))
 
+    def _layout(self):
+        """Coordinate counts and block indices of the unknowns, in order."""
+        return [p * t for p, t in self.sizes.values()], {key: j for j, key in enumerate(self.sizes)}
+
     def matrix(self) -> Matrix:
-        rows = sum(r for r, _ in self.row_groups)
-        z = self.ring.zero
-        grid = [[z] * self.total for _ in range(rows)]
-        base = 0
-        for row_count, kept in self.row_groups:
-            for key, coeff in kept:
-                off = self.offsets[key]
-                for r, entries in enumerate(coeff.entries):
-                    row = grid[base + r]
-                    for s, v in enumerate(entries, off):
-                        if v != z:
-                            row[s] += v
-            base += row_count
-        if rows == 0:
-            return Matrix.zero(self.ring, 0, self.total)
-        return Matrix.from_rows(self.ring, grid)
+        widths, slot = self._layout()
+        blocks = {
+            (g, slot[key]): coeff for g, (_, kept) in enumerate(self.row_groups) for key, coeff in kept.items()
+        }
+        return block_matrix(self.ring, [r for r, _ in self.row_groups], widths, blocks)
 
     def slice_rows(self, stacked: Matrix, key) -> Matrix:
         """Rows of a solution matrix belonging to one unknown block."""
@@ -474,7 +476,8 @@ class _BlockSystem:
         coordinates of that block; a zero placement on a key that is
         not registered is allowed and ignored.
         """
-        rows = [(self.ring.zero,) * width] * self.total
+        heights, slot = self._layout()
+        blocks = {}
         for key, mat in placements.items():
             if key not in self.sizes:
                 if not mat.is_zero():
@@ -483,9 +486,8 @@ class _BlockSystem:
             p, t = self.sizes[key]
             if mat.shape != (p * t, width):
                 raise AssertionError("placement shape mismatch")
-            off = self.offsets[key]
-            rows[off:off + p * t] = mat.entries
-        return Matrix(self.ring, self.total, width, tuple(rows))
+            blocks[(slot[key], 0)] = mat
+        return block_matrix(self.ring, heights, [width], blocks)
 
 
 def _coeff_left(a: Matrix, t: int) -> Matrix:
@@ -644,37 +646,27 @@ def direct_sum(*parts: ChainComplex) -> DirectSumData:
     if any(p.ring != ring for p in parts):
         raise ShapeMismatch("summands live over different rings")
     degrees = sorted({n for p in parts for n in p.degrees()})
-    ranks = {n: sum(p.rank(n) for p in parts) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        grid = []
-        for i, pi in enumerate(parts):
-            row = []
-            for j, pj in enumerate(parts):
-                if i == j:
-                    row.append(pi.diff(n))
-                else:
-                    row.append(Matrix.zero(ring, pi.rank(n - 1), pj.rank(n)))
-            grid.append(row)
-        diffs[n] = block_matrix(grid)
+
+    def sizes(n):
+        return [p.rank(n) for p in parts]
+
+    ranks = {n: sum(sizes(n)) for n in degrees}
+    diffs = {
+        n: block_matrix(ring, sizes(n - 1), sizes(n), {(i, i): p.diff(n) for i, p in enumerate(parts)})
+        for n in degrees
+    }
     total = ChainComplex.build(ring, ranks, diffs, validate=False)
     inclusions = []
     projections = []
     for i, p in enumerate(parts):
-        inc = {}
-        prj = {}
-        for n in p.degrees():
-            before = sum(q.rank(n) for q in parts[:i])
-            eye = Matrix.identity(ring, p.rank(n))
-            top = Matrix.zero(ring, before, p.rank(n))
-            bot = Matrix.zero(ring, total.rank(n) - before - p.rank(n), p.rank(n))
-            inc[n] = top.vstack(eye).vstack(bot)
-        for n in total.degrees():
-            before = sum(q.rank(n) for q in parts[:i])
-            eye = Matrix.identity(ring, p.rank(n))
-            left = Matrix.zero(ring, p.rank(n), before)
-            right = Matrix.zero(ring, p.rank(n), total.rank(n) - before - p.rank(n))
-            prj[n] = left.hstack(eye).hstack(right)
+        inc = {
+            n: block_matrix(ring, sizes(n), [p.rank(n)], {(i, 0): Matrix.identity(ring, p.rank(n))})
+            for n in p.degrees()
+        }
+        prj = {
+            n: block_matrix(ring, [p.rank(n)], sizes(n), {(0, i): Matrix.identity(ring, p.rank(n))})
+            for n in total.degrees()
+        }
         inclusions.append(GradedMap.build(p, total, 0, inc))
         projections.append(GradedMap.build(total, p, 0, prj))
     return DirectSumData(total, tuple(inclusions), tuple(projections))
@@ -700,22 +692,26 @@ def cone(f: GradedMap) -> ConeData:
     ring = a.ring
     degrees = sorted({n for n in b.degrees()} | {n + 1 for n in a.degrees()})
     ranks = {n: a.rank(n - 1) + b.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        top = (-a.diff(n - 1)).hstack(Matrix.zero(ring, a.rank(n - 2), b.rank(n)))
-        bot = (-f.block(n - 1)).hstack(b.diff(n))
-        diffs[n] = top.vstack(bot)
+
+    def sizes(n):
+        return [a.rank(n - 1), b.rank(n)]
+
+    diffs = {
+        n: block_matrix(
+            ring, sizes(n - 1), sizes(n),
+            {(0, 0): -a.diff(n - 1), (1, 0): -f.block(n - 1), (1, 1): b.diff(n)},
+        )
+        for n in degrees
+    }
     cx = ChainComplex.build(ring, ranks, diffs, validate=True)
-    incl = {}
-    for n in b.degrees():
-        incl[n] = Matrix.zero(ring, a.rank(n - 1), b.rank(n)).vstack(
-            Matrix.identity(ring, b.rank(n))
-        )
-    proj = {}
-    for n in cx.degrees():
-        proj[n] = Matrix.identity(ring, a.rank(n - 1)).hstack(
-            Matrix.zero(ring, a.rank(n - 1), b.rank(n))
-        )
+    incl = {
+        n: block_matrix(ring, sizes(n), [b.rank(n)], {(1, 0): Matrix.identity(ring, b.rank(n))})
+        for n in b.degrees()
+    }
+    proj = {
+        n: block_matrix(ring, [a.rank(n - 1)], sizes(n), {(0, 0): Matrix.identity(ring, a.rank(n - 1))})
+        for n in cx.degrees()
+    }
     inclusion = GradedMap.build(b, cx, 0, incl)
     projection = GradedMap.build(cx, a, -1, proj)
     if not inclusion.is_chain_map():
@@ -753,73 +749,35 @@ def cylinder(f: GradedMap) -> CylinderData:
     degrees = sorted(
         {n for n in a.degrees()} | {n + 1 for n in a.degrees()} | set(b.degrees())
     )
-    ranks = {n: a.rank(n) + a.rank(n - 1) + b.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        an, an1, bn = a.rank(n), a.rank(n - 1), b.rank(n)
-        am1, am2, bm1 = a.rank(n - 1), a.rank(n - 2), b.rank(n - 1)
-        row1 = a.diff(n).hstack(Matrix.identity(ring, an1)).hstack(Matrix.zero(ring, am1, bn))
-        row2 = (
-            Matrix.zero(ring, am2, an)
-            .hstack(-a.diff(n - 1))
-            .hstack(Matrix.zero(ring, am2, bn))
+
+    def sizes(n):
+        return [a.rank(n), a.rank(n - 1), b.rank(n)]
+
+    def eye(n):
+        return Matrix.identity(ring, n)
+
+    ranks = {n: sum(sizes(n)) for n in degrees}
+    diffs = {
+        n: block_matrix(
+            ring, sizes(n - 1), sizes(n),
+            {
+                (0, 0): a.diff(n), (0, 1): eye(a.rank(n - 1)),
+                (1, 1): -a.diff(n - 1),
+                (2, 1): -f.block(n - 1), (2, 2): b.diff(n),
+            },
         )
-        row3 = (
-            Matrix.zero(ring, bm1, an)
-            .hstack(-f.block(n - 1))
-            .hstack(b.diff(n))
-        )
-        diffs[n] = row1.vstack(row2).vstack(row3)
+        for n in degrees
+    }
     cx = ChainComplex.build(ring, ranks, diffs, validate=True)
-    j1 = {}
-    for n in a.degrees():
-        an = a.rank(n)
-        j1[n] = (
-            Matrix.identity(ring, an)
-            .vstack(Matrix.zero(ring, a.rank(n - 1), an))
-            .vstack(Matrix.zero(ring, b.rank(n), an))
-        )
-    j2 = {}
-    for n in b.degrees():
-        bn = b.rank(n)
-        j2[n] = (
-            Matrix.zero(ring, a.rank(n), bn)
-            .vstack(Matrix.zero(ring, a.rank(n - 1), bn))
-            .vstack(Matrix.identity(ring, bn))
-        )
-    pr = {}
+    j1 = {n: block_matrix(ring, sizes(n), [a.rank(n)], {(0, 0): eye(a.rank(n))}) for n in a.degrees()}
+    j2 = {n: block_matrix(ring, sizes(n), [b.rank(n)], {(2, 0): eye(b.rank(n))}) for n in b.degrees()}
+    pr, qt, ht = {}, {}, {}
     for n in cx.degrees():
-        pr[n] = (
-            f.block(n)
-            .hstack(Matrix.zero(ring, b.rank(n), a.rank(n - 1)))
-            .hstack(Matrix.identity(ring, b.rank(n)))
+        pr[n] = block_matrix(ring, [b.rank(n)], sizes(n), {(0, 0): f.block(n), (0, 2): eye(b.rank(n))})
+        qt[n] = block_matrix(
+            ring, sizes(n)[1:], sizes(n), {(0, 1): eye(a.rank(n - 1)), (1, 2): eye(b.rank(n))}
         )
-    qt = {}
-    for n in cx.degrees():
-        width = a.rank(n - 1) + b.rank(n)
-        qt[n] = Matrix.zero(ring, width, a.rank(n)).hstack(
-            Matrix.identity(ring, width)
-        )
-    ht = {}
-    for n in cx.degrees():
-        an, an1, bn = a.rank(n), a.rank(n - 1), b.rank(n)
-        up_a = a.rank(n + 1)
-        block = (
-            Matrix.zero(ring, up_a, an)
-            .hstack(Matrix.zero(ring, up_a, an1))
-            .hstack(Matrix.zero(ring, up_a, bn))
-        )
-        mid = (
-            Matrix.identity(ring, an)
-            .hstack(Matrix.zero(ring, an, an1))
-            .hstack(Matrix.zero(ring, an, bn))
-        )
-        low = (
-            Matrix.zero(ring, b.rank(n + 1), an)
-            .hstack(Matrix.zero(ring, b.rank(n + 1), an1))
-            .hstack(Matrix.zero(ring, b.rank(n + 1), bn))
-        )
-        ht[n] = block.vstack(mid).vstack(low)
+        ht[n] = block_matrix(ring, sizes(n + 1), sizes(n), {(1, 0): eye(a.rank(n))})
     incl_source = GradedMap.build(a, cx, 0, j1)
     incl_target = GradedMap.build(b, cx, 0, j2)
     proj = GradedMap.build(cx, b, 0, pr)
@@ -885,37 +843,27 @@ def pushout_along_cofibration(f: GradedMap, g: GradedMap) -> PushoutData:
         kcols[n] = splits[n][1].cols if n in splits else 0
     ranks = {n: z.rank(n) + kcols[n] for n in degrees}
 
-    def _ra(n):
-        if n in splits:
-            return splits[n][0]
-        return Matrix.zero(ring, a.rank(n), y.rank(n))
-
-    def _kk(n):
-        if n in splits:
-            return splits[n][1]
-        return Matrix.zero(ring, y.rank(n), 0)
-
-    def _pk(n):
-        if n in splits:
-            return splits[n][2]
-        return Matrix.zero(ring, 0, y.rank(n))
+    def sizes(n):
+        return [z.rank(n), kcols.get(n, 0)]
 
     diffs = {}
     for n in degrees:
-        topright = g.block(n - 1) @ _ra(n - 1) @ y.diff(n) @ _kk(n)
-        botright = _pk(n - 1) @ y.diff(n) @ _kk(n)
-        top = z.diff(n).hstack(topright)
-        bot = Matrix.zero(ring, kcols.get(n - 1, 0), z.rank(n)).hstack(botright)
-        diffs[n] = top.vstack(bot)
+        blocks = {(0, 0): z.diff(n)}
+        if n in splits and n - 1 in splits:
+            # y.diff(n) is zero unless y has both degrees, hence both splittings.
+            (ra, _, pk), kk = splits[n - 1], splits[n][1]
+            blocks[(0, 1)] = g.block(n - 1) @ ra @ y.diff(n) @ kk
+            blocks[(1, 1)] = pk @ y.diff(n) @ kk
+        diffs[n] = block_matrix(ring, sizes(n - 1), sizes(n), blocks)
     w = ChainComplex.build(ring, ranks, diffs, validate=True)
-    inc_z = {}
-    for n in z.degrees():
-        inc_z[n] = Matrix.identity(ring, z.rank(n)).vstack(
-            Matrix.zero(ring, kcols.get(n, 0), z.rank(n))
-        )
-    inc_y = {}
-    for n in y.degrees():
-        inc_y[n] = (g.block(n) @ _ra(n)).vstack(_pk(n))
+    inc_z = {
+        n: block_matrix(ring, sizes(n), [z.rank(n)], {(0, 0): Matrix.identity(ring, z.rank(n))})
+        for n in z.degrees()
+    }
+    inc_y = {
+        n: block_matrix(ring, sizes(n), [y.rank(n)], {(0, 0): g.block(n) @ splits[n][0], (1, 0): splits[n][2]})
+        for n in y.degrees()
+    }
     from_other = GradedMap.build(z, w, 0, inc_z)
     from_target = GradedMap.build(y, w, 0, inc_y)
     if not from_other.is_chain_map() or not from_target.is_chain_map():
@@ -1058,20 +1006,20 @@ def rotate_ses(data: SESData) -> RotatedSES:
         raise AssertionError("connecting map failed to be a chain map")
     pad = cone(GradedMap.identity(down))
     summed = direct_sum(x, pad.complex)
-    new_incl_blocks = {}
+
+    def sizes(n):
+        # x, then the padding cone: z in degree n, then down in degree n (z in degree n + 1).
+        return [x.rank(n), z.rank(n), down.rank(n)]
+
+    new_incl_blocks, new_proj_blocks = {}, {}
     for n in down.degrees():
-        zn1 = down.rank(n)  # this is rank of Z in degree n + 1
-        zn = z.rank(n)
-        top = gamma.block(n)
-        mid = Matrix.zero(ring, zn, zn1)
-        bot = Matrix.identity(ring, zn1)
-        new_incl_blocks[n] = top.vstack(mid).vstack(bot)
-    new_proj_blocks = {}
+        eye = Matrix.identity(ring, down.rank(n))
+        new_incl_blocks[n] = block_matrix(ring, sizes(n), [down.rank(n)], {(0, 0): gamma.block(n), (2, 0): eye})
     for n in summed.complex.degrees():
-        left = data.incl.block(n)
-        midp = t.block(n)
-        right = -(data.incl.block(n) @ gamma.block(n))
-        new_proj_blocks[n] = left.hstack(midp).hstack(right)
+        i_n = data.incl.block(n)
+        new_proj_blocks[n] = block_matrix(
+            ring, [y.rank(n)], sizes(n), {(0, 0): i_n, (0, 1): t.block(n), (0, 2): -(i_n @ gamma.block(n))}
+        )
     new_incl = GradedMap.build(down, summed.complex, 0, new_incl_blocks)
     new_proj = GradedMap.build(summed.complex, y, 0, new_proj_blocks)
     rotated = validate_ses(new_incl, new_proj)

@@ -337,28 +337,33 @@ class Matrix:
         raise ValueError(f"no canonical map from {self.ring} to {ring}")
 
 
-def block_matrix(grid) -> Matrix:
-    """Assemble a matrix from a rectangular grid of blocks.
+def block_matrix(ring: Ring, heights, widths, blocks) -> Matrix:
+    """Assemble a matrix from blocks on a grid of given sizes.
 
-    Every entry of the grid must be a Matrix; block heights must agree
-    along each row of the grid and widths along each column.
+    Block row i has heights[i] rows and block column j has widths[j]
+    columns.  blocks maps (i, j) to a Matrix of exactly that shape over
+    ring; every block not given is zero.  The rows are built in one
+    pass and become one Matrix at the end.
     """
-    if not grid or not grid[0]:
-        raise ShapeMismatch("block_matrix needs a nonempty grid")
-    ring = grid[0][0].ring
-    ncols_blocks = len(grid[0])
-    for row in grid:
-        if len(row) != ncols_blocks:
-            raise ShapeMismatch("ragged block grid")
-    out = None
-    for row in grid:
-        strip = row[0]
-        for blk in row[1:]:
-            strip = strip.hstack(blk)
-        out = strip if out is None else out.vstack(strip)
-    if out.ring != ring:
-        raise ShapeMismatch("ring mismatch inside block grid")
-    return out
+    heights, widths = list(heights), list(widths)
+    offsets = [0]
+    for w in widths:
+        offsets.append(offsets[-1] + w)
+    z = ring.zero
+    strips = [[[z] * offsets[-1] for _ in range(h)] for h in heights]
+    for (i, j), blk in blocks.items():
+        if not (0 <= i < len(heights) and 0 <= j < len(widths)):
+            raise ShapeMismatch(f"block ({i}, {j}) lies outside the block grid")
+        if blk.ring != ring or blk.shape != (heights[i], widths[j]):
+            raise ShapeMismatch(
+                f"block ({i}, {j}) is {blk.shape} over {blk.ring}, "
+                f"expected {(heights[i], widths[j])} over {ring}"
+            )
+        j0, j1 = offsets[j], offsets[j + 1]
+        for row, entries in zip(strips[i], blk.entries):
+            row[j0:j1] = entries
+    data = [row for strip in strips for row in strip]
+    return Matrix(ring, len(data), offsets[-1], data)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import Matrix, Ring, ZZ, inverse, kernel_basis
+from .exact_linalg import Matrix, Ring, ZZ, block_matrix, inverse, kernel_basis
 from .chains import (
     ChainComplex,
     GradedMap,
@@ -254,11 +254,17 @@ def random_extension(rng: random.Random, sub: ChainComplex, quotient: ChainCompl
     v = w.leibniz()
     degrees = sorted(set(sub.degrees()) | set(quotient.degrees()))
     ranks = {n: sub.rank(n) + quotient.rank(n) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        top = sub.diff(n).hstack(v.block(n))
-        bot = Matrix.zero(ring, quotient.rank(n - 1), sub.rank(n)).hstack(quotient.diff(n))
-        diffs[n] = top.vstack(bot)
+
+    def sizes(n):
+        return [sub.rank(n), quotient.rank(n)]
+
+    diffs = {
+        n: block_matrix(
+            ring, sizes(n - 1), sizes(n),
+            {(0, 0): sub.diff(n), (0, 1): v.block(n), (1, 1): quotient.diff(n)},
+        )
+        for n in degrees
+    }
     middle = ChainComplex.build(ring, ranks, diffs)
     basis = {n: random_unimodular(rng, ring, ranks[n]) for n in middle.degrees()}
 
@@ -270,9 +276,9 @@ def random_extension(rng: random.Random, sub: ChainComplex, quotient: ChainCompl
     incl_blocks = {}
     proj_blocks = {}
     for n in degrees:
-        sn, qn = sub.rank(n), quotient.rank(n)
-        incl_plain = Matrix.identity(ring, sn).vstack(Matrix.zero(ring, qn, sn))
-        proj_plain = Matrix.zero(ring, qn, sn).hstack(Matrix.identity(ring, qn))
+        sn, qn = sizes(n)
+        incl_plain = block_matrix(ring, [sn, qn], [sn], {(0, 0): Matrix.identity(ring, sn)})
+        proj_plain = block_matrix(ring, [qn], [sn, qn], {(0, 1): Matrix.identity(ring, qn)})
         incl_blocks[n] = u(n) @ incl_plain
         proj_blocks[n] = proj_plain @ inverse(u(n))
     incl = GradedMap.build(sub, mixed, 0, incl_blocks)
@@ -509,18 +515,14 @@ def random_kernel_tower(
         else:
             v_i = GradedMap.zero(bs, kernel, 0)
         w_i = v_i.leibniz()
-        ranks = {}
-        for deg in set(kernel.degrees()) | set(bs.degrees()):
-            ranks[deg] = kernel.rank(deg) + bs.rank(deg)
-        diffs = {}
-        for deg in ranks:
-            rows = ranks.get(deg - 1, 0)
-            cols = ranks[deg]
-            if not rows or not cols:
-                continue
-            top = kernel.diff(deg).hstack(w_i.block(deg))
-            bottom = Matrix.zero(ring, bs.rank(deg - 1), kernel.rank(deg)).hstack(bs.diff(deg))
-            diffs[deg] = top.vstack(bottom)
+        ranks = {deg: kernel.rank(deg) + bs.rank(deg) for deg in set(kernel.degrees()) | set(bs.degrees())}
+        diffs = {
+            deg: block_matrix(
+                ring, [kernel.rank(deg - 1), bs.rank(deg - 1)], [kernel.rank(deg), bs.rank(deg)],
+                {(0, 0): kernel.diff(deg), (0, 1): w_i.block(deg), (1, 1): bs.diff(deg)},
+            )
+            for deg in ranks
+        }
         level_next = ChainComplex.build(ring, ranks, diffs, validate=True)
         inc_blocks, beta_blocks, theta_blocks = {}, {}, {}
         for deg in ranks:

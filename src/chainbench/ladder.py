@@ -28,10 +28,13 @@ from dataclasses import dataclass
 from .exact_linalg import (
     Matrix,
     ShapeMismatch,
+    block_matrix,
     is_split_surjection,
     kernel_basis,
     solve_linear,
     split_with_complement,
+    unvec_row_major,
+    vec_row_major,
 )
 from .chains import (
     ChainComplex,
@@ -482,21 +485,10 @@ def _coeff_tensor_then(b: Matrix, p: int, s: int) -> Matrix:
 
     B has r*s rows and the result keeps row-major vec ordering on both
     sides, with the tensor factor fastest among the rows of kron(X, I).
+    Both vecs agree with vec(X @ R), where R is the row-major r x s*t
+    reshape of B, so this is the coefficient of a right factor.
     """
-    r = b.rows // s
-    t = b.cols
-    ring = b.ring
-    z = ring.zero
-    grid = [[z] * (p * r) for _ in range(p * s * t)]
-    for u in range(p):
-        for v in range(s):
-            for w in range(t):
-                row = grid[(u * s + v) * t + w]
-                for col in range(r):
-                    row[u * r + col] = b[col * s + v, w]
-    if p * s * t == 0 or p * r == 0:
-        return Matrix.zero(ring, p * s * t, p * r)
-    return Matrix.from_rows(ring, grid)
+    return _coeff_right(unvec_row_major(vec_row_major(b), b.rows // s, s * b.cols), p)
 
 
 def _register_family(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:
@@ -638,6 +630,14 @@ def _climb_column(c: D0Complex, start_level: int, block_degree: int, seed: Matri
     return out
 
 
+def _evaluate_unit_slot(sys_q, kq, kernel, q, m):
+    """Degree-q families kq read at the unit slot ("f", m, 0), in kernel coordinates."""
+    x = solve_linear(kernel.inclusion.block(q), sys_q.slice_rows(kq, ("f", m, 0)))
+    if x is None:
+        raise AssertionError("unit evaluation escaped the descent kernel")
+    return x
+
+
 def _unit_probe_iso(systems, hom, c, m, kernel):
     """Mutually inverse chain maps between the family complex and Ker(alpha_m)."""
     to_blocks, from_blocks = {}, {}
@@ -648,11 +648,7 @@ def _unit_probe_iso(systems, hom, c, m, kernel):
             raise AssertionError("family complex rank differs from the kernel rank")
         if dim == 0:
             continue
-        evaluated = sys_q.slice_rows(kq, ("f", m, 0))
-        x = solve_linear(kernel.inclusion.block(q), evaluated)
-        if x is None:
-            raise AssertionError("unit evaluation escaped the descent kernel")
-        to_blocks[q] = x
+        to_blocks[q] = _evaluate_unit_slot(sys_q, kq, kernel, q, m)
         climbed = _climb_column(c, m, q, kernel.inclusion.block(q))
         raw = sys_q.stack({("f", i, 0): mat for i, mat in climbed.items()}, kdim)
         y = solve_linear(kq, raw)
@@ -677,11 +673,7 @@ def _capped_probe_ses(systems, hom, c, m, kernel, sub_kernel):
     for q, (sys_q, kq) in systems.items():
         dim = kq.cols
         if dim:
-            evaluated = sys_q.slice_rows(kq, ("f", m, 0))
-            x = solve_linear(kernel.inclusion.block(q), evaluated)
-            if x is None:
-                raise AssertionError("unit evaluation escaped the descent kernel")
-            p_blocks[q] = x
+            p_blocks[q] = _evaluate_unit_slot(sys_q, kq, kernel, q, m)
         kdim = sub_kernel.complex.rank(q + 1)
         if dim == 0 or kdim == 0:
             continue
@@ -838,10 +830,13 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     )
     folded = cone(first)
     target = tensor_with_bimodule(c.level(m), s)
-    blocks = {}
-    for n in folded.complex.degrees():
-        pad = Matrix.zero(c.bimodule.base, target.rank(n), c.level(m).rank(n - 1))
-        blocks[n] = pad.hstack(second.block(n))
+    blocks = {
+        n: block_matrix(
+            s.base, [target.rank(n)], [c.level(m).rank(n - 1), mid.complex.rank(n)],
+            {(0, 1): second.block(n)},
+        )
+        for n in folded.complex.degrees()
+    }
     closing = GradedMap.build(folded.complex, target, 0, blocks)
     if not closing.is_chain_map():
         raise AssertionError("folded square map failed to be a chain map")

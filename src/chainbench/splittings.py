@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .exact_linalg import Matrix, ShapeMismatch, inverse, is_split_surjection
+from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse, is_split_surjection
 from .chains import ChainComplex, GradedMap, find_contraction
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
 from .ladder import D0Complex
@@ -149,16 +149,6 @@ class SplittingData:
     def alpha_map(self, n: int) -> GradedMap:
         return self.probe.alpha_map(n)
 
-    def mu_map(self, n: int) -> GradedMap:
-        return self.target.lambda_map(n)
-
-    def beta_map(self, n: int) -> GradedMap:
-        return self.target.alpha_map(n)
-
-
-def _degreewise_map(src, tgt, blocks, degree=0):
-    return GradedMap.build(src, tgt, degree, {n: b for n, b in blocks.items() if b.rows and b.cols})
-
 
 def _ascent_splitting(tower: D0Complex, n: int):
     """Per-degree (retraction, complement, projection) of ascent n, complete."""
@@ -200,9 +190,9 @@ def _probe_side(a: D0Complex):
             if rows and cols:
                 diffs[deg] = p_blocks[deg - 1] @ tgt.diff(deg) @ v_blocks[deg]
         quot = ChainComplex.build(ring, ranks, diffs, validate=True)
-        v = _degreewise_map(quot, tgt, v_blocks)
-        pi = _degreewise_map(tgt, quot, p_blocks)
-        u = _degreewise_map(tgt, lam.source, u_blocks)
+        v = GradedMap.build(quot, tgt, 0, v_blocks)
+        pi = GradedMap.build(tgt, quot, 0, p_blocks)
+        u = GradedMap.build(tgt, lam.source, 0, u_blocks)
         if not pi.is_chain_map():
             raise AssertionError("quotient projection failed to be a chain map")
         quotients.append(quot)
@@ -233,11 +223,11 @@ def _target_side(b: D0Complex):
             if sec is None:
                 raise ValueError(f"descent {n + 1} is not split surjective in degree {deg}")
             prime_blocks[deg] = sec
-        sigma_prime = _degreewise_map(beta_next.target, level_next, prime_blocks)
+        sigma_prime = GradedMap.build(beta_next.target, level_next, 0, prime_blocks)
         mu_prev_s = tensor_power_map(b.lambda_map(n - 1), s, 1)
         witness = _ascent_splitting(b, n - 1)
         r_blocks = {deg: r for deg, (r, _, _) in witness.items()}
-        retraction = _degreewise_map(b.level(n), b.level(n - 1), r_blocks)
+        retraction = GradedMap.build(b.level(n), b.level(n - 1), 0, r_blocks)
         big_r = tensor_power_map(retraction, s, 1)
         ident = GradedMap.identity(beta_next.target)
         sigma_next = (b.lambda_map(n) @ sigmas[-1] @ big_r) + (
@@ -256,7 +246,7 @@ def _target_side(b: D0Complex):
             if inv is None:
                 raise ValueError("kernel-stable targets required")
             theta_blocks[deg] = inv.rows_slice(0, jb.cols)
-        theta_next = _degreewise_map(level_next, kernel, theta_blocks)
+        theta_next = GradedMap.build(level_next, kernel, 0, theta_blocks)
         js.append(j_next)
         sigmas.append(sigma_next)
         thetas.append(theta_next)
@@ -290,14 +280,15 @@ def _assemble_total(a: D0Complex, quotients, vs):
         set(top_level.degrees())
         | {d for col in columns for d in col.source.degrees()}
     )
-    ranks = {deg: sum(col.source.rank(deg) for col in columns) for deg in degrees}
-    phi_blocks = {}
-    for deg in degrees:
-        pieces = [col.block(deg) for col in columns]
-        block = pieces[0]
-        for extra in pieces[1:]:
-            block = block.hstack(extra)
-        phi_blocks[deg] = block
+    widths = {deg: [col.source.rank(deg) for col in columns] for deg in degrees}
+    ranks = {deg: sum(widths[deg]) for deg in degrees}
+    phi_blocks = {
+        deg: block_matrix(
+            ring, [top_level.rank(deg)], widths[deg],
+            {(0, k): col.block(deg) for k, col in enumerate(columns)},
+        )
+        for deg in degrees
+    }
     phi_inv = {}
     for deg in degrees:
         if ranks[deg] != top_level.rank(deg):
@@ -315,7 +306,7 @@ def _assemble_total(a: D0Complex, quotients, vs):
         if rows and cols:
             diffs[deg] = phi_inv[deg - 1] @ top_level.diff(deg) @ phi_blocks[deg]
     total = ChainComplex.build(ring, ranks, diffs, validate=True)
-    assembly = _degreewise_map(total, top_level, phi_blocks)
+    assembly = GradedMap.build(total, top_level, 0, phi_blocks)
     if not assembly.is_chain_map():
         raise AssertionError("assembly failed to be a chain map")
     lambda_inf = []
@@ -325,11 +316,11 @@ def _assemble_total(a: D0Complex, quotients, vs):
             for deg in a.level(k).degrees()
             if ranks.get(deg, 0)
         }
-        f = _degreewise_map(a.level(k), total, blocks)
+        f = GradedMap.build(a.level(k), total, 0, blocks)
         if not f.is_chain_map():
             raise AssertionError("level inclusion into the total space broke")
         lambda_inf.append(f)
-    inv_map = _degreewise_map(top_level, total, phi_inv)
+    inv_map = GradedMap.build(top_level, total, 0, phi_inv)
     alpha_total = (
         tensor_power_map(inv_map, s, 1)
         @ tensor_power_map(a.lambda_map(top - 1), s, 1)
@@ -355,27 +346,15 @@ def _assemble_total(a: D0Complex, quotients, vs):
             raise AssertionError("transported descent is not nilpotent within the bound")
         acc = tensor_power_map(alpha_total, s, len(powers)) @ acc
     nilpotency = len(powers) + 1
-    offsets = {}
-    for deg in degrees:
-        off, table = 0, []
-        for col in columns:
-            table.append((off, col.source.rank(deg)))
-            off += col.source.rank(deg)
-        offsets[deg] = table
     inclusions, projections = [], []
-    for k in range(1, top + 1):
-        quot = columns[k - 1].source
-        inc_blocks, proj_blocks = {}, {}
+    for k, col in enumerate(columns):
+        quot = col.source
+        inc = {}
         for deg in degrees:
-            off, width = offsets[deg][k - 1]
-            n_total = ranks[deg]
-            if width == 0 or n_total == 0:
-                continue
-            inc = Matrix.identity(ring, n_total).cols_slice(off, off + width)
-            inc_blocks[deg] = inc
-            proj_blocks[deg] = inc.transpose()
-        inclusions.append(_degreewise_map(quot, total, inc_blocks))
-        projections.append(_degreewise_map(total, quot, proj_blocks))
+            eye = Matrix.identity(ring, quot.rank(deg))
+            inc[deg] = block_matrix(ring, widths[deg], [quot.rank(deg)], {(k, 0): eye})
+        inclusions.append(GradedMap.build(quot, total, 0, inc))
+        projections.append(GradedMap.build(total, quot, 0, {deg: m.transpose() for deg, m in inc.items()}))
     return TotalSpace(
         total,
         assembly,

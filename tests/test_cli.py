@@ -379,3 +379,35 @@ def test_unknown_verb_rejected_with_usage(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_short_differential_row_exits_2_naming_the_row(tmp_path, capsys):
+    path = write(tmp_path, "short.json", {"ring": "Z", "ranks": {"0": "1", "1": "2"}, "differentials": {"1": [["2"]]}})
+    assert main(["homology", path]) == 2
+    assert "complex.differentials[1] row 0" in "".join(capsys.readouterr())
+    assert main(["homology", path, "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit"] == "2" and "complex.differentials[1] row 0" in report["message"]
+
+
+def test_fractional_entry_over_z_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "frac.json", {"ring": "Z", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["1.5"]]}})
+    assert main(["homology", path]) == 2
+    assert "'1.5'" in "".join(capsys.readouterr())
+
+
+def test_cone_and_homotopy_of_a_non_chain_map_exit_2(tmp_path, capsys):
+    m2 = dump_complex(moore(2))
+    path = write(tmp_path, "bad.json", {"blocks": {"0": [["1"]]}, "degree": "0", "source": m2, "target": m2})
+    for verb in ("cone", "homotopy"):
+        assert main([verb, path]) == 2
+        assert "unusable input" in "".join(capsys.readouterr())
+
+
+def test_homology_json_over_z4_reports_torsion(tmp_path, capsys):
+    path = write(tmp_path, "z4.json", {"ring": "Z/4", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["2"]]}})
+    assert main(["homology", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ring"] == "Z/4"
+    for n in ("0", "1"):
+        assert report["homology"][n]["torsion"] == ["2"]

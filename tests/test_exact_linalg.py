@@ -157,8 +157,23 @@ def test_zero_dimension_edge_cases():
 def test_block_matrix_and_kron():
     a = mk(ZZ, [[1, 2]])
     b = mk(ZZ, [[3]])
-    g = block_matrix([[a, b.transpose() @ b @ mk(ZZ, [[0]])]])
-    assert g.shape == (1, 3)
+    g = block_matrix(ZZ, [1], [2, 1], {(0, 0): a, (0, 1): b.transpose() @ b @ mk(ZZ, [[0]])})
+    assert g == mk(ZZ, [[1, 2, 0]])
+    # Blocks not given are zero, including whole block rows and columns.
+    assert block_matrix(ZZ, [1], [2, 1], {(0, 0): a}) == g
+    padded = block_matrix(Zmod(4), [2, 0, 1], [1, 2], {(0, 1): mk(Zmod(4), [[1, 5], [6, 3]])})
+    assert padded == mk(Zmod(4), [[0, 1, 1], [0, 2, 3], [0, 0, 0]])
+    assert block_matrix(QQ, [], [3], {}) == Matrix.zero(QQ, 0, 3)
+    assert block_matrix(QQ, [2], [], {}) == Matrix.zero(QQ, 2, 0)
+    for bad in (
+        {(0, 0): mk(ZZ, [[1]])},
+        {(0, 1): mk(ZZ, [[1], [2]])},
+        {(0, 0): mk(QQ, [[1, 2]])},
+        {(1, 0): a},
+        {(0, 2): b},
+    ):
+        with pytest.raises(ShapeMismatch):
+            block_matrix(ZZ, [1], [2, 1], bad)
     x = mk(ZZ, [[1, 0], [2, 1]])
     y = mk(ZZ, [[0, 1], [1, 1]])
     k = kron(x, y)
