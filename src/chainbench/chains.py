@@ -60,7 +60,6 @@ from .exact_linalg import (
     _congruence_quotient,
     block_matrix,
     kernel_basis,
-    kron,
     rank as matrix_rank,
     is_split_surjection,
     smith_normal_form,
@@ -151,9 +150,10 @@ class ChainComplex:
         return self.ranks[-1][0] if self.ranks else None
 
     def validate(self) -> None:
-        for n, _ in self.diffs:
-            comp = self.diff(n - 1) @ self.diff(n)
-            if not comp.is_zero():
+        diff_map = self._diff_map
+        for n, d in self.diffs:
+            below = diff_map.get(n - 1)
+            if below is not None and not (below @ d).is_zero():
                 raise ValueError(f"boundary twice is nonzero from degree {n}")
 
     def describe(self) -> str:
@@ -168,7 +168,8 @@ class GradedMap:
 
     blocks is a sorted tuple of (degree, matrix) pairs; the block in
     slot n maps source degree n to target degree n + degree.  Zero
-    blocks are never stored.
+    blocks are never stored, and compose, leibniz and + visit only the
+    stored blocks and the stored differentials.
     """
 
     source: ChainComplex
@@ -224,9 +225,9 @@ class GradedMap:
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._require_parallel(other)
-        out = {}
-        for n in set(self._block_map) | set(other._block_map):
-            out[n] = self.block(n) + other.block(n)
+        out = dict(self.blocks)
+        for n, m in other.blocks:
+            out[n] = out[n] + m if n in out else m
         return GradedMap.build(self.source, self.target, self.degree, out)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
@@ -248,12 +249,13 @@ class GradedMap:
         """self after other."""
         if other.target != self.source:
             raise ShapeMismatch("composition needs other.target == self.source")
-        deg = self.degree + other.degree
+        mine = self._block_map
         out = {}
-        for n in other.source.degrees():
-            m = self.block(n + other.degree) @ other.block(n)
-            out[n] = m
-        return GradedMap.build(other.source, self.target, deg, out)
+        for n, m in other.blocks:
+            left = mine.get(n + other.degree)
+            if left is not None:
+                out[n] = left @ m
+        return GradedMap.build(other.source, self.target, self.degree + other.degree, out)
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         if not isinstance(other, GradedMap):
@@ -262,12 +264,22 @@ class GradedMap:
 
     def leibniz(self) -> "GradedMap":
         """Graded differential df; chain maps are the maps with df == 0."""
-        sign = 1 if self.degree % 2 == 0 else -1
+        odd = self.degree % 2 == 1
+        d_tgt, d_src = self.target._diff_map, self.source._diff_map
         out = {}
-        for n in self.source.degrees():
-            term = self.target.diff(n + self.degree) @ self.block(n)
-            corr = (self.block(n - 1) @ self.source.diff(n)).scale(sign)
-            out[n] = term - corr
+        for n, f in self.blocks:
+            d = d_tgt.get(n + self.degree)
+            if d is not None:
+                out[n] = d @ f
+        for n, f in self.blocks:
+            d = d_src.get(n + 1)
+            if d is not None:
+                # Subtract (-1)^degree f_n d_(n+1) from the block in degree n + 1.
+                corr = f @ d
+                if n + 1 in out:
+                    out[n + 1] = out[n + 1] + corr if odd else out[n + 1] - corr
+                else:
+                    out[n + 1] = corr if odd else -corr
         return GradedMap.build(self.source, self.target, self.degree - 1, out)
 
     def is_chain_map(self) -> bool:
@@ -491,13 +503,33 @@ class _BlockSystem:
 
 
 def _coeff_left(a: Matrix, t: int) -> Matrix:
-    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
-    return kron(a, Matrix.identity(a.ring, t))
+    """Coefficient of X -> vec(A X) for X with t columns, row-major.
+
+    This is kron(a, identity(t)): row i t + u holds row i of a at the
+    columns j t + u.
+    """
+    zeros = [a.ring.zero] * (a.cols * t)
+    data = []
+    for arow in a.entries:
+        for u in range(t):
+            row = zeros.copy()
+            row[u::t] = arow
+            data.append(tuple(row))
+    return Matrix._trusted(a.ring, a.rows * t, a.cols * t, tuple(data))
 
 
 def _coeff_right(b: Matrix, p: int) -> Matrix:
-    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
-    return kron(Matrix.identity(b.ring, p), b.transpose())
+    """Coefficient of X -> vec(X B) for X with p rows, row-major.
+
+    This is kron(identity(p), b.transpose()): row i b.cols + u holds
+    column u of b at the columns i b.rows + v.
+    """
+    zeros = (b.ring.zero,) * b.rows
+    columns = b.transpose().entries
+    data = tuple(
+        zeros * i + col + zeros * (p - 1 - i) for i in range(p) for col in columns
+    )
+    return Matrix._trusted(b.ring, p * b.cols, p * b.rows, data)
 
 
 def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, degree: int, key) -> None:
@@ -688,6 +720,11 @@ class ConeData:
 
 def cone(f: GradedMap) -> ConeData:
     _require_chain_map(f, degree=0, what="cone input")
+    return _cone(f)
+
+
+def _cone(f: GradedMap) -> ConeData:
+    """The cone of f, for a caller that has checked f is a degree-0 chain map."""
     a, b = f.source, f.target
     ring = a.ring
     degrees = sorted({n for n in b.degrees()} | {n + 1 for n in a.degrees()})
@@ -745,7 +782,7 @@ def cylinder(f: GradedMap) -> CylinderData:
     _require_chain_map(f, degree=0, what="cylinder input")
     a, b = f.source, f.target
     ring = a.ring
-    cn = cone(f)
+    cn = _cone(f)
     degrees = sorted(
         {n for n in a.degrees()} | {n + 1 for n in a.degrees()} | set(b.degrees())
     )

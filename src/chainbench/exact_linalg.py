@@ -25,6 +25,22 @@ arithmetic is closed and canonical, so the only reduction is % m over
 Z/m.  det is one Bareiss elimination over every ring (over Q after
 clearing each row's denominators).  Over composite Z/m, kernels and
 homology share one congruence-lattice route, _congruence_quotient.
+
+Every Matrix holds canonical entries: an int over Z, a Fraction over Q
+and an int in range(m) over Z/m.  The public ways in, Matrix(...),
+from_rows, from_columns, a change of ring with to_ring, and every
+loader of serialize, check the shape and normalize each entry.  The
+results of arithmetic on matrices (products, sums, differences,
+negation, scale, transpose, the stacks and slices, zero, identity,
+kron, block_matrix, vec_row_major and unvec_row_major, and the Smith
+data) are built by the internal Matrix._trusted, which does neither:
+sums, differences and products of ints are ints and of Fractions are
+Fractions, and rearranging canonical entries keeps them canonical, so
+the only reduction left is % m over Z/m, which each of those
+operations applies itself.  Normalizing their results again would
+return every entry unchanged.  A product builds each row as a sum of
+whole rows of the right factor, one term per nonzero entry of the
+left row.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, neg, sub
 
 
 class ShapeMismatch(ValueError):
@@ -148,9 +165,21 @@ def Zmod(m: int) -> Ring:
     return Ring("Zmod", m)
 
 
+def _tuples(rows, m):
+    """Rows as a tuple of tuples, each entry reduced % m unless m is None."""
+    if m is None:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(x % m for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix; entries is a tuple of row tuples."""
+    """Immutable exact matrix; entries is a tuple of row tuples.
+
+    The constructor checks the shape and normalizes every entry into
+    the ring.  Results of arithmetic on matrices are built by _trusted
+    instead, which skips both (see the module docstring).
+    """
 
     ring: Ring
     rows: int
@@ -172,6 +201,21 @@ class Matrix:
             fixed.append(tuple(norm(x) for x in row))
         object.__setattr__(self, "entries", tuple(fixed))
 
+    @staticmethod
+    def _trusted(ring: Ring, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix whose entries are already canonical row tuples.
+
+        Sets the fields without the constructor's shape check and
+        normalization.  Only for entries produced by closed ring
+        arithmetic on canonical entries, reduced % m over Z/m.
+        """
+        out = object.__new__(Matrix)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     def __repr__(self) -> str:
         body = [list(row) for row in self.entries]
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {body})"
@@ -185,15 +229,13 @@ class Matrix:
 
     @staticmethod
     def zero(ring: Ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero
-        return Matrix(ring, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix._trusted(ring, rows, cols, ((ring.zero,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "Matrix":
         z, o = ring.zero, ring.one
-        return Matrix(
-            ring, n, n,
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
+        return Matrix._trusted(
+            ring, n, n, tuple((z,) * i + (o,) + (z,) * (n - 1 - i) for i in range(n))
         )
 
     @staticmethod
@@ -215,8 +257,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -229,30 +270,25 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        data = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return Matrix(self.ring, self.rows, self.cols, data)
+        data = _tuples((map(add, ra, rb) for ra, rb in zip(self.entries, other.entries)), self.ring.modulus)
+        return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        data = tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return Matrix(self.ring, self.rows, self.cols, data)
+        data = _tuples((map(sub, ra, rb) for ra, rb in zip(self.entries, other.entries)), self.ring.modulus)
+        return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
-        data = tuple(tuple(-a for a in row) for row in self.entries)
-        return Matrix(self.ring, self.rows, self.cols, data)
+        data = _tuples((map(neg, row) for row in self.entries), self.ring.modulus)
+        return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
-        data = tuple(tuple(c * a for a in row) for row in self.entries)
-        return Matrix(self.ring, self.rows, self.cols, data)
+        data = _tuples(([c * a for a in row] for row in self.entries), self.ring.modulus)
+        return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product is the sum of a_ik times row k of other."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ring != other.ring:
@@ -261,54 +297,58 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        z = self.ring.zero
-        ocols = other.cols
+        m = self.ring.modulus
+        zero_row = (self.ring.zero,) * other.cols
         data = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            out = []
-            for j in range(ocols):
-                s = z
-                for k in range(self.cols):
-                    aik = arow[k]
-                    if aik != z:
-                        s = s + aik * other.entries[k][j]
-                out.append(s)
-            data.append(tuple(out))
-        return Matrix(self.ring, self.rows, ocols, tuple(data))
+        for arow in self.entries:
+            acc = None
+            for aik, brow in zip(arow, other.entries):
+                if aik:
+                    if acc is None:
+                        acc = [aik * b for b in brow]
+                    else:
+                        acc = [s + aik * b for s, b in zip(acc, brow)]
+            if acc is None:
+                data.append(zero_row)
+            elif m is None:
+                data.append(tuple(acc))
+            else:
+                data.append(tuple(s % m for s in acc))
+        return Matrix._trusted(self.ring, self.rows, other.cols, tuple(data))
 
     def transpose(self) -> "Matrix":
-        data = tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return Matrix(self.ring, self.cols, self.rows, data)
+        data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Matrix._trusted(self.ring, self.cols, self.rows, data)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring or self.rows != other.rows:
             raise ShapeMismatch("hstack needs equal row counts and rings")
         data = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        return Matrix(self.ring, self.rows, self.cols + other.cols, data)
+        return Matrix._trusted(self.ring, self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring or self.cols != other.cols:
             raise ShapeMismatch("vstack needs equal column counts and rings")
-        return Matrix(
+        return Matrix._trusted(
             self.ring, self.rows + other.rows, self.cols,
             self.entries + other.entries,
         )
 
     def rows_slice(self, i0: int, i1: int) -> "Matrix":
-        return Matrix(self.ring, i1 - i0, self.cols, self.entries[i0:i1])
+        if not 0 <= i0 <= i1 <= self.rows:
+            raise ShapeMismatch(f"rows {i0}:{i1} do not lie in {self.rows} rows")
+        return Matrix._trusted(self.ring, i1 - i0, self.cols, self.entries[i0:i1])
 
     def cols_slice(self, j0: int, j1: int) -> "Matrix":
+        if not 0 <= j0 <= j1 <= self.cols:
+            raise ShapeMismatch(f"columns {j0}:{j1} do not lie in {self.cols} columns")
         data = tuple(row[j0:j1] for row in self.entries)
-        return Matrix(self.ring, self.rows, j1 - j0, data)
+        return Matrix._trusted(self.ring, self.rows, j1 - j0, data)
 
     def select_columns(self, indices) -> "Matrix":
         idx = list(indices)
         data = tuple(tuple(row[j] for j in idx) for row in self.entries)
-        return Matrix(self.ring, self.rows, len(idx), data)
+        return Matrix._trusted(self.ring, self.rows, len(idx), data)
 
     def column(self, j: int) -> "Matrix":
         return self.cols_slice(j, j + 1)
@@ -362,29 +402,29 @@ def block_matrix(ring: Ring, heights, widths, blocks) -> Matrix:
         j0, j1 = offsets[j], offsets[j + 1]
         for row, entries in zip(strips[i], blk.entries):
             row[j0:j1] = entries
-    data = [row for strip in strips for row in strip]
-    return Matrix(ring, len(data), offsets[-1], data)
+    data = tuple(tuple(row) for strip in strips for row in strip)
+    return Matrix._trusted(ring, len(data), offsets[-1], data)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; (i*b.rows + u, j*b.cols + v) entry is a[i,j] * b[u,v]."""
     if a.ring != b.ring:
         raise ShapeMismatch(f"ring mismatch: {a.ring} vs {b.ring}")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    z = a.ring.zero
+    m = a.ring.modulus
+    zeros = (a.ring.zero,) * b.cols
     data = []
-    for i in range(a.rows):
-        for u in range(b.rows):
+    for arow in a.entries:
+        for brow in b.entries:
             row = []
-            for j in range(a.cols):
-                aij = a.entries[i][j]
-                if aij == z:
-                    row.extend(z for _ in range(b.cols))
+            for x in arow:
+                if not x:
+                    row.extend(zeros)
+                elif m is None:
+                    row.extend([x * y for y in brow])
                 else:
-                    row.extend(aij * b.entries[u][v] for v in range(b.cols))
+                    row.extend([x * y % m for y in brow])
             data.append(tuple(row))
-    return Matrix(a.ring, rows, cols, tuple(data))
+    return Matrix._trusted(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(data))
 
 
 def vec_row_major(m: Matrix) -> Matrix:
@@ -393,15 +433,15 @@ def vec_row_major(m: Matrix) -> Matrix:
     With this convention vec(A @ X @ B) == kron(A, B.transpose()) @ vec(X).
     """
     data = tuple((x,) for row in m.entries for x in row)
-    return Matrix(m.ring, m.rows * m.cols, 1, data)
+    return Matrix._trusted(m.ring, m.rows * m.cols, 1, data)
 
 
 def unvec_row_major(v: Matrix, rows: int, cols: int) -> Matrix:
     if v.cols != 1 or v.rows != rows * cols:
         raise ShapeMismatch(f"cannot reshape {v.shape} into {rows}x{cols}")
     flat = [r[0] for r in v.entries]
-    data = tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
-    return Matrix(v.ring, rows, cols, data)
+    data = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+    return Matrix._trusted(v.ring, rows, cols, data)
 
 
 @dataclass(frozen=True)
@@ -519,7 +559,7 @@ class _SnfWorker:
 
     def result(self) -> SNFResult:
         ring = self.ring
-        mk = lambda rows, rr, cc: Matrix(ring, rr, cc, tuple(tuple(r) for r in rows))
+        mk = lambda rows, rr, cc: Matrix._trusted(ring, rr, cc, tuple(map(tuple, rows)))
         return SNFResult(
             d=mk(self.d, self.r, self.c),
             p=mk(self.p, self.r, self.r),

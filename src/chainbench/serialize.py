@@ -15,11 +15,15 @@ edge rank, and a tower's level count.  Exact elimination on total
 rank r costs about r^2 memory and r^3 time, and a file can declare a
 rank far beyond what it spells out entry by entry, so anything above
 the cap is a FormatError rather than a computation that never ends.
+Likewise every integer of a payload, JSON numbers included, may spell
+out at most MAX_ENTRY_DIGITS decimal digits; a rational counts its
+numerator and denominator apart.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chains import ChainComplex, GradedMap
@@ -34,6 +38,18 @@ from .diagrams import (
 )
 from .exact_linalg import QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
 from .ladder import D0Complex, D0Morphism
+
+
+# Decimal digits allowed in one integer of a payload (an entry, or the
+# numerator or denominator of a rational entry, a rank, a degree).
+# CPython refuses to convert more than 4300 digits with a message that
+# names no place in the file, and builds without that limit would
+# convert any length, in time quadratic in it.
+MAX_ENTRY_DIGITS = 4000
+_DIGITS_BOUND = 10 ** MAX_ENTRY_DIGITS
+
+# A rational entry: an integer, or p/q with an unsigned denominator.
+_RATIONAL = re.compile(r"\s*(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?\s*")
 
 
 class FormatError(ValueError):
@@ -79,15 +95,29 @@ def load_ring(value, where: str) -> Ring:
     raise FormatError(f"{where}: unknown ring {value!r}, expected Z, Q, or Z/<m>")
 
 
+def _check_digits(digits: int, where: str) -> None:
+    if digits > MAX_ENTRY_DIGITS:
+        raise FormatError(f"{where}: {digits} digits exceed the limit of {MAX_ENTRY_DIGITS}")
+
+
+def _parse_json_int(text: str) -> int:
+    """parse_int for json.loads: bare JSON integers obey the digit cap too."""
+    _check_digits(len(text.lstrip("-")), "payload: a JSON number")
+    return int(text)
+
+
 def load_int(value, where: str) -> int:
     if isinstance(value, bool):
         raise FormatError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
+        if abs(value) >= _DIGITS_BOUND:
+            raise FormatError(f"{where}: integer exceeds the limit of {MAX_ENTRY_DIGITS} digits")
         return value
     if isinstance(value, str):
         text = value.strip()
         sign_free = text[1:] if text[:1] in "+-" else text
         if sign_free.isdigit():
+            _check_digits(len(sign_free), where)
             return int(text)
     raise FormatError(f"{where}: expected an integer in decimal notation, got {value!r}")
 
@@ -97,14 +127,15 @@ def _dump_entry(x) -> str:
 
 
 def _load_entry(value, ring: Ring, where: str):
-    if ring.kind == "Q":
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
+    if ring.kind != "Q":
+        return load_int(value, where)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(load_int(value, where))
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None or match["den"] and not match["den"].strip("0"):
         raise FormatError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-    return load_int(value, where)
+    num = load_int(match["num"], where)
+    return Fraction(num, load_int(match["den"], where)) if match["den"] else Fraction(num)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +525,7 @@ def dumps(payload: dict) -> str:
 
 def loads(text: str) -> dict:
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_int=_parse_json_int)
     except json.JSONDecodeError as err:
         raise FormatError(f"payload: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
     if not isinstance(value, dict):

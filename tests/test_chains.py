@@ -609,3 +609,28 @@ def test_rotate_ses_properties():
         assert same_homology(rot.ses.middle, x)
         rot2 = rotate_ses(rot.ses)
         assert rot2.ses.sub == suspend(ses.middle, -1)
+
+
+def test_cylinder_checks_its_input_once(monkeypatch):
+    """A cylinder makes 8 leibniz calls: its input check, two post-conditions
+    of the cone and five of its own; a cone makes 3."""
+    c = ChainComplex.build(ZZ, {0: 1, 1: 1}, {1: Matrix.from_rows(ZZ, [[2]])})
+    f = GradedMap.identity(c)
+    calls = []
+    original = GradedMap.leibniz
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GradedMap, "leibniz", counted)
+    cylinder(f)
+    assert len(calls) == 8
+    calls.clear()
+    cone(f)
+    assert len(calls) == 3
+    bad = GradedMap.build(c, c, 0, {0: Matrix.from_rows(ZZ, [[1]])})
+    with pytest.raises(ValueError, match="cylinder input"):
+        cylinder(bad)
+    with pytest.raises(ValueError, match="cone input"):
+        cone(bad)

@@ -27,6 +27,7 @@ from chainbench.serialize import (
     dump_scenario,
     dumps,
 )
+from chainbench.serialize import MAX_ENTRY_DIGITS
 
 
 def moore(k: int) -> ChainComplex:
@@ -411,3 +412,82 @@ def test_homology_json_over_z4_reports_torsion(tmp_path, capsys):
     assert report["ring"] == "Z/4"
     for n in ("0", "1"):
         assert report["homology"][n]["torsion"] == ["2"]
+
+
+def test_entry_with_too_many_digits_exits_2_in_a_subprocess(tmp_path):
+    """A 5000-digit entry is refused with its place in the file, before
+    Python's own integer conversion limit (or, without one, a quadratic
+    conversion) is reached."""
+    path = write(
+        tmp_path,
+        "long.json",
+        {"ring": "Z", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["7" * 5000]]}},
+    )
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "chainbench", "homology", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 2
+    assert "complex.differentials[1] row 0 column 0" in done.stdout
+    assert f"exceed the limit of {MAX_ENTRY_DIGITS}" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_digit_cap_covers_rationals_and_json_numbers(tmp_path, capsys):
+    long = "3" * (MAX_ENTRY_DIGITS + 1)
+    ok = "3" * MAX_ENTRY_DIGITS
+    rational = {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[f"1/{long}"]]}}
+    assert main(["homology", write(tmp_path, "q.json", rational)]) == 2
+    assert "complex.differentials[1] row 0 column 0" in capsys.readouterr().out
+    rational["differentials"]["1"] = [[f"-{ok}/{ok[1:]}7"]]
+    assert main(["homology", write(tmp_path, "q-ok.json", rational)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "number.json"
+    path.write_text('{"ring": "Z", "ranks": {"0": 1}, "differentials": {"0": [[' + long + "]]}}", encoding="utf-8")
+    assert main(["homology", str(path)]) == 2
+    assert f"exceed the limit of {MAX_ENTRY_DIGITS}" in capsys.readouterr().out
+
+
+def test_blocks_of_the_wrong_shape_exit_2_naming_the_block(tmp_path, capsys):
+    unit = moore(1)
+    tower = constant_tower(unit, 2, Bimodule(ZZ, 1))
+    identity = D0Morphism.build(tower, tower, [GradedMap.identity(tower.level(i)) for i in range(3)])
+    wide_map = dump_graded_map(GradedMap.identity(unit))
+    wide_map["blocks"]["0"] = [["1", "0"]]
+    wide_component = dump_d0morphism(identity)
+    wide_component["components"][1]["0"] = [["1", "0"]]
+    cases = [
+        (["homotopy"], wide_map, "map.blocks[0] row 0: expected 1 entries, got 2"),
+        (["factor", "--n", "0"], wide_component, "morphism.components[1][0] row 0: expected 1 entries, got 2"),
+    ]
+    for verb, payload, place in cases:
+        path = write(tmp_path, "wrong.json", payload)
+        assert main([verb[0], path, *verb[1:], "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "error" and place in report["message"]
+
+
+def test_tower_level_of_the_wrong_rank_exits_2_naming_the_place(tmp_path, capsys):
+    tower = dump_d0complex(constant_tower(moore(1), 2, Bimodule(ZZ, 1)))
+    short = json.loads(json.dumps(tower))
+    short["levels"][1]["ranks"]["0"] = "2"
+    grown = json.loads(json.dumps(tower))
+    grown["levels"][2] = dump_complex(
+        ChainComplex.build(ZZ, {0: 2, 1: 2}, {1: Matrix.identity(ZZ, 2)})
+    )
+    cases = [
+        (short, "d0complex.levels[1].differentials[1]: expected 2 rows, got 1"),
+        (grown, "d0complex.ascents[1][0]: expected 2 rows, got 1"),
+    ]
+    for payload, place in cases:
+        path = write(tmp_path, "tower.json", payload)
+        assert main(["bn-local", path]) == 2
+        assert place in capsys.readouterr().out
+        assert main(["verify", path]) == 2
+        assert place in capsys.readouterr().out

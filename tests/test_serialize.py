@@ -13,6 +13,7 @@ from chainbench.fuzz import random_complex, random_kernel_tower, random_reduced_
 from chainbench.ladder import D0Morphism, constant_tower
 from chainbench.ladder import test_object as probe
 from chainbench.serialize import (
+    MAX_ENTRY_DIGITS,
     MAX_TOTAL_RANK,
     FormatError,
     InvalidObject,
@@ -243,3 +244,20 @@ def test_text_layer_diagnostics_and_determinism():
         loads("[1, 2]")
     payload = dump_complex(moore(2))
     assert dumps(payload) == dumps(json.loads(dumps(payload)))
+
+
+def test_rational_entries_are_integers_or_p_over_q():
+    """The documented grammar only: no decimals or exponents, whose value
+    ("1e999999999") can be far larger than the text that spells it."""
+    def entry(text):
+        payload = {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[text]]}}
+        return load_complex(payload, validate=False).diff(1).entries[0][0]
+
+    assert entry(" -6/4 ") == Fraction(-3, 2) and type(entry("5")) is Fraction
+    assert entry("+0/7") == 0
+    for bad in ("1.5", "1e999999999", "1/-2", "1/0", "1/00", "", "/2", "1/2/3"):
+        with pytest.raises(FormatError, match=r"complex.differentials\[1\] row 0 column 0"):
+            entry(bad)
+    with pytest.raises(FormatError, match=f"exceed the limit of {MAX_ENTRY_DIGITS}"):
+        entry("1/" + "9" * (MAX_ENTRY_DIGITS + 1))
+    assert entry("1/" + "9" * MAX_ENTRY_DIGITS).denominator == 10**MAX_ENTRY_DIGITS - 1
