@@ -60,6 +60,7 @@ from .exact_linalg import (
     _congruence_quotient,
     block_matrix,
     kernel_basis,
+    kron,
     rank as matrix_rank,
     is_split_surjection,
     smith_normal_form,
@@ -503,33 +504,13 @@ class _BlockSystem:
 
 
 def _coeff_left(a: Matrix, t: int) -> Matrix:
-    """Coefficient of X -> vec(A X) for X with t columns, row-major.
-
-    This is kron(a, identity(t)): row i t + u holds row i of a at the
-    columns j t + u.
-    """
-    zeros = [a.ring.zero] * (a.cols * t)
-    data = []
-    for arow in a.entries:
-        for u in range(t):
-            row = zeros.copy()
-            row[u::t] = arow
-            data.append(tuple(row))
-    return Matrix._trusted(a.ring, a.rows * t, a.cols * t, tuple(data))
+    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
+    return kron(a, Matrix.identity(a.ring, t))
 
 
 def _coeff_right(b: Matrix, p: int) -> Matrix:
-    """Coefficient of X -> vec(X B) for X with p rows, row-major.
-
-    This is kron(identity(p), b.transpose()): row i b.cols + u holds
-    column u of b at the columns i b.rows + v.
-    """
-    zeros = (b.ring.zero,) * b.rows
-    columns = b.transpose().entries
-    data = tuple(
-        zeros * i + col + zeros * (p - 1 - i) for i in range(p) for col in columns
-    )
-    return Matrix._trusted(b.ring, p * b.cols, p * b.rows, data)
+    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
+    return kron(Matrix.identity(b.ring, p), b.transpose())
 
 
 def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, degree: int, key) -> None:

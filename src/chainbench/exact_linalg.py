@@ -38,14 +38,15 @@ sums, differences and products of ints are ints and of Fractions are
 Fractions, and rearranging canonical entries keeps them canonical, so
 the only reduction left is % m over Z/m, which each of those
 operations applies itself.  Normalizing their results again would
-return every entry unchanged.  A product builds each row as a sum of
-whole rows of the right factor, one term per nonzero entry of the
-left row.
+return every entry unchanged.  Both ways run the same constructor and
+__post_init__; _trusted passes it the init-only flag _canonical.  A
+product builds each row as a sum of whole rows of the right factor,
+one term per nonzero entry of the left row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, neg, sub
@@ -178,15 +179,19 @@ class Matrix:
 
     The constructor checks the shape and normalizes every entry into
     the ring.  Results of arithmetic on matrices are built by _trusted
-    instead, which skips both (see the module docstring).
+    instead, which skips both (see the module docstring); _canonical is
+    its init-only flag and no other caller passes it.
     """
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple
+    _canonical: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _canonical: bool) -> None:
+        if _canonical:
+            return
         if len(self.entries) != self.rows:
             raise ShapeMismatch(
                 f"expected {self.rows} rows, got {len(self.entries)}"
@@ -205,16 +210,11 @@ class Matrix:
     def _trusted(ring: Ring, rows: int, cols: int, entries: tuple) -> "Matrix":
         """A matrix whose entries are already canonical row tuples.
 
-        Sets the fields without the constructor's shape check and
-        normalization.  Only for entries produced by closed ring
-        arithmetic on canonical entries, reduced % m over Z/m.
+        Skips the constructor's shape check and normalization.  Only for
+        entries produced by closed ring arithmetic on canonical entries,
+        reduced % m over Z/m.
         """
-        out = object.__new__(Matrix)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "cols", cols)
-        object.__setattr__(out, "entries", entries)
-        return out
+        return Matrix(ring, rows, cols, entries, True)
 
     def __repr__(self) -> str:
         body = [list(row) for row in self.entries]
@@ -284,7 +284,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
-        data = _tuples(([c * a for a in row] for row in self.entries), self.ring.modulus)
+        m = self.ring.modulus
+        data = tuple(tuple(_scaled(row, c, m)) for row in self.entries)
         return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -417,12 +418,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for brow in b.entries:
             row = []
             for x in arow:
-                if not x:
-                    row.extend(zeros)
-                elif m is None:
-                    row.extend([x * y for y in brow])
-                else:
-                    row.extend([x * y % m for y in brow])
+                row.extend(_scaled(brow, x, m) if x else zeros)
             data.append(tuple(row))
     return Matrix._trusted(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(data))
 

@@ -100,9 +100,11 @@ def _check_digits(digits: int, where: str) -> None:
         raise FormatError(f"{where}: {digits} digits exceed the limit of {MAX_ENTRY_DIGITS}")
 
 
-def _parse_json_int(text: str) -> int:
-    """parse_int for json.loads: bare JSON integers obey the digit cap too."""
-    _check_digits(len(text.lstrip("-")), "payload: a JSON number")
+def _parse_json_int(text: str):
+    """parse_int for json.loads: a bare JSON integer past the digit cap
+    stays its digit string, which load_int refuses with its place."""
+    if len(text.lstrip("-")) > MAX_ENTRY_DIGITS:
+        return text
     return int(text)
 
 

@@ -104,16 +104,6 @@ def block_matrix(ring, heights, widths, blocks) -> Matrix:
     return Matrix(ring, len(data), offsets[-1], data)
 
 
-def coeff_left(a: Matrix, t: int) -> Matrix:
-    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
-    return kron(a, Matrix.identity(a.ring, t))
-
-
-def coeff_right(b: Matrix, p: int) -> Matrix:
-    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
-    return kron(Matrix.identity(b.ring, p), transpose(b))
-
-
 def map_add(f: GradedMap, g: GradedMap) -> GradedMap:
     f._require_parallel(g)
     out = {}

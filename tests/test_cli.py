@@ -449,9 +449,14 @@ def test_digit_cap_covers_rationals_and_json_numbers(tmp_path, capsys):
     assert main(["homology", write(tmp_path, "q-ok.json", rational)]) == 0
     capsys.readouterr()
     path = tmp_path / "number.json"
-    path.write_text('{"ring": "Z", "ranks": {"0": 1}, "differentials": {"0": [[' + long + "]]}}", encoding="utf-8")
-    assert main(["homology", str(path)]) == 2
-    assert f"exceed the limit of {MAX_ENTRY_DIGITS}" in capsys.readouterr().out
+    numbers = [
+        ('{"0": 1, "1": 1}', "[[-" + long + "]]", "complex.differentials[1] row 0 column 0"),
+        ('{"0": 1, "1": ' + long + "}", '[["0"]]', "complex.ranks[1]"),
+    ]
+    for ranks, block, place in numbers:
+        path.write_text('{"ring": "Z", "ranks": ' + ranks + ', "differentials": {"1": ' + block + "}}", encoding="utf-8")
+        assert main(["homology", str(path)]) == 2
+        assert f"{place}: {MAX_ENTRY_DIGITS + 1} digits exceed the limit of {MAX_ENTRY_DIGITS}" in capsys.readouterr().out
 
 
 def test_blocks_of_the_wrong_shape_exit_2_naming_the_block(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 
 import chainbench
 import matrix_oracle as oracle
-from chainbench.chains import ChainComplex, GradedMap, _coeff_left, _coeff_right
+from chainbench.chains import ChainComplex, GradedMap
 from chainbench.exact_linalg import (
     QQ,
     ZZ,
@@ -94,9 +94,9 @@ def test_arithmetic_matches_oracle():
                 assert_same(a.scale(s), oracle.scale(a, s))
             assert_same(a.transpose(), oracle.transpose(a))
             assert_same(kron(a, b), oracle.kron(a, b))
-            t = rng.randrange(0, 4)
-            assert_same(_coeff_left(a, t), oracle.coeff_left(a, t))
-            assert_same(_coeff_right(a, t), oracle.coeff_right(a, t))
+            eye = Matrix.identity(ring, rng.randrange(0, 4))
+            assert_same(kron(a, eye), oracle.kron(a, eye))
+            assert_same(kron(eye, a), oracle.kron(eye, a))
 
 
 def test_empty_shapes_match_oracle():
@@ -107,8 +107,7 @@ def test_empty_shapes_match_oracle():
             assert_same(a.transpose(), oracle.transpose(a))
             assert_same(kron(a, b), oracle.kron(a, b))
             assert_same(kron(b, Matrix.identity(ring, 2)), oracle.kron(b, Matrix.identity(ring, 2)))
-            assert_same(_coeff_left(a, 2), oracle.coeff_left(a, 2))
-            assert_same(_coeff_right(a, 2), oracle.coeff_right(a, 2))
+            assert_same(kron(Matrix.identity(ring, 2), a), oracle.kron(Matrix.identity(ring, 2), a))
             assert_same(a + a, oracle.add(a, a))
             assert_same(vec_row_major(a), Matrix(ring, r * k, 1, tuple((x,) for row in a.entries for x in row)))
             assert_same(unvec_row_major(vec_row_major(a), r, k), a)
@@ -224,8 +223,28 @@ def test_public_constructors_still_normalize():
     assert rational.entries == ((Fraction(2), Fraction(1, 2)),)
 
 
-def test_only_exact_linalg_and_chains_build_trusted_matrices():
+def test_only_exact_linalg_builds_trusted_matrices():
     package = Path(chainbench.__file__).resolve().parent
-    users = {p.stem for p in package.glob("*.py") if re.search(r"\b_trusted\b", p.read_text(encoding="utf-8"))}
-    assert users == {"exact_linalg", "chains"}
+    def users(name):
+        return {p.stem for p in package.glob("*.py") if re.search(rf"\b{name}\b", p.read_text(encoding="utf-8"))}
+
+    assert users("_trusted") == {"exact_linalg"}
+    assert users("_canonical") == {"exact_linalg"}
+
+
+def test_every_construction_runs_post_init(monkeypatch):
+    """Trusted and normalizing builds are one constructor, so a hook on
+    __post_init__ sees every Matrix that is made."""
+    seen = []
+    original = Matrix.__post_init__
+
+    def counted(self, canonical):
+        seen.append(canonical)
+        original(self, canonical)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    i = Matrix.identity(ZZ, 3)
+    assert seen == [True]
+    assert i @ Matrix.from_rows(ZZ, [[1], [2], [3]]) == Matrix(ZZ, 3, 1, ((1,), (2,), (3,)))
+    assert seen == [True, False, True, False]
 
