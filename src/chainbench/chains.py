@@ -22,13 +22,15 @@ matrix of these constructions is assembled by
 exact_linalg.block_matrix from its nonzero blocks alone: the blocks
 not given are zero, so nothing here pads with zero matrices.
 
-Homology costs one elimination per stored differential: one Smith
-form each over Z, one rank each over a field.  H_n is read off the
-data of d_n and d_(n+1), and a differential that is not stored costs
-nothing.  Over composite Z/m each degree instead takes the
-congruence-lattice route of exact_linalg._congruence_quotient: the
-lattice of integer cycles of d_n mod m, modulo the boundaries and m
-times everything, read off one Smith form over Z.
+Homology costs one elimination per stored differential and reads
+only what that elimination leaves: over Z the Smith diagonal, built
+without transforms, and over Q and Z/p the rank, a fraction-free
+Bareiss elimination over Q.  H_n is read off the data of d_n and
+d_(n+1), and a differential that is not stored costs nothing.  Over
+composite Z/m each degree takes exact_linalg.cycle_quotient_mod,
+which works in Z/m itself: it diagonalizes d_n with d_(n+1) following
+its column steps, then diagonalizes the relations among the cycles,
+and never factors m.
 
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
@@ -56,14 +58,13 @@ from .exact_linalg import (
     Matrix,
     Ring,
     ShapeMismatch,
-    ZZ,
-    _congruence_quotient,
     block_matrix,
+    cycle_quotient_mod,
+    invariant_factors,
     kernel_basis,
     kron,
     rank as matrix_rank,
     is_split_surjection,
-    smith_normal_form,
     solve_linear,
     split_with_complement,
     unvec_row_major,
@@ -170,7 +171,10 @@ class GradedMap:
     blocks is a sorted tuple of (degree, matrix) pairs; the block in
     slot n maps source degree n to target degree n + degree.  Zero
     blocks are never stored, and compose, leibniz and + visit only the
-    stored blocks and the stored differentials.
+    stored blocks and the stored differentials.  build checks the ring
+    and shape of every block it is given; compose, leibniz, + and
+    negation build their results from blocks of known ring and shape
+    with _unchecked, which only drops the zero blocks.
     """
 
     source: ChainComplex
@@ -196,6 +200,13 @@ class GradedMap:
             if not mat.is_zero():
                 bl[n] = mat
         return GradedMap(source, target, int(degree), tuple(sorted(bl.items())))
+
+    @staticmethod
+    def _unchecked(source, target, degree: int, blocks: dict) -> "GradedMap":
+        """A map from blocks of the right ring and shape, as arithmetic
+        on maps produces them; only the zero blocks are dropped."""
+        kept = sorted((n, m) for n, m in blocks.items() if not m.is_zero())
+        return GradedMap(source, target, degree, tuple(kept))
 
     @staticmethod
     def zero(source, target, degree=0) -> "GradedMap":
@@ -229,13 +240,13 @@ class GradedMap:
         out = dict(self.blocks)
         for n, m in other.blocks:
             out[n] = out[n] + m if n in out else m
-        return GradedMap.build(self.source, self.target, self.degree, out)
+        return GradedMap._unchecked(self.source, self.target, self.degree, out)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         return self + (-other)
 
     def __neg__(self) -> "GradedMap":
-        return GradedMap.build(
+        return GradedMap._unchecked(
             self.source, self.target, self.degree,
             {n: -m for n, m in self.blocks},
         )
@@ -256,7 +267,7 @@ class GradedMap:
             left = mine.get(n + other.degree)
             if left is not None:
                 out[n] = left @ m
-        return GradedMap.build(other.source, self.target, self.degree + other.degree, out)
+        return GradedMap._unchecked(other.source, self.target, self.degree + other.degree, out)
 
     def __matmul__(self, other: "GradedMap") -> "GradedMap":
         if not isinstance(other, GradedMap):
@@ -281,7 +292,7 @@ class GradedMap:
                     out[n + 1] = out[n + 1] + corr if odd else out[n + 1] - corr
                 else:
                     out[n + 1] = corr if odd else -corr
-        return GradedMap.build(self.source, self.target, self.degree - 1, out)
+        return GradedMap._unchecked(self.source, self.target, self.degree - 1, out)
 
     def is_chain_map(self) -> bool:
         return self.leibniz().is_zero()
@@ -329,15 +340,15 @@ _TRIVIAL = HomologySummary(0, ())
 def _differential_data(c: ChainComplex, n: int):
     """Rank and non-unit invariant factors of d_n, over Z or a field.
 
-    Over Z this is one Smith form, over a field one rank.  A
-    differential that is not stored is zero and costs nothing.
+    Over Z this is one Smith form without transforms, over a field one
+    rank.  A differential that is not stored is zero and costs nothing.
     """
     d = c._diff_map.get(n)
     if d is None:
         return 0, ()
     if c.ring.kind == "Z":
-        snf = smith_normal_form(d)
-        return snf.rank, tuple(int(x) for x in snf.invariant_factors if x != 1)
+        factors = invariant_factors(d)
+        return len(factors), tuple(x for x in factors if x != 1)
     return matrix_rank(d), ()
 
 
@@ -345,16 +356,6 @@ def _summary(c: ChainComplex, n: int, below, above) -> HomologySummary:
     """H_n from the (rank, torsion) data of d_n (below) and d_(n+1) (above)."""
     modulus = c.ring.modulus if c.ring.kind == "Zmod" else None
     return HomologySummary(c.rank(n) - below[0] - above[0], above[1], modulus)
-
-
-def _homology_mod_composite(c: ChainComplex, n: int) -> HomologySummary:
-    # Z/m with composite m: the cycle lattice of d_n mod m, modulo the
-    # boundaries together with m times everything.
-    m = c.ring.modulus
-    gens = c.diff(n + 1).to_ring(ZZ).hstack(Matrix.identity(ZZ, c.rank(n)).scale(m))
-    _, snf = _congruence_quotient(c.diff(n).to_ring(ZZ), gens, m)
-    torsion = tuple(int(x) for x in snf.diagonal if x != 1)
-    return HomologySummary(0, torsion, m)
 
 
 def _composite(ring: Ring) -> bool:
@@ -367,8 +368,8 @@ def homology_at(c: ChainComplex, n: int) -> HomologySummary:
     A degree of rank 0 stores no differential on either side, so its
     trivial homology costs nothing over any ring.
     """
-    if _composite(c.ring) and c.rank(n) > 0:
-        return _homology_mod_composite(c, n)
+    if _composite(c.ring):
+        return HomologySummary(0, cycle_quotient_mod(c.diff(n), c.diff(n + 1)), c.ring.modulus)
     return _summary(c, n, _differential_data(c, n), _differential_data(c, n + 1))
 
 
@@ -381,11 +382,12 @@ def _iter_homology(c: ChainComplex):
     d_(n+1).  This holds because the cycles Z_n are a direct summand of
     C_n, since C_n / Z_n embeds in the free module C_(n-1), so d_(n+1)
     has the same invariant factors as a map into Z_n.  Over composite
-    Z/m each degree takes the lattice route of _homology_mod_composite.
+    Z/m each degree reads d_n and d_(n+1) with
+    exact_linalg.cycle_quotient_mod.
     """
     if _composite(c.ring):
         for n in c.degrees():
-            yield n, _homology_mod_composite(c, n)
+            yield n, homology_at(c, n)
         return
     data = {}
 
@@ -1078,8 +1080,8 @@ def is_homology_equivalence(f: GradedMap) -> bool:
             raise AssertionError("boundaries escaped the cycle lattice")
         aug = induced.hstack(bt)
         if ring.kind == "Z":
-            snf = smith_normal_form(aug)
-            onto = snf.rank == kt.cols and all(x == 1 for x in snf.invariant_factors)
+            factors = invariant_factors(aug)
+            onto = len(factors) == kt.cols and all(x == 1 for x in factors)
         else:
             onto = matrix_rank(aug) == kt.cols
         if not onto:

@@ -19,12 +19,21 @@ the first entry of absolute value 1; over Q it always scans the whole
 block.  The divisibility check that follows each pivot is skipped when
 the pivot is 1.
 
-The Smith reduction and _rref share one row arithmetic, _axpy and
-_scaled, on raw entries, whole rows at a time: integer and rational
-arithmetic is closed and canonical, so the only reduction is % m over
-Z/m.  det is one Bareiss elimination over every ring (over Q after
-clearing each row's denominators).  Over composite Z/m, kernels and
-homology share one congruence-lattice route, _congruence_quotient.
+The Smith reduction, _rref and the elimination over composite Z/m
+share one row arithmetic, _axpy and _scaled, on raw entries, whole
+rows at a time: integer and rational arithmetic is closed and
+canonical, so the only reduction is % m over Z/m.  Each caller
+eliminates only what it reads.  The Smith reduction builds only the
+transforms its caller asks for: all four for smith_normal_form, p and
+q for a solve over Z, q for a kernel over Z, none for
+invariant_factors.  rank over Z and Q and det over every ring are one
+fraction-free Bareiss elimination, over Q after scaling each row by
+the lcm of its denominators; rank over Z/p is the row echelon form.
+Over composite Z/m, cycle_quotient_mod reads homology off two
+diagonalizations in Z/m itself, with extended-gcd steps, and never
+factors m; kernels and solves there still lift to the congruence
+lattice over Z.  Moduli are at most MAX_MODULUS = 2**64, where
+Miller-Rabin with fixed bases decides primality exactly.
 
 Every Matrix holds canonical entries: an int over Z, a Fraction over Q
 and an int in range(m) over Z/m.  The public ways in, Matrix(...),
@@ -48,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, neg, sub
 
 
@@ -66,22 +75,49 @@ class NonFreeKernel(ValueError):
     """
 
 
+# Moduli are capped, so that primality is decided exactly and fast.
+MAX_MODULUS = 2 ** 64
+
+# Miller-Rabin with the twelve prime bases up to 37 has no strong
+# pseudoprime below psi_12 = 318665857834031151167461, about 3.2e23
+# (Sorenson and Webster, Math. Comp. 86, 2017), far above MAX_MODULUS.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every n below _MR_EXACT_BELOW."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("primality is decided exactly only below 3.2e23")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 @dataclass(frozen=True)
 class Ring:
-    """Base ring marker: Ring("Z"), Ring("Q"), or Ring("Zmod", m)."""
+    """Base ring marker: Ring("Z"), Ring("Q"), or Ring("Zmod", m).
+
+    A modulus lies between 2 and MAX_MODULUS.  Whether the ring is a
+    field is decided once, when the ring is made.
+    """
 
     kind: str
     modulus: int | None = None
@@ -92,8 +128,12 @@ class Ring:
         if self.kind == "Zmod":
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise ValueError("Zmod needs an integer modulus >= 2")
+            if self.modulus > MAX_MODULUS:
+                raise ValueError("Zmod needs a modulus of at most 2**64")
         elif self.modulus is not None:
             raise ValueError(f"ring {self.kind} does not take a modulus")
+        field = self.kind == "Q" or (self.kind == "Zmod" and _is_prime(self.modulus))
+        object.__setattr__(self, "_field", field)
 
     def __str__(self) -> str:
         if self.kind == "Zmod":
@@ -135,11 +175,7 @@ class Ring:
         raise TypeError(f"cannot treat {x!r} as an element of {self}")
 
     def is_field(self) -> bool:
-        if self.kind == "Q":
-            return True
-        if self.kind == "Zmod":
-            return _is_prime(self.modulus)
-        return False
+        return self._field
 
     def invert(self, x):
         """Multiplicative inverse; raises ValueError when x is not a unit."""
@@ -445,7 +481,8 @@ class SNFResult:
     """Smith data:  d == p @ a @ q  with p, q invertible over the ring.
 
     pinv and qinv are the exact inverses of p and q, accumulated during
-    the reduction rather than recomputed afterwards.
+    the reduction rather than recomputed afterwards.  Internal callers
+    that ask the reduction for fewer transforms get None in the others.
     """
 
     d: Matrix
@@ -484,6 +521,9 @@ def _scaled(x, u, m):
     return [u * a % m for a in x]
 
 
+TRANSFORMS = ("p", "pinv", "q", "qinv")
+
+
 class _SnfWorker:
     """Mutable state for the Smith reduction with tracked elementary ops.
 
@@ -491,19 +531,29 @@ class _SnfWorker:
     on whole rows: integers and fractions are closed and canonical, so
     the only reduction left is % m over Z/m.  pinv and q only ever see
     column operations, so they are kept transposed (pinv_t, q_t), which
-    turns each of those into a row operation too.
+    turns each of those into a row operation too.  Only the transforms
+    named in keep are built and updated; the others stay None.  The
+    operations on d do not depend on keep, so every kept transform is
+    the same whichever others are kept.  follow, when given, takes the
+    place of qinv, so that the worker ends with qinv @ follow: rows
+    indexed like the columns of a that follow each column step with
+    its inverse.
     """
 
-    def __init__(self, a: Matrix):
+    def __init__(self, a: Matrix, keep=TRANSFORMS, follow=None):
         self.ring = a.ring
         self.mod = a.ring.modulus
         self.r = a.rows
         self.c = a.cols
         self.d = [list(row) for row in a.entries]
-        self.p = self._eye(self.r)
-        self.pinv_t = self._eye(self.r)
-        self.q_t = self._eye(self.c)
-        self.qinv = self._eye(self.c)
+        self.p = self._eye(self.r) if "p" in keep else None
+        self.pinv_t = self._eye(self.r) if "pinv" in keep else None
+        self.q_t = self._eye(self.c) if "q" in keep else None
+        self.qinv = self._eye(self.c) if "qinv" in keep else follow
+        # The lists whose rows a row swap or negation moves, and those
+        # whose rows a column swap moves.
+        self._row_lists = [x for x in (self.d, self.p, self.pinv_t) if x is not None]
+        self._col_lists = [x for x in (self.q_t, self.qinv) if x is not None]
 
     def _eye(self, n):
         z, o = self.ring.zero, self.ring.one
@@ -512,7 +562,7 @@ class _SnfWorker:
     def swap_rows(self, i, j):
         if i == j:
             return
-        for rows in (self.d, self.p, self.pinv_t):
+        for rows in self._row_lists:
             rows[i], rows[j] = rows[j], rows[i]
 
     def swap_cols(self, i, j):
@@ -520,15 +570,17 @@ class _SnfWorker:
             return
         for row in self.d:
             row[i], row[j] = row[j], row[i]
-        for rows in (self.q_t, self.qinv):
+        for rows in self._col_lists:
             rows[i], rows[j] = rows[j], rows[i]
 
     def add_row(self, i, j, c):
         """row_i += c * row_j (on d and p); inverse op recorded on pinv."""
         d, p, pt, m = self.d, self.p, self.pinv_t, self.mod
         d[i] = _axpy(d[i], d[j], c, m)
-        p[i] = _axpy(p[i], p[j], c, m)
-        pt[j] = _axpy(pt[j], pt[i], -c, m)
+        if p is not None:
+            p[i] = _axpy(p[i], p[j], c, m)
+        if pt is not None:
+            pt[j] = _axpy(pt[j], pt[i], -c, m)
 
     def add_col(self, j, i, c):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
@@ -538,41 +590,49 @@ class _SnfWorker:
             if x:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
         qt, qinv = self.q_t, self.qinv
-        qt[j] = _axpy(qt[j], qt[i], c, m)
-        qinv[i] = _axpy(qinv[i], qinv[j], -c, m)
+        if qt is not None:
+            qt[j] = _axpy(qt[j], qt[i], c, m)
+        if qinv is not None:
+            qinv[i] = _axpy(qinv[i], qinv[j], -c, m)
 
     def negate_row(self, i):
         """row_i *= -1 (over Z only)."""
-        for rows in (self.d, self.p, self.pinv_t):
+        for rows in self._row_lists:
             rows[i] = [-x for x in rows[i]]
 
     def scale_row(self, i, u):
         """row_i *= u for a unit u (fields only)."""
-        uinv, m = self.ring.invert(u), self.mod
+        m = self.mod
         self.d[i] = _scaled(self.d[i], u, m)
-        self.p[i] = _scaled(self.p[i], u, m)
-        self.pinv_t[i] = _scaled(self.pinv_t[i], uinv, m)
+        if self.p is not None:
+            self.p[i] = _scaled(self.p[i], u, m)
+        if self.pinv_t is not None:
+            self.pinv_t[i] = _scaled(self.pinv_t[i], self.ring.invert(u), m)
+
+    def diagonal(self) -> list:
+        return [self.d[i][i] for i in range(min(self.r, self.c))]
 
     def result(self) -> SNFResult:
+        """The Smith data; a transform that was not kept is None."""
         ring = self.ring
-        mk = lambda rows, rr, cc: Matrix._trusted(ring, rr, cc, tuple(map(tuple, rows)))
+
+        def mk(rows, rr, cc, transposed=False):
+            if rows is None:
+                return None
+            return Matrix._trusted(ring, rr, cc, tuple(zip(*rows)) if transposed else tuple(map(tuple, rows)))
+
         return SNFResult(
             d=mk(self.d, self.r, self.c),
             p=mk(self.p, self.r, self.r),
-            q=mk(zip(*self.q_t), self.c, self.c),
-            pinv=mk(zip(*self.pinv_t), self.r, self.r),
+            q=mk(self.q_t, self.c, self.c, True),
+            pinv=mk(self.pinv_t, self.r, self.r, True),
             qinv=mk(self.qinv, self.c, self.c),
         )
 
 
-def smith_normal_form(a: Matrix) -> SNFResult:
-    """Diagonalize with invertible row and column operations.
-
-    Over Z the diagonal is nonnegative with each entry dividing the
-    next.  Over a field the diagonal consists of ones followed by
-    zeros.  Z/m with composite m is rejected: work with an integer lift
-    instead.
-    """
+def _smith(a: Matrix, keep=TRANSFORMS) -> _SnfWorker:
+    """The Smith reduction of smith_normal_form, building only the
+    transforms named in keep."""
     ring = a.ring
     field = ring.is_field()
     if ring.kind == "Zmod" and not field:
@@ -583,7 +643,7 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     # Over Z and Z/p no nonzero entry has a key below 1, so the scan
     # may stop at the first key of 1; over Q smaller keys exist.
     stop_at_one = ring.kind != "Q"
-    w = _SnfWorker(a)
+    w = _SnfWorker(a, keep)
     d = w.d
     t = 0
     limit = min(w.r, w.c)
@@ -646,7 +706,27 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                 w.add_row(t, bad_row, 1)
                 continue
         t += 1
-    return w.result()
+    return w
+
+
+def smith_normal_form(a: Matrix) -> SNFResult:
+    """Diagonalize with invertible row and column operations.
+
+    Over Z the diagonal is nonnegative with each entry dividing the
+    next.  Over a field the diagonal consists of ones followed by
+    zeros.  Z/m with composite m is rejected: work with an integer lift
+    instead, or with cycle_quotient_mod for homology.
+    """
+    return _smith(a).result()
+
+
+def invariant_factors(a: Matrix) -> tuple:
+    """The nonzero Smith diagonal of a, found without any transform.
+
+    Over Z these are the invariant factors d_1 | d_2 | ..., over a
+    field rank(a) ones.  Z/m with composite m is rejected.
+    """
+    return tuple(x for x in _smith(a, ()).diagonal() if x)
 
 
 def _rref(a: Matrix):
@@ -690,7 +770,7 @@ def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
-    snf = smith_normal_form(a)
+    snf = _smith(a, ("p", "q")).result()
     c = snf.p @ b
     y = [[0] * b.cols for _ in range(a.cols)]
     n = min(a.rows, a.cols)
@@ -754,7 +834,7 @@ def _kernel_field(a: Matrix) -> Matrix:
 
 
 def _kernel_integer(a: Matrix) -> Matrix:
-    snf = smith_normal_form(a)
+    snf = _smith(a, ("q",)).result()
     return snf.q.cols_slice(snf.rank, a.cols)
 
 
@@ -781,35 +861,22 @@ def kernel_lattice_basis_mod(a: Matrix, m: int) -> Matrix:
     return basis
 
 
-def _congruence_quotient(a: Matrix, gens: Matrix, m: int):
-    """The lattice L = {x : a @ x == 0 mod m} modulo integer generators.
-
-    Returns (basis, snf): basis is kernel_lattice_basis_mod(a, m), and
-    snf is the Smith form of the coordinates of the columns of gens in
-    that basis, so its diagonal lists the invariant factors of L modulo
-    the span of gens.  gens must lie in L and contain m Z^c, which
-    keeps the quotient finite.
-    """
-    basis = kernel_lattice_basis_mod(a, m)
-    coords = _solve_integer(basis, gens)
-    if coords is None:
-        raise AssertionError("generators fell outside the congruence lattice")
-    snf = smith_normal_form(coords)
-    if any(f == 0 for f in snf.diagonal):
-        raise AssertionError("congruence quotient came out infinite")
-    return basis, snf
-
-
 def _kernel_zmod_composite(a: Matrix) -> Matrix:
     ring = a.ring
     m = ring.modulus
     # Integer vectors x with a x == 0 mod m form a full-rank lattice L
     # inside Z^c (it contains m Z^c).  The kernel over Z/m is L / m Z^c,
-    # which is free exactly when its invariant factors are all 1 or m.
-    basis, snf_c = _congruence_quotient(
-        a.to_ring(ZZ), Matrix.identity(ZZ, a.cols).scale(m), m
-    )
+    # which is free exactly when its invariant factors are all 1 or m:
+    # read them off one Smith form of the coordinates of m Z^c in a
+    # basis of L.
+    basis = kernel_lattice_basis_mod(a.to_ring(ZZ), m)
+    coords = _solve_integer(basis, Matrix.identity(ZZ, a.cols).scale(m))
+    if coords is None:
+        raise AssertionError("generators fell outside the congruence lattice")
+    snf_c = smith_normal_form(coords)
     factors = snf_c.diagonal
+    if any(f == 0 for f in factors):
+        raise AssertionError("congruence quotient came out infinite")
     bad = [int(f) for f in factors if f not in (1, m)]
     if bad:
         raise NonFreeKernel(
@@ -818,6 +885,117 @@ def _kernel_zmod_composite(a: Matrix) -> Matrix:
     picked = [i for i, f in enumerate(factors) if f == m]
     generators = (basis @ snf_c.pinv).select_columns(picked)
     return generators.to_ring(ring)
+
+
+def _diagonalize_mod(w: _SnfWorker) -> list:
+    """Diagonalize w.d over Z/m, m = w.mod; return the pivots.
+
+    Only unimodular steps are taken, with every entry reduced % m:
+    swaps, and extended-gcd steps on two rows or two columns, each a
+    run of Euclidean additions.  An entry in the ideal of the pivot a
+    is cleared in one addition: with g = gcd(a, m), a is a unit times
+    g, so x = k * a for k = (x / g) * (a / g)^-1 mod m / g.  Otherwise
+    Euclid leaves the pivot gcd(a, x), whose gcd with m is a proper
+    divisor of g, so the pivot can shrink only finitely often.  Each
+    pivot has the least gcd with m in the remaining block; when m is a
+    prime power its ideal then holds every other entry, and no Euclid
+    step is taken.  Pivot t ends at d[t][t] and all else is zero.
+    """
+    d, m = w.d, w.mod
+    t = 0
+    while t < min(w.r, w.c):
+        best, bi, bj = 0, -1, -1
+        for i in range(t, w.r):
+            row = d[i]
+            for j in range(t, w.c):
+                if row[j]:
+                    g = gcd(row[j], m)
+                    if not best or g < best:
+                        best, bi, bj = g, i, j
+                        if g == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
+            break
+        w.swap_rows(t, bi)
+        w.swap_cols(t, bj)
+        for i in range(t + 1, w.r):
+            while d[i][t]:
+                k, q = _multiplier(d[t][t], d[i][t], m)
+                w.add_row(i, t, -(q if k is None else k))
+                if k is not None:
+                    break
+                w.swap_rows(t, i)
+        top = d[t]
+        for j in range(t + 1, w.c):
+            while top[j]:
+                k, q = _multiplier(top[t], top[j], m)
+                w.add_col(j, t, -(q if k is None else k))
+                if k is not None:
+                    break
+                w.swap_cols(t, j)
+        if not any(d[i][t] for i in range(t + 1, w.r)):
+            t += 1
+    return [d[i][i] for i in range(t)]
+
+
+def _multiplier(a, x, m):
+    """(k, None) with x == k * a mod m when gcd(a, m) divides x, else (None, x // a)."""
+    g = gcd(a, m)
+    if x % g:
+        return None, x // a
+    h = m // g
+    return x // g * pow(a // g, -1, h) % h, None
+
+
+def _invariant_chain(orders) -> tuple:
+    """Invariant factors of the sum of the cyclic groups Z/o, o in orders.
+
+    Pairing Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) leaves each entry
+    dividing all later ones; the trivial groups are dropped.
+    """
+    o = [x for x in orders if x > 1]
+    for i in range(len(o)):
+        for j in range(i + 1, len(o)):
+            g = gcd(o[i], o[j])
+            o[i], o[j] = g, o[i] // g * o[j]
+    return tuple(x for x in o if x > 1)
+
+
+def _cyclic_orders(pivots, count, m) -> list:
+    """Orders of Z/m^count modulo a diagonal with these pivots."""
+    return [gcd(e, m) for e in pivots] + [m] * (count - len(pivots))
+
+
+def cycle_quotient_mod(d_n: Matrix, d_next: Matrix) -> tuple:
+    """Invariant factors of ker d_n / im d_next over Z/m, without factoring m.
+
+    d_n maps C_n to C_(n-1) and d_next maps C_(n+1) to C_n, with
+    d_n @ d_next == 0.  Diagonalizing d_n while d_next follows its
+    column steps gives coordinates of C_n in which the cycles are
+    the sum of the cyclic groups (m / g_i) Z/m, g_i = gcd(pivot_i, m),
+    or g_i = m where d_n has no pivot.  Row i of d_next, a boundary
+    coordinate, is then a multiple of m / g_i.  Dividing it out gives
+    the relation matrix [rows / (m / g_i) | diag(g_i)] on generators
+    of order g_i, and a second diagonalization reads off its cyclic
+    orders.
+    """
+    m = d_n.ring.modulus
+    w = _SnfWorker(d_n, (), follow=[list(row) for row in d_next.entries])
+    orders = _cyclic_orders(_diagonalize_mod(w), d_n.cols, m)
+    kept = [(g, row) for g, row in zip(orders, w.qinv) if g > 1]
+    relations = []
+    for i, (g, row) in enumerate(kept):
+        step = m // g
+        if any(x % step for x in row):
+            raise AssertionError("a boundary is not a cycle")
+        diag = [0] * len(kept)
+        diag[i] = g % m
+        relations.append(tuple(x // step for x in row) + tuple(diag))
+    shape = (len(kept), d_next.cols + len(kept))
+    pivots = _diagonalize_mod(_SnfWorker(Matrix._trusted(d_n.ring, *shape, tuple(relations)), ()))
+    return _invariant_chain(_cyclic_orders(pivots, len(kept), m))
 
 
 def kernel_basis(a: Matrix) -> Matrix:
@@ -885,31 +1063,52 @@ def split_with_complement(a: Matrix):
     return r, comp, proj
 
 
-def _det_bareiss(rows) -> int:
-    """Fraction-free determinant of an integer matrix given as lists."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = -1
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap < 0:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+def _bareiss(rows):
+    """Fraction-free elimination of integer rows (Bareiss, Math. Comp. 22, 1968).
+
+    Each step clears the column under a pivot with 2x2 cross products
+    divided exactly by the previous pivot, so every entry stays a minor
+    of the input and no fraction arises.  A column with no pivot is
+    skipped.  Returns (rank, sign, pivot): sign is that of the row
+    permutation and pivot the last pivot, which for a nonsingular square
+    input is sign times its determinant.
+    """
+    m = [r for r in rows if any(r)]
+    rank, sign, prev = 0, 1, 1
+    while m and m[0]:
+        sel = next((i for i, row in enumerate(m) if row[0]), -1)
+        if sel < 0:
+            m = [row[1:] for row in m]
+            continue
+        if sel:
+            m[0], m[sel] = m[sel], m[0]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        top = m[0]
+        piv, tail = top[0], top[1:]
+        m = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m[1:]]
+        prev = piv
+        rank += 1
+    return rank, sign, prev
+
+
+def _det_bareiss(rows) -> int:
+    """Determinant of a square integer matrix given as rows."""
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
+
+
+def _cleared_rows(a: Matrix):
+    """Rows of a rational matrix, each scaled by the lcm of its denominators.
+
+    Returns (integer rows, product of the scales).
+    """
+    rows = []
+    scale = 1
+    for row in a.entries:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
 
 
 def det(a: Matrix):
@@ -921,19 +1120,21 @@ def det(a: Matrix):
     if a.ring.kind == "Zmod":
         return _det_bareiss(a.entries) % a.ring.modulus
     # Rational: clear each row's denominators, then eliminate over Z.
-    rows = []
-    scale = 1
-    for row in a.entries:
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
+    rows, scale = _cleared_rows(a)
     return Fraction(_det_bareiss(rows), scale)
 
 
 def rank(a: Matrix) -> int:
-    """Rank over Z or over a field (not defined for composite Z/m)."""
+    """Rank over Z or over a field (not defined for composite Z/m).
+
+    Over Z and Q one Bareiss elimination, over Q after clearing each
+    row's denominators; over Z/p the row echelon form.
+    """
+    kind = a.ring.kind
+    if kind == "Z":
+        return _bareiss(a.entries)[0]
+    if kind == "Q":
+        return _bareiss(_cleared_rows(a)[0])[0]
     if a.ring.is_field():
         return len(_rref(a)[1])
-    if a.ring.kind == "Z":
-        return smith_normal_form(a).rank
     raise ValueError("rank over Z/m with composite m is not well defined")

@@ -17,7 +17,8 @@ rank far beyond what it spells out entry by entry, so anything above
 the cap is a FormatError rather than a computation that never ends.
 Likewise every integer of a payload, JSON numbers included, may spell
 out at most MAX_ENTRY_DIGITS decimal digits; a rational counts its
-numerator and denominator apart.
+numerator and denominator apart.  A ring modulus lies between 2 and
+exact_linalg.MAX_MODULUS (2**64).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .diagrams import (
     preset_diagram,
     tensor_with_bimodule,
 )
-from .exact_linalg import QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
+from .exact_linalg import MAX_MODULUS, QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
 from .ladder import D0Complex, D0Morphism
 
 
@@ -47,6 +48,7 @@ from .ladder import D0Complex, D0Morphism
 # convert any length, in time quadratic in it.
 MAX_ENTRY_DIGITS = 4000
 _DIGITS_BOUND = 10 ** MAX_ENTRY_DIGITS
+_MODULUS_DIGITS = len(str(MAX_MODULUS))
 
 # A rational entry: an integer, or p/q with an unsigned denominator.
 _RATIONAL = re.compile(r"\s*(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?\s*")
@@ -88,8 +90,13 @@ def load_ring(value, where: str) -> Ring:
     if value == "Q":
         return QQ
     if value.startswith("Z/"):
+        # The digit count is checked before int() reads the digits.
         tail = value[2:]
-        if not (tail.isdigit() and int(tail) >= 2):
+        if not (tail.isascii() and tail.isdigit()):
+            raise FormatError(f"{where}: modulus in {value[:40]!r} must be an integer >= 2")
+        if len(tail) > _MODULUS_DIGITS or int(tail) > MAX_MODULUS:
+            raise FormatError(f"{where}: a modulus of {len(tail)} digits exceeds the limit of 2**64")
+        if int(tail) < 2:
             raise FormatError(f"{where}: modulus in {value!r} must be an integer >= 2")
         return Zmod(int(tail))
     raise FormatError(f"{where}: unknown ring {value!r}, expected Z, Q, or Z/<m>")

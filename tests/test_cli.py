@@ -496,3 +496,31 @@ def test_tower_level_of_the_wrong_rank_exits_2_naming_the_place(tmp_path, capsys
         assert place in capsys.readouterr().out
         assert main(["verify", path]) == 2
         assert place in capsys.readouterr().out
+
+
+def test_moduli_above_the_cap_exit_2(tmp_path, capsys):
+    """A prime modulus above 2**64 is refused before any primality test
+    runs, by its digit count: a file and a --ring flag alike."""
+    huge = "Z/1000000000000000000000000000057"
+    path = write(tmp_path, "huge.json", {"ring": huge, "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["2"]]}})
+    assert main(["homology", path]) == 2
+    assert "exceeds the limit of 2**64" in capsys.readouterr().out
+    assert main(["fuzz", "--ring", huge, "--n", "1"]) == 2
+    assert "--ring" in capsys.readouterr().out
+    assert main(["fuzz", "--ring", "Z/" + "9" * 5000, "--n", "1", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "error" and "5000 digits" in report["message"]
+    assert main(["fuzz", "--ring", f"Z/{2 ** 64 + 1}", "--n", "1"]) == 2
+    capsys.readouterr()
+
+
+def test_homology_over_a_product_of_two_large_primes(tmp_path, capsys):
+    """Z/m with m the product of two ten-digit primes: homology answers
+    without factoring m."""
+    p, q = 1000000007, 1000000009
+    payload = {"ring": f"Z/{p * q}", "ranks": {"0": "2", "1": "2"}, "differentials": {"1": [[str(p), "0"], ["0", str(q)]]}}
+    path = write(tmp_path, "pq.json", payload)
+    assert main(["homology", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for n in ("0", "1"):
+        assert report["homology"][n]["torsion"] == [str(p * q)]
