@@ -326,13 +326,6 @@ class HomologySummary:
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
 
-    def describe(self) -> str:
-        parts = []
-        if self.betti:
-            parts.append(f"free^{self.betti}")
-        parts.extend(f"cyclic({t})" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
 
 _TRIVIAL = HomologySummary(0, ())
 

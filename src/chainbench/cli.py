@@ -298,10 +298,6 @@ def _cmd_an_local(args) -> int:
 def _cmd_factor(args) -> int:
     f = load_d0morphism(_read_payload(args.file))
     data = factor_through_acyclic(f, args.n)
-    for i, g in enumerate(f.components):
-        got = data.right.components[i] @ data.left.components[i]
-        if got != g:
-            raise AssertionError(f"factorization failed to reproduce level {i}")
     lines = [
         f"factored through a tower with {data.mid.top_index + 1} levels",
         "every middle level is contractible (witnessed)",
@@ -373,10 +369,8 @@ def _cmd_invert(args) -> int:
     rng = random.Random(args.seed)
     raw = random_graded_map(rng, s.total.complex, s.kernel, args.n + 1, bound=2)
     cycle = delta_differential(s, raw)
-    preimage = invert_homotopy(s, s.total, cycle)
-    again = delta_differential(s, preimage)
-    if again != cycle:
-        raise AssertionError("inversion failed to reproduce the seeded cycle")
+    # Raises unless the twisted differential of the preimage is the cycle.
+    invert_homotopy(s, s.total, cycle)
     lines = [
         f"seeded cycle of degree {args.n} (seed {args.seed})"
         + (" is zero" if cycle.is_zero() else ""),

@@ -235,7 +235,7 @@ class DComplex:
     edge_maps: tuple
 
     @staticmethod
-    def build(diagram, vertex_complexes, edge_maps, validate: bool = True) -> "DComplex":
+    def build(diagram, vertex_complexes, edge_maps) -> "DComplex":
         ctable = dict(
             vertex_complexes.items()
             if isinstance(vertex_complexes, dict)
@@ -253,8 +253,7 @@ class DComplex:
             tuple(sorted(ctable.items())),
             tuple(sorted(mtable.items())),
         )
-        if validate:
-            out.validate()
+        out.validate()
         return out
 
     def complex_at(self, vertex: str) -> ChainComplex:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact_linalg import Matrix, Ring, ZZ, block_matrix, inverse, kernel_basis
+from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, block_matrix, inverse, kernel_basis
 from .chains import (
     ChainComplex,
     GradedMap,
@@ -54,41 +54,22 @@ def random_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: i
     return Matrix.from_rows(ring, data)
 
 
-def invariant_factors_of_cyclics(orders) -> tuple:
-    """Invariant factor chain of a direct sum of cyclic groups Z/n.
+# Invariant factor chain of a direct sum of cyclic groups Z/n, n >= 1,
+# largest last.  Orders are paired by gcd and lcm and never factored.
+invariant_factors_of_cyclics = _invariant_chain
 
-    Orders equal to 1 are dropped; 0 is not allowed here.  The result
-    lists d_1 | d_2 | ... | d_k largest last.
+
+def _conjugated(rng: random.Random, c: ChainComplex):
+    """c with a random unimodular change of basis in every degree.
+
+    Returns (mixed, basis, inverses): basis[n] carries c_n onto mixed_n
+    and inverses[n] carries it back.  Conjugation moves no homology and
+    no splitting property.
     """
-    buckets = {}
-    for n in orders:
-        if n == 1:
-            continue
-        if n <= 0:
-            raise ValueError("cyclic orders must be positive")
-        left = n
-        f = 2
-        while f * f <= left:
-            if left % f == 0:
-                power = 1
-                while left % f == 0:
-                    left //= f
-                    power *= f
-                buckets.setdefault(f, []).append(power)
-            f += 1
-        if left > 1:
-            buckets.setdefault(left, []).append(left)
-    for plist in buckets.values():
-        plist.sort(reverse=True)
-    depth = max((len(v) for v in buckets.values()), default=0)
-    chain = []
-    for slot in range(depth):
-        factor = 1
-        for plist in buckets.values():
-            if slot < len(plist):
-                factor *= plist[slot]
-        chain.append(factor)
-    return tuple(reversed(chain))
+    basis = {n: random_unimodular(rng, c.ring, r) for n, r in c.ranks}
+    inverses = {n: inverse(u) for n, u in basis.items()}
+    diffs = {n: basis[n - 1] @ d @ inverses[n] for n, d in c.diffs}
+    return ChainComplex.build(c.ring, dict(c.ranks), diffs), basis, inverses
 
 
 @dataclass(frozen=True)
@@ -176,17 +157,7 @@ def random_complex(
         data = [[block.get((i, j), 0) for j in range(cols)] for i in range(rows)]
         diffs[n] = Matrix.from_rows(ZZ, data).to_ring(ring) if rows and cols else None
     diffs = {n: m for n, m in diffs.items() if m is not None}
-    plain = ChainComplex.build(ring, ranks, diffs)
-    basis = {n: random_unimodular(rng, ring, r) for n, r in plain.ranks}
-
-    def u(n):
-        return basis.get(n, Matrix.identity(ring, plain.rank(n)))
-
-    mixed_diffs = {}
-    for n, _ in plain.ranks:
-        un_inv = inverse(u(n))
-        mixed_diffs[n] = u(n - 1) @ plain.diff(n) @ un_inv
-    mixed = ChainComplex.build(ring, dict(plain.ranks), mixed_diffs)
+    mixed, _, _ = _conjugated(rng, ChainComplex.build(ring, ranks, diffs))
     expected = {}
     if ring.kind == "Zmod" and not ring.is_field():
         for n in mixed.degrees():
@@ -265,22 +236,15 @@ def random_extension(rng: random.Random, sub: ChainComplex, quotient: ChainCompl
         )
         for n in degrees
     }
-    middle = ChainComplex.build(ring, ranks, diffs)
-    basis = {n: random_unimodular(rng, ring, ranks[n]) for n in middle.degrees()}
-
-    def u(n):
-        return basis.get(n, Matrix.identity(ring, middle.rank(n)))
-
-    mixed_diffs = {n: u(n - 1) @ middle.diff(n) @ inverse(u(n)) for n in middle.degrees()}
-    mixed = ChainComplex.build(ring, ranks, mixed_diffs)
+    mixed, basis, inverses = _conjugated(rng, ChainComplex.build(ring, ranks, diffs))
     incl_blocks = {}
     proj_blocks = {}
     for n in degrees:
         sn, qn = sizes(n)
         incl_plain = block_matrix(ring, [sn, qn], [sn], {(0, 0): Matrix.identity(ring, sn)})
         proj_plain = block_matrix(ring, [qn], [sn, qn], {(0, 1): Matrix.identity(ring, qn)})
-        incl_blocks[n] = u(n) @ incl_plain
-        proj_blocks[n] = proj_plain @ inverse(u(n))
+        incl_blocks[n] = basis[n] @ incl_plain
+        proj_blocks[n] = proj_plain @ inverses[n]
     incl = GradedMap.build(sub, mixed, 0, incl_blocks)
     proj = GradedMap.build(mixed, quotient, 0, proj_blocks)
     return RandomExtension(incl, proj, sub, quotient, mixed)
@@ -407,12 +371,12 @@ def random_reduced_ladder(
         lam_prev = lam
         alpha_prev = alpha
     if scramble:
-        levels, ascents, descents = conjugate_tower(rng, ring, s, levels, ascents, descents)
+        levels, ascents, descents = conjugate_tower(rng, s, levels, ascents, descents)
     tower = D0Complex.build(s, levels, ascents, descents, n_levels)
     return RandomLadder(tower, tuple(flags), tuple(fresh))
 
 
-def conjugate_tower(rng: random.Random, ring: Ring, s, levels, ascents, descents):
+def conjugate_tower(rng: random.Random, s, levels, ascents, descents):
     """Change basis degreewise in every positive level of a tower.
 
     Conjugation by unimodular matrices hides any block structure the
@@ -423,29 +387,14 @@ def conjugate_tower(rng: random.Random, ring: Ring, s, levels, ascents, descents
     from .diagrams import tensor_map_with_bimodule
 
     n_levels = len(levels) - 1
-    isos = [GradedMap.identity(levels[0])]
     mixed = [levels[0]]
-    for i in range(1, n_levels + 1):
-        old = levels[i]
-        basis = {n: random_unimodular(rng, ring, old.rank(n)) for n in old.degrees()}
-        new_diffs = {
-            n: basis[n - 1] @ old.diff(n) @ inverse(basis[n])
-            for n in old.degrees()
-            if old.rank(n) and old.rank(n - 1)
-        }
-        new = ChainComplex.build(ring, {n: old.rank(n) for n in old.degrees()}, new_diffs)
-        iso = GradedMap.build(old, new, 0, basis)
+    isos = [GradedMap.identity(levels[0])]
+    inv = [GradedMap.identity(levels[0])]
+    for old in levels[1:]:
+        new, basis, inverses = _conjugated(rng, old)
         mixed.append(new)
-        isos.append(iso)
-    inv = [
-        GradedMap.build(
-            mixed[i],
-            levels[i],
-            0,
-            {n: inverse(iso.block(n)) for n in mixed[i].degrees()},
-        )
-        for i, iso in enumerate(isos)
-    ]
+        isos.append(GradedMap.build(old, new, 0, basis))
+        inv.append(GradedMap.build(new, old, 0, inverses))
     new_ascents = [isos[i + 1] @ ascents[i] @ inv[i] for i in range(n_levels)]
     new_descents = [
         tensor_map_with_bimodule(isos[i - 1], s) @ descents[i - 1] @ inv[i]
@@ -558,7 +507,7 @@ def random_kernel_tower(
         v_prev = v_i
         theta_slot_prev = theta_slot
     if scramble:
-        levels, mus, betas = conjugate_tower(rng, ring, s, levels, mus, betas)
+        levels, mus, betas = conjugate_tower(rng, s, levels, mus, betas)
     tower = D0Complex.build(s, levels, mus, betas, n_levels)
     return RandomKernelTower(tower, tower.level(1))
 

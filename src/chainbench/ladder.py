@@ -846,6 +846,8 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:
     if bound not in ("strict", "inclusive"):
         raise ValueError("bound must be 'strict' or 'inclusive'")
+    if n < 0:
+        raise ValueError(f"range bound {n} must be nonnegative")
     if not is_reduced(c):
         raise ValueError("tower is not reduced; descents must split degreewise")
     last = n - 1 if bound == "strict" else n
@@ -863,17 +865,16 @@ def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalRep
     witness = None
     for m in range(1, last + 1):
         lam_tilde = kernel_lambda(c, m, kern(m), kern(m + 1))
-        folded = cone(lam_tilde).complex
-        kernel_ok = is_acyclic(folded)
+        nonzero = tuple(
+            (deg, summary)
+            for deg, summary in sorted(homology(cone(lam_tilde).complex).items())
+            if not summary.is_trivial()
+        )
         square_ok = is_acyclic(exact_square_total(c, m))
-        checked.append((m, kernel_ok, square_ok))
-        if not kernel_ok and failing is None:
+        checked.append((m, not nonzero, square_ok))
+        if nonzero and failing is None:
             failing = m
-            witness = tuple(
-                (deg, summary)
-                for deg, summary in sorted(homology(folded).items())
-                if not summary.is_trivial()
-            )
+            witness = nonzero
     holds = all(ok for _, ok, _ in checked)
     square_holds = all(ok for _, _, ok in checked)
     return AnLocalReport(holds, square_holds, bound, failing, witness, tuple(checked))

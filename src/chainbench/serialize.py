@@ -51,7 +51,7 @@ _DIGITS_BOUND = 10 ** MAX_ENTRY_DIGITS
 _MODULUS_DIGITS = len(str(MAX_MODULUS))
 
 # A rational entry: an integer, or p/q with an unsigned denominator.
-_RATIONAL = re.compile(r"\s*(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?\s*")
+_RATIONAL = re.compile(r"\s*(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?\s*")
 
 
 class FormatError(ValueError):
@@ -125,7 +125,7 @@ def load_int(value, where: str) -> int:
     if isinstance(value, str):
         text = value.strip()
         sign_free = text[1:] if text[:1] in "+-" else text
-        if sign_free.isdigit():
+        if sign_free.isascii() and sign_free.isdigit():
             _check_digits(len(sign_free), where)
             return int(text)
     raise FormatError(f"{where}: expected an integer in decimal notation, got {value!r}")
@@ -214,7 +214,7 @@ def dump_complex(c: ChainComplex) -> dict:
     }
 
 
-def load_complex(value, where: str = "complex", validate: bool = True) -> ChainComplex:
+def load_complex(value, where: str = "complex") -> ChainComplex:
     obj = _expect_object(value, where, ("ring", "ranks", "differentials"))
     ring = load_ring(obj["ring"], f"{where}.ring")
     if not isinstance(obj["ranks"], dict):
@@ -235,13 +235,10 @@ def load_complex(value, where: str = "complex", validate: bool = True) -> ChainC
         diffs[n] = load_matrix(
             val, ring, ranks.get(n - 1, 0), ranks.get(n, 0), f"{where}.differentials[{key}]"
         )
-    built = ChainComplex.build(ring, ranks, diffs, validate=False)
-    if validate:
-        try:
-            built.validate()
-        except ValueError as err:
-            raise InvalidObject(f"{where}: {err}") from err
-    return built
+    try:
+        return ChainComplex.build(ring, ranks, diffs)
+    except ValueError as err:
+        raise InvalidObject(f"{where}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +254,10 @@ def dump_graded_map(f: GradedMap) -> dict:
     }
 
 
-def load_graded_map(value, where: str = "map", validate: bool = True) -> GradedMap:
+def load_graded_map(value, where: str = "map") -> GradedMap:
     obj = _expect_object(value, where, ("source", "target", "degree", "blocks"))
-    source = load_complex(obj["source"], f"{where}.source", validate)
-    target = load_complex(obj["target"], f"{where}.target", validate)
+    source = load_complex(obj["source"], f"{where}.source")
+    target = load_complex(obj["target"], f"{where}.target")
     degree = load_int(obj["degree"], f"{where}.degree")
     return load_blocks(obj["blocks"], source, target, degree, f"{where}.blocks")
 
@@ -351,7 +348,7 @@ def dump_dcomplex(x: DComplex) -> dict:
     }
 
 
-def load_dcomplex(value, where: str = "dcomplex", validate: bool = True) -> DComplex:
+def load_dcomplex(value, where: str = "dcomplex") -> DComplex:
     obj = _expect_object(value, where, ("diagram", "complexes", "edge_maps"))
     diagram = load_diagram(obj["diagram"], f"{where}.diagram")
     if not isinstance(obj["complexes"], dict):
@@ -360,9 +357,7 @@ def load_dcomplex(value, where: str = "dcomplex", validate: bool = True) -> DCom
     for name, _ in diagram.vertices:
         if name not in obj["complexes"]:
             raise FormatError(f"{where}.complexes: missing vertex {name!r}")
-        complexes[name] = load_complex(
-            obj["complexes"][name], f"{where}.complexes[{name}]", validate
-        )
+        complexes[name] = load_complex(obj["complexes"][name], f"{where}.complexes[{name}]")
     if not isinstance(obj["edge_maps"], dict):
         raise FormatError(f"{where}.edge_maps: expected an object")
     maps = {}
@@ -380,7 +375,7 @@ def load_dcomplex(value, where: str = "dcomplex", validate: bool = True) -> DCom
             f"{where}.edge_maps[{e.name}]",
         )
     try:
-        return DComplex.build(diagram, complexes, maps, validate=validate)
+        return DComplex.build(diagram, complexes, maps)
     except (ValueError, ShapeMismatch) as err:
         raise InvalidObject(f"{where}: {err}") from err
 
@@ -414,7 +409,7 @@ def dump_d0complex(d: D0Complex) -> dict:
     }
 
 
-def load_d0complex(value, where: str = "d0complex", validate: bool = True) -> D0Complex:
+def load_d0complex(value, where: str = "d0complex") -> D0Complex:
     obj = _expect_object(
         value, where, ("bimodule", "level_count", "stabilization", "levels", "ascents", "descents")
     )
@@ -427,10 +422,7 @@ def load_d0complex(value, where: str = "d0complex", validate: bool = True) -> D0
         raise FormatError(
             f"{where}.level_count: says {count} but {len(obj['levels'])} levels are present"
         )
-    levels = [
-        load_complex(item, f"{where}.levels[{i}]", validate)
-        for i, item in enumerate(obj["levels"])
-    ]
+    levels = [load_complex(item, f"{where}.levels[{i}]") for i, item in enumerate(obj["levels"])]
     top = len(levels) - 1
     for key, want in (("ascents", max(top, 0)), ("descents", max(top, 0))):
         if not isinstance(obj[key], list) or len(obj[key]) != want:
@@ -464,10 +456,10 @@ def dump_d0morphism(f: D0Morphism) -> dict:
     }
 
 
-def load_d0morphism(value, where: str = "morphism", validate: bool = True) -> D0Morphism:
+def load_d0morphism(value, where: str = "morphism") -> D0Morphism:
     obj = _expect_object(value, where, ("source", "target", "components"))
-    source = load_d0complex(obj["source"], f"{where}.source", validate)
-    target = load_d0complex(obj["target"], f"{where}.target", validate)
+    source = load_d0complex(obj["source"], f"{where}.source")
+    target = load_d0complex(obj["target"], f"{where}.target")
     want = source.top_index + 1
     if not isinstance(obj["components"], list) or len(obj["components"]) != want:
         raise FormatError(f"{where}.components: expected a list of {want} block families")
@@ -485,10 +477,10 @@ def dump_scenario(probe: D0Complex, target: D0Complex) -> dict:
     return {"probe": dump_d0complex(probe), "target": dump_d0complex(target)}
 
 
-def load_scenario(value, where: str = "scenario", validate: bool = True) -> tuple:
+def load_scenario(value, where: str = "scenario") -> tuple:
     obj = _expect_object(value, where, ("probe", "target"))
-    probe = load_d0complex(obj["probe"], f"{where}.probe", validate)
-    target = load_d0complex(obj["target"], f"{where}.target", validate)
+    probe = load_d0complex(obj["probe"], f"{where}.probe")
+    target = load_d0complex(obj["target"], f"{where}.target")
     return probe, target
 
 
@@ -518,12 +510,12 @@ def detect_kind(value) -> str:
     )
 
 
-def load_any(value, validate: bool = True) -> tuple:
+def load_any(value) -> tuple:
     """(kind, object) for a payload of any supported shape."""
     kind = detect_kind(value)
     for marker, name, loader in _KINDS:
         if name == kind:
-            return kind, loader(value, kind, validate)
+            return kind, loader(value, kind)
     raise AssertionError("detect_kind returned an unknown kind")
 
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse, is_split_surjection
+from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse
 from .chains import ChainComplex, GradedMap, find_contraction
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
-from .ladder import D0Complex
+from .ladder import D0Complex, reduction_certificates
 
 
 def tensor_power(c: ChainComplex, s: Bimodule, i: int) -> ChainComplex:
@@ -204,9 +204,15 @@ def _probe_side(a: D0Complex):
 
 
 def _target_side(b: D0Complex):
-    """Kernel inclusions j, retractions theta, sections sigma, defects delta."""
-    ring = b.bimodule.base
+    """Kernel inclusions j, retractions theta, sections sigma, defects delta.
+
+    Each sigma corrects the degreewise descent section that
+    ladder.reduction_certificates solves for.
+    """
     s = b.bimodule
+    sections = reduction_certificates(b)
+    if sections is None:
+        raise ValueError("target descents must be degreewise split surjective")
     kernel = b.level(1)
     js = [GradedMap.identity(kernel)]
     sigmas = [GradedMap.zero(tensor_with_bimodule(b.level(0), s), b.level(1), 0)]
@@ -217,13 +223,7 @@ def _target_side(b: D0Complex):
         j_next = b.lambda_map(n) @ js[-1]
         if not (beta_next @ j_next).is_zero():
             raise ValueError("kernel-stable targets required")
-        prime_blocks = {}
-        for deg in beta_next.target.degrees():
-            sec = is_split_surjection(beta_next.block(deg))
-            if sec is None:
-                raise ValueError(f"descent {n + 1} is not split surjective in degree {deg}")
-            prime_blocks[deg] = sec
-        sigma_prime = GradedMap.build(beta_next.target, level_next, 0, prime_blocks)
+        sigma_prime = sections[n]
         mu_prev_s = tensor_power_map(b.lambda_map(n - 1), s, 1)
         witness = _ascent_splitting(b, n - 1)
         r_blocks = {deg: r for deg, (r, _, _) in witness.items()}
@@ -437,32 +437,28 @@ class TOperator:
     """One contraction operator K (x) S^{p+1} -> K of degree minus one."""
 
     index: int
-    level: int
     map: GradedMap
 
 
-def t_operator(s: SplittingData, p: int, level: int = 1) -> TOperator:
+def t_operator(s: SplittingData, p: int) -> TOperator:
     """Contract p+1 tensor factors through sigma splittings into delta.
 
     Returns the zero operator when the ladder runs out of levels.  The
-    composite is computed at the requested level; when one more level
-    is available the computation is repeated there and the two results
-    are asserted equal, which is the level-independence this operator
-    relies on.
+    composite is computed at level one; when level two is available the
+    computation is repeated there and the two results are asserted
+    equal, which is the level-independence this operator relies on.
     """
     if p < 0:
         raise ValueError("operator index must be nonnegative")
-    if level < 1:
-        raise ValueError("level starts at one")
     bim = s.probe.bimodule
     src = tensor_power(s.kernel, bim, p + 1)
-    built = _t_at_level(s, p, level, src)
+    built = _t_at_level(s, p, 1, src)
     if built is None:
-        return TOperator(p, level, GradedMap.zero(src, s.kernel, -1))
-    check = _t_at_level(s, p, level + 1, src)
+        return TOperator(p, GradedMap.zero(src, s.kernel, -1))
+    check = _t_at_level(s, p, 2, src)
     if check is not None and built != check:
         raise AssertionError("contraction operator depends on the level")
-    return TOperator(p, level, built)
+    return TOperator(p, built)
 
 
 def _t_at_level(s, p, n, src):

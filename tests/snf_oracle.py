@@ -4,7 +4,9 @@ smith_normal_form and homology_at below are the library's earlier
 versions, kept verbatim, and so are _rref with the field solve and
 kernel built on it, the rational determinant loop, and the two
 composite Z/m lattice routes (_kernel_zmod_composite and the homology
-one, _homology_mod_composite).  The Smith reduction normalises every entry
+one, _homology_mod_composite), and the trial-division invariant
+factors of a sum of cyclic groups that fuzz once built its expected
+homology with (invariant_factors_of_cyclics).  The Smith reduction normalises every entry
 through Ring.normalize after each elementary operation, builds one
 (key, row, column) tuple per candidate pivot and rescans the trailing
 block for divisibility after every pivot.  homology_at reads H_n off
@@ -363,3 +365,40 @@ def det(a: Matrix):
                 f = m[i][k] / piv
                 m[i] = [xi - f * xk for xi, xk in zip(m[i], m[k])]
     return out * sign
+
+
+def invariant_factors_of_cyclics(orders) -> tuple:
+    """Invariant factor chain of a direct sum of cyclic groups Z/n.
+
+    Orders equal to 1 are dropped; 0 is not allowed here.  The result
+    lists d_1 | d_2 | ... | d_k largest last.
+    """
+    buckets = {}
+    for n in orders:
+        if n == 1:
+            continue
+        if n <= 0:
+            raise ValueError("cyclic orders must be positive")
+        left = n
+        f = 2
+        while f * f <= left:
+            if left % f == 0:
+                power = 1
+                while left % f == 0:
+                    left //= f
+                    power *= f
+                buckets.setdefault(f, []).append(power)
+            f += 1
+        if left > 1:
+            buckets.setdefault(left, []).append(left)
+    for plist in buckets.values():
+        plist.sort(reverse=True)
+    depth = max((len(v) for v in buckets.values()), default=0)
+    chain = []
+    for slot in range(depth):
+        factor = 1
+        for plist in buckets.values():
+            if slot < len(plist):
+                factor *= plist[slot]
+        chain.append(factor)
+    return tuple(reversed(chain))

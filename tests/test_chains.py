@@ -213,9 +213,10 @@ def test_homology_matches_cycle_lattice_oracle():
 
 
 def test_composite_homology_matches_lattice_oracle():
-    """Over composite Z/m, homology and homology_at take the shared
-    congruence-lattice route; the copy of the route that chains kept
-    for itself must give the same summaries degree by degree."""
+    """Over composite Z/m, homology and homology_at diagonalize in Z/m
+    itself with exact_linalg.cycle_quotient_mod; the congruence-lattice
+    route over Z kept in snf_oracle must give the same summaries degree
+    by degree."""
     rng = random.Random(20261024)
     rings = (Zmod(4), Zmod(6), Zmod(12))
     torsion_seen = 0

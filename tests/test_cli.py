@@ -47,6 +47,22 @@ def write(tmp_path, name: str, payload: dict) -> str:
     return str(path)
 
 
+def run_child(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m chainbench argv` in a child process with a 60 s timeout,
+    so that a regression to a hang fails the test instead of the suite."""
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "chainbench", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        **kwargs,
+    )
+
+
 def test_homology_moore_example(tmp_path, capsys):
     path = write(tmp_path, "moore2.json", dump_complex(moore(2)))
     assert main(["homology", path]) == 0
@@ -277,16 +293,7 @@ def test_oversized_complex_exits_2_in_a_subprocess(tmp_path):
         '{"kind":"complex","ring":"Z","ranks":{"0":"100000000000"},"differentials":{}}',
         encoding="utf-8",
     )
-    src = str(Path(chainbench.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-m", "chainbench", "homology", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    done = run_child("homology", str(path))
     assert done.returncode == 2
     assert "exceeds the limit" in done.stdout
     assert "Traceback" not in done.stderr
@@ -303,16 +310,7 @@ def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
         '{"kind":"complex","ring":"Z","ranks":{"0":"4096"},"differentials":{}}',
         encoding="utf-8",
     )
-    src = str(Path(chainbench.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-m", "chainbench", "homology", "--json", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    done = run_child("homology", "--json", str(path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["homology"]["0"]["betti"] == "4096"
 
@@ -327,19 +325,12 @@ def test_nilpotency_composite_over_the_cap_exits_2_in_a_subprocess(tmp_path):
         c, tensor_with_bimodule(c, s), 0, {0: Matrix.from_rows(ZZ, [[1]] * 64)}
     )
     path = write(tmp_path, "loop64.json", dump_dcomplex(loop_object(f, s)))
-    src = str(Path(chainbench.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     # Without the cap the child would build a 262144 x 4096 matrix; the
     # address-space limit turns that into a failure instead of a host
     # running out of memory.
     limit = (1 << 30, 1 << 30)
-    done = subprocess.run(
-        [sys.executable, "-m", "chainbench", "nilpotency", path, "--max-n", "100", "--json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
+    done = run_child(
+        "nilpotency", path, "--max-n", "100", "--json",
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
     )
     assert done.returncode == 2
@@ -423,16 +414,7 @@ def test_entry_with_too_many_digits_exits_2_in_a_subprocess(tmp_path):
         "long.json",
         {"ring": "Z", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["7" * 5000]]}},
     )
-    src = str(Path(chainbench.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-m", "chainbench", "homology", path],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    done = run_child("homology", path)
     assert done.returncode == 2
     assert "complex.differentials[1] row 0 column 0" in done.stdout
     assert f"exceed the limit of {MAX_ENTRY_DIGITS}" in done.stdout
@@ -524,3 +506,35 @@ def test_homology_over_a_product_of_two_large_primes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     for n in ("0", "1"):
         assert report["homology"][n]["torsion"] == [str(p * q)]
+
+
+def test_an_local_rejects_a_negative_range_bound(tmp_path, capsys):
+    """Like bn-local and classify with a negative cut index, an-local with
+    a negative range bound exits 2 instead of passing vacuously."""
+    tower = random_reduced_ladder(random.Random(5), ZZ, n_levels=3).complex
+    path = write(tmp_path, "ladder.json", dump_d0complex(tower))
+    for bound in ("inclusive", "strict"):
+        assert main(["an-local", path, "--n", "-7", "--bound", bound, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "error"
+        assert "range bound -7 must be nonnegative" in report["message"]
+
+
+def test_fuzz_over_a_product_of_two_large_primes_finishes_in_a_subprocess():
+    """The generator's expected homology pairs cyclic orders by gcd and
+    lcm, so it never factors m = 1000000007 * 1000000009."""
+    done = run_child("fuzz", "--ring", "Z/1000000016000000063", "--n", "2", "--seed", "0", "--json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "pass"
+
+
+def test_non_ascii_digit_exits_2_naming_the_place_in_a_subprocess(tmp_path):
+    """A superscript two passes str.isdigit but not int(); it must be a
+    FormatError that names the rank, not a bare ValueError."""
+    path = write(tmp_path, "rank.json", {"ring": "Z", "ranks": {"0": "\u00b2"}, "differentials": {}})
+    done = run_child("homology", path, "--json")
+    assert done.returncode == 2
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "error"
+    assert "complex.ranks[0]: expected an integer in decimal notation" in report["message"]
+    assert "Traceback" not in done.stderr

@@ -38,7 +38,6 @@ from chainbench.exact_linalg import (
     smith_normal_form,
 )
 from chainbench.fuzz import (
-    invariant_factors_of_cyclics,
     random_complex,
     random_graded_map,
     random_matrix,
@@ -161,7 +160,7 @@ def test_cycle_quotient_mod_by_hand():
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 25, 36, 100, 864)), max_size=8))
 def test_gcd_lcm_pairing_matches_trial_division(orders):
-    assert _invariant_chain(orders) == invariant_factors_of_cyclics(orders)
+    assert _invariant_chain(orders) == snf_oracle.invariant_factors_of_cyclics(orders)
 
 
 @PROPERTY

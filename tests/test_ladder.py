@@ -14,6 +14,7 @@ from chainbench.chains import (
     is_acyclic,
     same_homology,
 )
+from chainbench import ladder
 from chainbench.diagrams import Bimodule, tensor_with_bimodule
 from chainbench.ladder import (
     D0Complex,
@@ -326,6 +327,31 @@ def test_an_local_frozen_failure():
         check_an_local(c, 1, "open")
     with pytest.raises(ValueError):
         check_an_local(c, 3, "inclusive")
+    for bound in ("strict", "inclusive"):
+        with pytest.raises(ValueError, match="range bound -1 must be nonnegative"):
+            check_an_local(c, -1, bound)
+
+
+def test_an_local_computes_each_kernel_cone_homology_once(monkeypatch):
+    """The failing cone's witness is read off the homology table that
+    decides its verdict, so each kernel cone has its homology computed
+    once, whether through homology or through is_acyclic."""
+    rng = random.Random(23)
+    acy = two_term(ZZ, 1)
+    c = random_reduced_ladder(rng, ZZ, fresh_complexes=[acy, unit_complex(ZZ), acy]).complex
+    calls = []
+    for name in ("homology", "is_acyclic"):
+        original = getattr(ladder, name)
+
+        def counted(x, original=original):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(ladder, name, counted)
+    rep = check_an_local(c, 2, "inclusive")
+    assert rep.failing_index == 1 and rep.witness_homology
+    cones = [cone(kernel_lambda(c, m)).complex for m in (1, 2)]
+    assert [calls.count(k) for k in cones] == [1, 1]
 
 
 def test_an_local_criteria_agree_on_fuzz():

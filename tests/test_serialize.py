@@ -99,9 +99,6 @@ def test_complex_loader_diagnostics():
     }
     with pytest.raises(InvalidObject, match="boundary twice"):
         load_complex(bad)
-    relaxed = load_complex(bad, validate=False)
-    with pytest.raises(ValueError):
-        relaxed.validate()
 
 
 def test_oversized_declarations_are_format_errors():
@@ -246,12 +243,26 @@ def test_text_layer_diagnostics_and_determinism():
     assert dumps(payload) == dumps(json.loads(dumps(payload)))
 
 
+def test_integers_are_spelled_in_ascii_digits_only():
+    """str.isdigit and the regex class \\d accept every Unicode decimal
+    digit, and int() reads most of them; the format allows 0-9 only."""
+    for digit in ("\u00b2", "\u0663", "\uff13"):
+        with pytest.raises(FormatError, match=r"complex.ranks\[0\]: expected an integer"):
+            load_complex({"ring": "Z", "ranks": {"0": digit}, "differentials": {}})
+        with pytest.raises(FormatError, match=r"complex.ranks key"):
+            load_complex({"ring": "Z", "ranks": {digit: "1"}, "differentials": {}})
+        for entry in (digit, f"1/{digit}", f"{digit}/2"):
+            payload = {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[entry]]}}
+            with pytest.raises(FormatError, match=r"complex.differentials\[1\] row 0 column 0"):
+                load_complex(payload)
+
+
 def test_rational_entries_are_integers_or_p_over_q():
     """The documented grammar only: no decimals or exponents, whose value
     ("1e999999999") can be far larger than the text that spells it."""
     def entry(text):
         payload = {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[text]]}}
-        return load_complex(payload, validate=False).diff(1).entries[0][0]
+        return load_complex(payload).diff(1).entries[0][0]
 
     assert entry(" -6/4 ") == Fraction(-3, 2) and type(entry("5")) is Fraction
     assert entry("+0/7") == 0
