@@ -75,9 +75,15 @@ def tensor_bimodules(s: Bimodule, t: Bimodule) -> Bimodule:
 
 
 def tensor_with_bimodule(c: ChainComplex, s: Bimodule) -> ChainComplex:
-    """C (x) S: ranks multiply, boundaries act on the module index."""
+    """C (x) S: ranks multiply, boundaries act on the module index.
+
+    A rank-1 bimodule is the ring itself, so C (x) S is C and c comes
+    back unchanged.
+    """
     if c.ring != s.base:
         raise ShapeMismatch("complex and bimodule over different rings")
+    if s.rank == 1:
+        return c
     eye = Matrix.identity(c.ring, s.rank)
     ranks = {n: r * s.rank for n, r in c.ranks}
     diffs = {n: kron(m, eye) for n, m in c.diffs}
@@ -85,10 +91,13 @@ def tensor_with_bimodule(c: ChainComplex, s: Bimodule) -> ChainComplex:
 
 
 def tensor_map_with_bimodule(f: GradedMap, s: Bimodule) -> GradedMap:
-    """f (x) identity on S, between the tensored complexes."""
+    """f (x) identity on S, between the tensored complexes; f itself when S has rank 1."""
+    source = tensor_with_bimodule(f.source, s)
+    if s.rank == 1:
+        return f
     eye = Matrix.identity(f.source.ring, s.rank)
     return GradedMap.build(
-        tensor_with_bimodule(f.source, s),
+        source,
         tensor_with_bimodule(f.target, s),
         f.degree,
         {n: kron(m, eye) for n, m in f.blocks},

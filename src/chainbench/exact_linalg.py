@@ -19,11 +19,14 @@ the first entry of absolute value 1; over Q it always scans the whole
 block.  The divisibility check that follows each pivot is skipped when
 the pivot is 1.
 
-The Smith reduction, _rref and the elimination over composite Z/m
-share one row arithmetic, _axpy and _scaled, on raw entries, whole
-rows at a time: integer and rational arithmetic is closed and
-canonical, so the only reduction is % m over Z/m.  Each caller
-eliminates only what it reads.  The Smith reduction builds only the
+The Smith reduction, _rref over Z/p and the elimination over
+composite Z/m share one row arithmetic, _axpy and _scaled, on raw
+entries, whole rows at a time: integer and rational arithmetic is
+closed and canonical, so the only reduction is % m over Z/m.  _rref
+over Q, which solve_linear and kernel_basis read, is fraction-free
+Gauss-Jordan elimination on rows cleared of their denominators, with
+one division by the last pivot at the end.  Each caller eliminates
+only what it reads.  The Smith reduction builds only the
 transforms its caller asks for: all four for smith_normal_form, p and
 q for a solve over Z, q for a kernel over Z, none for
 invariant_factors.  rank over Z and Q and det over every ring are one
@@ -50,14 +53,18 @@ operations applies itself.  Normalizing their results again would
 return every entry unchanged.  Both ways run the same constructor and
 __post_init__; _trusted passes it the init-only flag _canonical.  A
 product builds each row as a sum of whole rows of the right factor,
-one term per nonzero entry of the left row.
+one term per nonzero entry of the left row.  Over Q that loop runs on
+integers: each left row is scaled by the lcm of its denominators, the
+right factor by one common denominator, and each nonzero entry of the
+result is one Fraction.  QQ.zero and QQ.one are one shared Fraction
+each.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, neg, sub
 
 
@@ -142,11 +149,11 @@ class Ring:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     def normalize(self, x):
         """Coerce x into the canonical representation for this ring."""
@@ -196,6 +203,10 @@ class Ring:
 
 ZZ = Ring("Z")
 QQ = Ring("Q")
+
+# Fractions are immutable, so every rational zero and one can be these.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 def Zmod(m: int) -> Ring:
@@ -334,6 +345,8 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        if self.ring.kind == "Q":
+            return _rational_product(self, other)
         m = self.ring.modulus
         zero_row = (self.ring.zero,) * other.cols
         data = []
@@ -443,8 +456,35 @@ def block_matrix(ring: Ring, heights, widths, blocks) -> Matrix:
     return Matrix._trusted(ring, len(data), offsets[-1], data)
 
 
+def _rational_product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over Q, computed as a product over Z.
+
+    Row i of a is scaled by the lcm s_i of its denominators and all of
+    b by the lcm t of its denominators; row i of the integer product,
+    divided by s_i * t, is row i of a @ b, one Fraction per nonzero
+    entry.
+    """
+    brows, bscales = _cleared_rows(b.entries)
+    t = lcm(*bscales)
+    if t != 1:
+        brows = [tuple([x * (t // u) for x in row]) for row, u in zip(brows, bscales)]
+    arows, ascales = _cleared_rows(a.entries)
+    ints = Matrix._trusted(ZZ, a.rows, a.cols, arows) @ Matrix._trusted(ZZ, b.rows, b.cols, tuple(brows))
+    data = []
+    for s, row in zip(ascales, ints.entries):
+        den = s * t
+        if den == 1:
+            data.append(tuple([Fraction(x) if x else _Q_ZERO for x in row]))
+        else:
+            data.append(tuple([Fraction(x, den) if x else _Q_ZERO for x in row]))
+    return Matrix._trusted(a.ring, a.rows, b.cols, tuple(data))
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; (i*b.rows + u, j*b.cols + v) entry is a[i,j] * b[u,v]."""
+    """Kronecker product; (i*b.rows + u, j*b.cols + v) entry is a[i,j] * b[u,v].
+
+    Zero entries of either factor are copied, not multiplied.
+    """
     if a.ring != b.ring:
         raise ShapeMismatch(f"ring mismatch: {a.ring} vs {b.ring}")
     m = a.ring.modulus
@@ -454,7 +494,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for brow in b.entries:
             row = []
             for x in arow:
-                row.extend(_scaled(brow, x, m) if x else zeros)
+                if not x:
+                    row.extend(zeros)
+                elif m is None:
+                    row.extend([x * y if y else y for y in brow])
+                else:
+                    row.extend([x * y % m if y else y for y in brow])
             data.append(tuple(row))
     return Matrix._trusted(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(data))
 
@@ -732,6 +777,8 @@ def invariant_factors(a: Matrix) -> tuple:
 def _rref(a: Matrix):
     """Reduced row echelon form over a field; returns (rows, pivot columns)."""
     ring = a.ring
+    if ring.kind == "Q":
+        return _rref_rational(a)
     mod = ring.modulus
     m = [list(row) for row in a.entries]
     pivots = []
@@ -755,6 +802,52 @@ def _rref(a: Matrix):
         if prow == a.rows:
             break
     return m, pivots
+
+
+def _rref_rational(a: Matrix):
+    """_rref over Q by fraction-free Gauss-Jordan elimination on integers.
+
+    Each row is cleared of its denominators, which leaves its row space
+    alone.  A pivot p in column col turns every other row x, whose
+    entry there is f, into (p * x - f * y) // prev, y the pivot row and
+    prev the previous pivot (Nakos, Turner and Williams, SIGSAM Bull.
+    31(3), 1997).  As in Bareiss elimination every entry stays a minor
+    of the input, so the division is exact, and every pivot row ends
+    with the last pivot at its pivot column.  The reduced row echelon
+    form is unique, so dividing those rows by the last pivot gives
+    exactly the form that Fraction arithmetic reaches.
+    """
+    m = [row for row in _cleared_rows(a.entries)[0] if any(row)]
+    pivots = []
+    prev = 1
+    prow = 0
+    for col in range(a.cols):
+        sel = -1
+        for i in range(prow, len(m)):
+            if m[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        y = m[prow]
+        p = y[col]
+        for i, x in enumerate(m):
+            if i == prow:
+                continue
+            f = x[col]
+            if f:
+                m[i] = [(p * u - f * v) // prev for u, v in zip(x, y)]
+            elif p != prev:
+                m[i] = [p * u // prev for u in x]
+        pivots.append(col)
+        prev = p
+        prow += 1
+        if prow == len(m):
+            break
+    rows = [[Fraction(u, prev) if u else _Q_ZERO for u in row] for row in m]
+    rows += [[_Q_ZERO] * a.cols for _ in range(a.rows - len(m))]
+    return rows, pivots
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
@@ -1097,18 +1190,20 @@ def _det_bareiss(rows) -> int:
     return sign * pivot if rank == len(rows) else 0
 
 
-def _cleared_rows(a: Matrix):
-    """Rows of a rational matrix, each scaled by the lcm of its denominators.
+def _cleared_rows(entries):
+    """Rational rows, each scaled by the lcm of its denominators.
 
-    Returns (integer rows, product of the scales).
+    Returns (the integer rows as a tuple of tuples, the scale of each row).
     """
-    rows = []
-    scale = 1
-    for row in a.entries:
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return rows, scale
+    rows, scales = [], []
+    for row in entries:
+        s = lcm(*[x.denominator for x in row])
+        if s == 1:
+            rows.append(tuple([x.numerator for x in row]))
+        else:
+            rows.append(tuple([x.numerator * (s // x.denominator) for x in row]))
+        scales.append(s)
+    return tuple(rows), scales
 
 
 def det(a: Matrix):
@@ -1120,8 +1215,8 @@ def det(a: Matrix):
     if a.ring.kind == "Zmod":
         return _det_bareiss(a.entries) % a.ring.modulus
     # Rational: clear each row's denominators, then eliminate over Z.
-    rows, scale = _cleared_rows(a)
-    return Fraction(_det_bareiss(rows), scale)
+    rows, scales = _cleared_rows(a.entries)
+    return Fraction(_det_bareiss(rows), prod(scales))
 
 
 def rank(a: Matrix) -> int:
@@ -1134,7 +1229,7 @@ def rank(a: Matrix) -> int:
     if kind == "Z":
         return _bareiss(a.entries)[0]
     if kind == "Q":
-        return _bareiss(_cleared_rows(a)[0])[0]
+        return _bareiss(_cleared_rows(a.entries)[0])[0]
     if a.ring.is_field():
         return len(_rref(a)[1])
     raise ValueError("rank over Z/m with composite m is not well defined")

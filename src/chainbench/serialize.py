@@ -50,8 +50,12 @@ MAX_ENTRY_DIGITS = 4000
 _DIGITS_BOUND = 10 ** MAX_ENTRY_DIGITS
 _MODULUS_DIGITS = len(str(MAX_MODULUS))
 
+# Padding allowed around a number written as a string: the ASCII
+# whitespace that \s matches under re.ASCII, and nothing else.
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+
 # A rational entry: an integer, or p/q with an unsigned denominator.
-_RATIONAL = re.compile(r"\s*(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?\s*")
+_RATIONAL = re.compile(r"\s*(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?\s*", re.ASCII)
 
 
 class FormatError(ValueError):
@@ -123,7 +127,7 @@ def load_int(value, where: str) -> int:
             raise FormatError(f"{where}: integer exceeds the limit of {MAX_ENTRY_DIGITS} digits")
         return value
     if isinstance(value, str):
-        text = value.strip()
+        text = value.strip(_ASCII_SPACE)
         sign_free = text[1:] if text[:1] in "+-" else text
         if sign_free.isascii() and sign_free.isdigit():
             _check_digits(len(sign_free), where)

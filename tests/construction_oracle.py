@@ -6,7 +6,10 @@ exact_linalg.block_matrix became the one block assembler.  They return
 the library's own dataclasses, so tests/test_block_assembler.py can
 require every construction to be equal, field for field, to its
 oracle.  _coeff_tensor_then is the entrywise fill that ladder replaced
-by a reshape and a Kronecker product.
+by a reshape and a Kronecker product.  tensor_with_bimodule and
+tensor_map_with_bimodule rebuild the tensored complex and map from
+kron(m, I_s) at every rank s, rank 1 included, as diagrams did before it
+returned its argument for a rank-1 bimodule.
 """
 
 from __future__ import annotations
@@ -24,9 +27,28 @@ from chainbench.chains import (
     suspend,
     validate_ses,
 )
-from chainbench.diagrams import tensor_map_with_bimodule, tensor_with_bimodule
-from chainbench.exact_linalg import Matrix, ShapeMismatch, solve_linear, split_with_complement
+from chainbench.diagrams import Bimodule
+from chainbench.exact_linalg import Matrix, ShapeMismatch, kron, solve_linear, split_with_complement
 from chainbench.ladder import D0Complex
+
+
+def tensor_with_bimodule(c: ChainComplex, s: Bimodule) -> ChainComplex:
+    if c.ring != s.base:
+        raise ShapeMismatch("complex and bimodule over different rings")
+    eye = Matrix.identity(c.ring, s.rank)
+    ranks = {n: r * s.rank for n, r in c.ranks}
+    diffs = {n: kron(m, eye) for n, m in c.diffs}
+    return ChainComplex.build(c.ring, ranks, diffs, validate=False)
+
+
+def tensor_map_with_bimodule(f: GradedMap, s: Bimodule) -> GradedMap:
+    eye = Matrix.identity(f.source.ring, s.rank)
+    return GradedMap.build(
+        tensor_with_bimodule(f.source, s),
+        tensor_with_bimodule(f.target, s),
+        f.degree,
+        {n: kron(m, eye) for n, m in f.blocks},
+    )
 
 
 def block_matrix(grid) -> Matrix:

@@ -538,3 +538,21 @@ def test_non_ascii_digit_exits_2_naming_the_place_in_a_subprocess(tmp_path):
     assert report["verdict"] == "error"
     assert "complex.ranks[0]: expected an integer in decimal notation" in report["message"]
     assert "Traceback" not in done.stderr
+
+
+def test_unicode_padded_numbers_exit_2_naming_the_place_in_a_subprocess(tmp_path):
+    """An ideographic space around a rank or a rational entry is not
+    ASCII padding; it must be a FormatError that names the place."""
+    cases = (
+        ({"ring": "Z", "ranks": {"0": "　1　"}, "differentials": {}},
+         "complex.ranks[0]: expected an integer in decimal notation"),
+        ({"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[" 3/4　"]]}},
+         "complex.differentials[1] row 0 column 0: expected an integer or 'p/q' string"),
+    )
+    for i, (payload, place) in enumerate(cases):
+        done = run_child("homology", write(tmp_path, f"padded{i}.json", payload), "--json")
+        assert done.returncode == 2
+        report = json.loads(done.stdout)
+        assert report["verdict"] == "error"
+        assert place in report["message"]
+        assert "Traceback" not in done.stderr

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import construction_oracle as oracle
 from chainbench.exact_linalg import Matrix, QQ, ShapeMismatch, ZZ, Zmod
 from chainbench.chains import (
     ChainComplex,
@@ -33,6 +34,7 @@ from chainbench.diagrams import (
 from chainbench.fuzz import (
     random_chain_map,
     random_complex,
+    random_graded_map,
     random_module_lowering,
     random_null_homotopic,
     random_single_degree_loop,
@@ -116,6 +118,34 @@ def test_tensor_map_preserves_chain_maps():
         assert g.is_chain_map()
         assert g.source == tensor_with_bimodule(a, Bimodule(ZZ, 2))
         assert g.target == tensor_with_bimodule(b, Bimodule(ZZ, 2))
+
+
+def test_tensor_with_a_rank_one_bimodule_is_the_identity():
+    """C (x) R^1 = C: the library returns its argument, which must equal,
+    entry types included, the kron(m, I_1) construction it skips."""
+    rng = random.Random(413)
+    for ring in (ZZ, QQ, Zmod(4)):
+        for _ in range(8):
+            a = random_complex(rng, ring).complex
+            b = random_complex(rng, ring).complex
+            f = random_graded_map(rng, a, b, rng.choice((-1, 0, 1)))
+            for rank in (1, 2):
+                s = Bimodule(ring, rank)
+                got, want = tensor_with_bimodule(a, s), oracle.tensor_with_bimodule(a, s)
+                assert got == want and repr(got.diffs) == repr(want.diffs)
+                got, want = tensor_map_with_bimodule(f, s), oracle.tensor_map_with_bimodule(f, s)
+                assert got == want and repr(got.blocks) == repr(want.blocks)
+            one = Bimodule(ring, 1)
+            assert tensor_with_bimodule(a, one) is a
+            assert tensor_map_with_bimodule(f, one) is f
+            for other in (ZZ, QQ, Zmod(4)):
+                if other == ring:
+                    continue
+                for rank in (1, 2):
+                    with pytest.raises(ShapeMismatch):
+                        tensor_with_bimodule(a, Bimodule(other, rank))
+                    with pytest.raises(ShapeMismatch):
+                        tensor_map_with_bimodule(f, Bimodule(other, rank))
 
 
 def test_preset_diagrams():

@@ -272,3 +272,20 @@ def test_rational_entries_are_integers_or_p_over_q():
     with pytest.raises(FormatError, match=f"exceed the limit of {MAX_ENTRY_DIGITS}"):
         entry("1/" + "9" * (MAX_ENTRY_DIGITS + 1))
     assert entry("1/" + "9" * MAX_ENTRY_DIGITS).denominator == 10**MAX_ENTRY_DIGITS - 1
+
+
+def test_numbers_are_padded_with_ascii_whitespace_only():
+    """str.strip() and the regex class \\s strip Unicode whitespace too;
+    the format allows ASCII spaces, tabs and line breaks only."""
+    def entry(text):
+        payload = {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[text]]}}
+        return load_complex(payload).diff(1).entries[0][0]
+
+    padded = load_complex({"ring": "Z", "ranks": {"0": " \t2\n"}, "differentials": {}})
+    assert padded.rank(0) == 2
+    assert entry(" 3/4\t") == Fraction(3, 4)
+    for space in ("　", " ", " ", "\u0085"):
+        with pytest.raises(FormatError, match=r"complex.ranks\[0\]: expected an integer"):
+            load_complex({"ring": "Z", "ranks": {"0": f"{space}1{space}"}, "differentials": {}})
+        with pytest.raises(FormatError, match=r"complex.differentials\[1\] row 0 column 0"):
+            entry(f" 3/4{space}")
