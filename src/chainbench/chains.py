@@ -72,6 +72,11 @@ from .exact_linalg import (
 )
 
 
+# Largest total rank of a complex that loading or a path composite may
+# produce; exact elimination on total rank r costs about r^3 time.
+MAX_TOTAL_RANK = 4096
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Ranks and differentials indexed by integer degree.

@@ -7,48 +7,20 @@ property failed and the report carries a witness, 2 means the input
 or command line could not be used.  Reports are deterministic, and
 ``--json`` switches to a machine-readable object whose integers are
 decimal strings.
+
+Each verb handler imports the library calls it runs, so one invocation
+loads only the modules of its own verb: a verb on a complex loads
+exact_linalg, chains and serialize (and orders for order, annihilator
+and q-acyclic), never the diagram, tower or splitting layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 
-from .chains import (
-    GradedMap,
-    cone,
-    find_null_homotopy,
-    homology,
-    is_contractible,
-)
-from .diagrams import nilpotency_degree
-from .exact_linalg import Matrix, Ring, ShapeMismatch, ZZ, smith_normal_form
-from .fuzz import random_complex, random_graded_map, random_reduced_ladder
-from .ladder import check_an_local, check_bn_local, classify, factor_through_acyclic
-from .orders import annihilator_exponent, homology_order, rational_acyclicity
-from .serialize import (
-    FormatError,
-    InvalidObject,
-    dump_blocks,
-    dump_ring,
-    load_any,
-    load_complex,
-    load_d0complex,
-    load_d0morphism,
-    load_dcomplex,
-    load_graded_map,
-    load_ring,
-    load_scenario,
-    loads,
-)
-from .splittings import (
-    delta_differential,
-    derive_splittings,
-    invert_homotopy,
-    t_differential_holds,
-    t_operator,
-)
+from .exact_linalg import Ring, ShapeMismatch
+from .serialize import FormatError, InvalidObject, dump_ring, load_ring, loads
 
 
 def _read_payload(path: str) -> dict:
@@ -106,6 +78,8 @@ def _nontrivial(table) -> list:
 
 
 def _cmd_verify(args) -> int:
+    from .serialize import load_any
+
     payload = _read_payload(args.file)
     try:
         kind, value = load_any(payload)
@@ -157,6 +131,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .chains import homology
+    from .serialize import load_complex
+
     c = load_complex(_read_payload(args.file))
     table = homology(c)
     nontrivial = _nontrivial(table)
@@ -173,6 +150,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_homotopy(args) -> int:
+    from .chains import find_null_homotopy
+    from .serialize import dump_blocks, load_graded_map
+
     f = load_graded_map(_read_payload(args.file))
     witness = find_null_homotopy(f)
     if witness is None:
@@ -193,6 +173,9 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_cone(args) -> int:
+    from .chains import cone, homology
+    from .serialize import load_graded_map
+
     f = load_graded_map(_read_payload(args.file))
     folded = cone(f).complex
     table = homology(folded)
@@ -214,6 +197,9 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_nilpotency(args) -> int:
+    from .diagrams import nilpotency_degree
+    from .serialize import load_dcomplex
+
     x = load_dcomplex(_read_payload(args.file))
     n = nilpotency_degree(x, args.max_n)
     if n is None:
@@ -223,6 +209,9 @@ def _cmd_nilpotency(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .ladder import classify
+    from .serialize import load_d0complex
+
     d = load_d0complex(_read_payload(args.file))
     n = args.n if args.n is not None else d.top_index
     verdict = classify(d, n)
@@ -243,6 +232,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bn_local(args) -> int:
+    from .chains import homology
+    from .ladder import check_bn_local
+    from .serialize import load_d0complex
+
     d = load_d0complex(_read_payload(args.file))
     n = args.n if args.n is not None else d.top_index
     rep = check_bn_local(d, n)
@@ -267,6 +260,9 @@ def _cmd_bn_local(args) -> int:
 
 
 def _cmd_an_local(args) -> int:
+    from .ladder import check_an_local
+    from .serialize import load_d0complex
+
     d = load_d0complex(_read_payload(args.file))
     if args.n is not None:
         n = args.n
@@ -296,6 +292,9 @@ def _cmd_an_local(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from .ladder import factor_through_acyclic
+    from .serialize import load_d0morphism
+
     f = load_d0morphism(_read_payload(args.file))
     data = factor_through_acyclic(f, args.n)
     lines = [
@@ -312,6 +311,9 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_tp_check(args) -> int:
+    from .serialize import load_scenario
+    from .splittings import derive_splittings, t_differential_holds, t_operator
+
     probe, target = load_scenario(_read_payload(args.file))
     s = derive_splittings(probe, target)
     lines = []
@@ -342,6 +344,12 @@ def _cmd_tp_check(args) -> int:
 
 
 def _cmd_delta_check(args) -> int:
+    import random
+
+    from .fuzz import random_graded_map
+    from .serialize import load_scenario
+    from .splittings import delta_differential, derive_splittings
+
     probe, target = load_scenario(_read_payload(args.file))
     s = derive_splittings(probe, target)
     rng = random.Random(args.seed)
@@ -364,6 +372,12 @@ def _cmd_delta_check(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    import random
+
+    from .fuzz import random_graded_map
+    from .serialize import load_scenario
+    from .splittings import delta_differential, derive_splittings, invert_homotopy
+
     probe, target = load_scenario(_read_payload(args.file))
     s = derive_splittings(probe, target)
     rng = random.Random(args.seed)
@@ -386,6 +400,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .chains import homology
+    from .orders import homology_order
+    from .serialize import load_complex
+
     c = load_complex(_read_payload(args.file))
     rep = homology_order(c)
     if rep.finite:
@@ -402,6 +420,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_annihilator(args) -> int:
+    from .orders import annihilator_exponent
+    from .serialize import dump_blocks, load_complex
+
     c = load_complex(_read_payload(args.file))
     rep = annihilator_exponent(c)
     if rep.exponent is None:
@@ -420,6 +441,10 @@ def _cmd_annihilator(args) -> int:
 
 
 def _cmd_q_acyclic(args) -> int:
+    from .chains import homology
+    from .orders import rational_acyclicity
+    from .serialize import load_complex
+
     c = load_complex(_read_payload(args.file))
     if rational_acyclicity(c):
         return _emit(
@@ -442,6 +467,13 @@ def _divisibility_ok(diagonal) -> bool:
 
 
 def _cmd_fuzz(args) -> int:
+    import random
+
+    from .chains import GradedMap, cone, homology, is_contractible
+    from .exact_linalg import ZZ, Matrix, smith_normal_form
+    from .fuzz import random_complex, random_reduced_ladder
+    from .ladder import check_bn_local
+
     ring = load_ring(args.ring, "--ring")
     rng = random.Random(args.seed)
     count = args.n

@@ -26,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
-from .chains import ChainComplex, GradedMap, direct_sum, find_null_homotopy
-
-
-# Largest total rank of a complex that loading or a path composite may
-# produce; exact elimination on total rank r costs about r^3 time.
-MAX_TOTAL_RANK = 4096
+from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, direct_sum, find_null_homotopy
 
 
 @dataclass(frozen=True)

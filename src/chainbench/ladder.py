@@ -43,6 +43,7 @@ from .chains import (
     _BlockSystem,
     _coeff_left,
     _coeff_right,
+    _cone,
     _leibniz_rows,
     cone,
     cylinder,
@@ -840,7 +841,7 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     closing = GradedMap.build(folded.complex, target, 0, blocks)
     if not closing.is_chain_map():
         raise AssertionError("folded square map failed to be a chain map")
-    return cone(closing).complex
+    return _cone(closing).complex
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:
@@ -867,7 +868,7 @@ def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalRep
         lam_tilde = kernel_lambda(c, m, kern(m), kern(m + 1))
         nonzero = tuple(
             (deg, summary)
-            for deg, summary in sorted(homology(cone(lam_tilde).complex).items())
+            for deg, summary in sorted(homology(_cone(lam_tilde).complex).items())
             if not summary.is_trivial()
         )
         square_ok = is_acyclic(exact_square_total(c, m))

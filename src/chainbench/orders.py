@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm, prod
+from typing import TYPE_CHECKING
 
 from .chains import ChainComplex, GradedMap, find_null_homotopy, homology, is_acyclic
 from .exact_linalg import QQ, ShapeMismatch, _is_prime
-from .ladder import D0Complex, morphism_space
+
+if TYPE_CHECKING:
+    from .ladder import D0Complex
 
 
 def _require_integers(c: ChainComplex) -> None:
@@ -184,6 +187,8 @@ def hom_vanishing_F_to_G(x: D0Complex, y: D0Complex) -> HomVanishingReport:
     so the exact kernel computation must come back zero dimensional;
     a nonzero answer is reported as a broken invariant.
     """
+    from .ladder import morphism_space
+
     if x.bimodule != y.bimodule:
         raise ShapeMismatch("towers must share the bimodule")
     if x.top_index != y.top_index:

@@ -8,8 +8,8 @@ first offending field, while InvalidObject means the shapes were fine
 but the encoded object breaks a defining identity (a boundary that
 does not square to zero, an edge map that is not a chain map).
 
-Declared sizes are capped at MAX_TOTAL_RANK (defined in diagrams,
-which also caps path composites with it): the total rank of one
+Declared sizes are capped at MAX_TOTAL_RANK (defined in chains; the
+diagrams module also caps path composites with it): the total rank of one
 complex, of a complex after tensoring with a bimodule, a bimodule or
 edge rank, and a tower's level count.  Exact elimination on total
 rank r costs about r^2 memory and r^3 time, and a file can declare a
@@ -26,19 +26,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .chains import ChainComplex, GradedMap
-from .diagrams import (
-    MAX_TOTAL_RANK,
-    Bimodule,
-    DComplex,
-    DiagramOfBimodules,
-    Edge,
-    preset_diagram,
-    tensor_with_bimodule,
-)
+from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap
 from .exact_linalg import MAX_MODULUS, QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
-from .ladder import D0Complex, D0Morphism
+
+# The diagram and tower loaders import their modules when called, so a
+# payload that holds only a complex or a map loads neither.
+if TYPE_CHECKING:
+    from .diagrams import Bimodule, DComplex, DiagramOfBimodules
+    from .ladder import D0Complex, D0Morphism
 
 
 # Decimal digits allowed in one integer of a payload (an entry, or the
@@ -72,6 +69,8 @@ def _check_size(value: int, where: str, what: str) -> None:
 
 
 def _tensor_target(c: ChainComplex, s: Bimodule, where: str) -> ChainComplex:
+    from .diagrams import tensor_with_bimodule
+
     _check_size(c.total_rank * s.rank, where, "tensored total rank")
     return tensor_with_bimodule(c, s)
 
@@ -287,6 +286,8 @@ def dump_diagram(d: DiagramOfBimodules) -> dict:
 
 
 def load_diagram(value, where: str = "diagram") -> DiagramOfBimodules:
+    from .diagrams import Bimodule, DiagramOfBimodules, Edge, preset_diagram
+
     if not isinstance(value, dict):
         raise FormatError(f"{where}: expected a JSON object")
     if "name" in value:
@@ -353,6 +354,8 @@ def dump_dcomplex(x: DComplex) -> dict:
 
 
 def load_dcomplex(value, where: str = "dcomplex") -> DComplex:
+    from .diagrams import DComplex
+
     obj = _expect_object(value, where, ("diagram", "complexes", "edge_maps"))
     diagram = load_diagram(obj["diagram"], f"{where}.diagram")
     if not isinstance(obj["complexes"], dict):
@@ -393,6 +396,8 @@ def dump_bimodule(s: Bimodule) -> dict:
 
 
 def load_bimodule(value, where: str = "bimodule") -> Bimodule:
+    from .diagrams import Bimodule
+
     obj = _expect_object(value, where, ("ring", "rank"))
     ring = load_ring(obj["ring"], f"{where}.ring")
     rank = load_int(obj["rank"], f"{where}.rank")
@@ -414,6 +419,8 @@ def dump_d0complex(d: D0Complex) -> dict:
 
 
 def load_d0complex(value, where: str = "d0complex") -> D0Complex:
+    from .ladder import D0Complex
+
     obj = _expect_object(
         value, where, ("bimodule", "level_count", "stabilization", "levels", "ascents", "descents")
     )
@@ -461,6 +468,8 @@ def dump_d0morphism(f: D0Morphism) -> dict:
 
 
 def load_d0morphism(value, where: str = "morphism") -> D0Morphism:
+    from .ladder import D0Morphism
+
     obj = _expect_object(value, where, ("source", "target", "components"))
     source = load_d0complex(obj["source"], f"{where}.source")
     target = load_d0complex(obj["target"], f"{where}.target")
@@ -533,6 +542,8 @@ def loads(text: str) -> dict:
         value = json.loads(text, parse_int=_parse_json_int)
     except json.JSONDecodeError as err:
         raise FormatError(f"payload: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise FormatError("payload nests too deeply") from err
     if not isinstance(value, dict):
         raise FormatError("payload: expected a JSON object at top level")
     return value

@@ -299,6 +299,17 @@ def test_oversized_complex_exits_2_in_a_subprocess(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_deeply_nested_payload_exits_2_in_a_subprocess(tmp_path):
+    """JSON nested past the parser's recursion limit is a format error
+    with a message, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    done = run_child("homology", str(path))
+    assert done.returncode == 2
+    assert "nests too deeply" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
 def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
     """A complex of rank 4096 with no differentials has H_0 = Z^4096.
 
@@ -556,3 +567,42 @@ def test_unicode_padded_numbers_exit_2_naming_the_place_in_a_subprocess(tmp_path
         assert report["verdict"] == "error"
         assert place in report["message"]
         assert "Traceback" not in done.stderr
+
+
+# Runs one verb through cli.main in a fresh interpreter, then prints its
+# exit code and the chainbench modules the interpreter has loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from chainbench import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chainbench."))]))
+"""
+
+
+def test_each_verb_loads_only_its_own_modules(tmp_path):
+    """Verbs on a complex never import the diagram, tower, splitting or
+    fuzz layers, and orders only for the verbs that use it."""
+    complex_path = write(tmp_path, "moore.json", dump_complex(moore(2)))
+    loop_path = write(tmp_path, "loop.json", dump_dcomplex(jordan_dcomplex()))
+    layers = {"ladder", "diagrams", "splittings", "fuzz"}
+    cases = [
+        ("homology", complex_path, layers | {"orders"}),
+        ("verify", complex_path, layers | {"orders"}),
+        ("order", complex_path, layers),
+        ("q-acyclic", complex_path, layers),
+        ("nilpotency", loop_path, {"ladder"}),
+    ]
+    env = dict(os.environ)
+    src = str(Path(chainbench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for verb, path, absent in cases:
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, verb, path, "--json"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout)
+        assert code == 0, verb
+        assert "chainbench.chains" in loaded
+        assert not {f"chainbench.{name}" for name in absent} & set(loaded), (verb, loaded)
