@@ -705,7 +705,8 @@ def cone(f: GradedMap) -> ConeData:
 
 
 def _cone(f: GradedMap) -> ConeData:
-    """The cone of f, for a caller that has checked f is a degree-0 chain map."""
+    """The cone of f, for a caller that has checked f is a degree-0 chain
+    map; d^2 == 0 and the structure maps follow from that, unchecked."""
     a, b = f.source, f.target
     ring = a.ring
     degrees = sorted({n for n in b.degrees()} | {n + 1 for n in a.degrees()})
@@ -721,7 +722,7 @@ def _cone(f: GradedMap) -> ConeData:
         )
         for n in degrees
     }
-    cx = ChainComplex.build(ring, ranks, diffs, validate=True)
+    cx = ChainComplex.build(ring, ranks, diffs, validate=False)
     incl = {
         n: block_matrix(ring, sizes(n), [b.rank(n)], {(1, 0): Matrix.identity(ring, b.rank(n))})
         for n in b.degrees()
@@ -730,13 +731,7 @@ def _cone(f: GradedMap) -> ConeData:
         n: block_matrix(ring, [a.rank(n - 1)], sizes(n), {(0, 0): Matrix.identity(ring, a.rank(n - 1))})
         for n in cx.degrees()
     }
-    inclusion = GradedMap.build(b, cx, 0, incl)
-    projection = GradedMap.build(cx, a, -1, proj)
-    if not inclusion.is_chain_map():
-        raise AssertionError("cone inclusion failed to be a chain map")
-    if not projection.leibniz().is_zero():
-        raise AssertionError("cone projection failed to be a cycle")
-    return ConeData(cx, inclusion, projection)
+    return ConeData(cx, GradedMap.build(b, cx, 0, incl), GradedMap.build(cx, a, -1, proj))
 
 
 @dataclass(frozen=True)
@@ -786,7 +781,9 @@ def cylinder(f: GradedMap) -> CylinderData:
         )
         for n in degrees
     }
-    cx = ChainComplex.build(ring, ranks, diffs, validate=True)
+    # f is checked, so d^2 == 0 and the structure maps are chain maps by
+    # their block forms; only the deformation homotopy is checked below.
+    cx = ChainComplex.build(ring, ranks, diffs, validate=False)
     j1 = {n: block_matrix(ring, sizes(n), [a.rank(n)], {(0, 0): eye(a.rank(n))}) for n in a.degrees()}
     j2 = {n: block_matrix(ring, sizes(n), [b.rank(n)], {(2, 0): eye(b.rank(n))}) for n in b.degrees()}
     pr, qt, ht = {}, {}, {}
@@ -801,14 +798,6 @@ def cylinder(f: GradedMap) -> CylinderData:
     proj = GradedMap.build(cx, b, 0, pr)
     quotient = GradedMap.build(cx, cn.complex, 0, qt)
     homotopy = GradedMap.build(cx, cx, 1, ht)
-    for m_, name in (
-        (incl_source, "source end"),
-        (incl_target, "target end"),
-        (proj, "projection"),
-        (quotient, "quotient"),
-    ):
-        if not m_.is_chain_map():
-            raise AssertionError(f"cylinder {name} failed to be a chain map")
     want = GradedMap.identity(cx) - incl_target @ proj
     if homotopy.leibniz() != want:
         raise AssertionError("cylinder homotopy does not witness the deformation")

@@ -472,7 +472,7 @@ def _cmd_fuzz(args) -> int:
     from .chains import GradedMap, cone, homology, is_contractible
     from .exact_linalg import ZZ, Matrix, smith_normal_form
     from .fuzz import random_complex, random_reduced_ladder
-    from .ladder import check_bn_local
+    from .ladder import check_bn_local, kernel_complex, kernel_lambda
 
     ring = load_ring(args.ring, "--ring")
     rng = random.Random(args.seed)
@@ -499,7 +499,10 @@ def _cmd_fuzz(args) -> int:
         c.validate()
         if homology(c) != made.expected:
             failures.append(f"complex instance {i}: homology differs from construction")
-        if not is_contractible(cone(GradedMap.identity(c)).complex):
+        cn = cone(GradedMap.identity(c))
+        if not cn.inclusion.is_chain_map() or not cn.projection.leibniz().is_zero():
+            failures.append(f"complex instance {i}: cone of the identity has a broken structure map")
+        if not is_contractible(cn.complex):
             failures.append(f"complex instance {i}: cone of the identity not contractible")
 
     n_towers = max(1, count // 5)
@@ -511,6 +514,10 @@ def _cmd_fuzz(args) -> int:
         )
         if rep.holds != direct:
             failures.append(f"tower instance {i}: locality verdict disagrees with levels")
+        kernels = [kernel_complex(tower, m) for m in range(1, tower.top_index + 1)]
+        induced = [kernel_lambda(tower, m, kernels[m - 1], kernels[m]) for m in range(1, tower.top_index)]
+        if not all(k.inclusion.is_chain_map() for k in kernels) or not all(f.is_chain_map() for f in induced):
+            failures.append(f"tower instance {i}: a descent kernel map is not a chain map")
 
     lines = [
         f"smith contract: {count} instances",

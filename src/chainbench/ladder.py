@@ -259,7 +259,7 @@ def classify(x: D0Complex, n: int) -> ClassMembership:
     cones = []
     constant = True
     for i in range(n, x.top_index):
-        k = find_contraction(cone(x.lambda_map(i)).complex)
+        k = find_contraction(_cone(x.lambda_map(i)).complex)
         cones.append((i, k))
         constant = constant and k is not None
     level_k = find_contraction(x.level(n))
@@ -331,13 +331,15 @@ def constant_tower(c: ChainComplex, n_levels: int, bimodule: Bimodule) -> D0Comp
 
 
 def detect_probe(d: D0Complex):
-    """Recognize a tower as one of the standard probes, structurally."""
-    for m in range(1, d.top_index + 1):
-        if d == test_object("g_m", m, d.top_index, d.bimodule):
-            return "g_m", m
-    for m in range(1, d.top_index):
-        if d == test_object("g_m_cone", m, d.top_index, d.bimodule):
-            return "g_m_cone", m
+    """Recognize a tower as one of the standard probes, structurally;
+    both probes of index m have exactly m leading zero levels."""
+    m = next((i for i, c in enumerate(d.levels) if c.total_rank), None)
+    if m is None:
+        return None, None
+    if d == test_object("g_m", m, d.top_index, d.bimodule):
+        return "g_m", m
+    if m < d.top_index and d == test_object("g_m_cone", m, d.top_index, d.bimodule):
+        return "g_m_cone", m
     return None, None
 
 
@@ -359,7 +361,8 @@ def kernel_complex(c: D0Complex, m: int) -> KernelData:
     The boundary of level m preserves the kernel because alpha_m is a
     chain map, so each boundary block is solved exactly in the kernel
     bases.  Over the integers the bases are saturated, which keeps the
-    induced boundary integral.
+    induced boundary integral.  Given a checked chain map alpha_m and
+    injective bases, d^2 == 0 and the inclusion follow, unchecked.
     """
     if not 1 <= m <= c.top_index:
         raise ValueError(f"no descent at level {m}")
@@ -377,15 +380,13 @@ def kernel_complex(c: D0Complex, m: int) -> KernelData:
         if sol is None:
             raise AssertionError("boundary escaped the descent kernel")
         diffs[n] = sol
-    kc = ChainComplex.build(b.ring, ranks, diffs, validate=True)
-    j = GradedMap.build(kc, b, 0, {n: k for n, k in bases.items() if k.cols})
-    if not j.is_chain_map():
-        raise AssertionError("kernel inclusion failed to be a chain map")
-    return KernelData(kc, j)
+    kc = ChainComplex.build(b.ring, ranks, diffs, validate=False)
+    return KernelData(kc, GradedMap.build(kc, b, 0, {n: k for n, k in bases.items() if k.cols}))
 
 
 def kernel_lambda(c: D0Complex, m: int, source: KernelData = None, target: KernelData = None) -> GradedMap:
-    """Chain map induced by ascent m between adjacent descent kernels."""
+    """Chain map induced by ascent m between adjacent descent kernels; it
+    relies on the checked ascent and the injective kernel inclusions."""
     if not 1 <= m <= c.top_index - 1:
         raise ValueError(f"no adjacent kernels at level {m}")
     src = source if source is not None else kernel_complex(c, m)
@@ -397,10 +398,7 @@ def kernel_lambda(c: D0Complex, m: int, source: KernelData = None, target: Kerne
         if sol is None:
             raise AssertionError("ascent escaped the next descent kernel")
         blocks[n] = sol
-    f = GradedMap.build(src.complex, tgt.complex, 0, blocks)
-    if not f.is_chain_map():
-        raise AssertionError("induced kernel map failed to be a chain map")
-    return f
+    return GradedMap.build(src.complex, tgt.complex, 0, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +601,8 @@ def hom_complex(d: D0Complex, c: D0Complex) -> HomComplex:
         if sol is None:
             raise AssertionError("boundary left the compatible families")
         diffs[q] = sol
-    hom = ChainComplex.build(ring, ranks, diffs, validate=True)
+    # d^2 == 0: the Leibniz boundary, solved exactly through injective kp.
+    hom = ChainComplex.build(ring, ranks, diffs, validate=False)
     kind, m = detect_probe(d)
     kernel = to_kernel = from_kernel = None
     sub_kernel = ses = connecting = None
@@ -684,11 +683,10 @@ def _capped_probe_ses(systems, hom, c, m, kernel, sub_kernel):
         if y is None:
             raise AssertionError("capped-slot family failed the compatibility conditions")
         i_blocks[q] = y
-    i_map = GradedMap.build(sub_shift, hom, 0, i_blocks)
-    pi_map = GradedMap.build(hom, kernel.complex, 0, p_blocks)
-    if not i_map.is_chain_map() or not pi_map.is_chain_map():
-        raise AssertionError("sequence maps failed to be chain maps")
-    return validate_ses(i_map, pi_map)
+    return validate_ses(
+        GradedMap.build(sub_shift, hom, 0, i_blocks),
+        GradedMap.build(hom, kernel.complex, 0, p_blocks),
+    )
 
 
 def _connecting_matches(ses: SESData, kernel: KernelData, sub_kernel: KernelData, lam_tilde: GradedMap) -> bool:
@@ -747,7 +745,8 @@ def morphism_space(d: D0Complex, c: D0Complex) -> MorphismSpace:
                 if sys_.has(("f", i, l))
             }
             components.append(GradedMap.build(d.level(i), c.level(i), 0, blocks))
-        basis.append(D0Morphism.build(d, c, components))
+        # Each kernel vector solves the very rows D0Morphism.build checks.
+        basis.append(D0Morphism(d, c, tuple(components)))
     return MorphismSpace(k.cols, tuple(basis))
 
 
@@ -829,7 +828,9 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
         c.alpha_map(m + 1) @ mid.projections[0]
         - tensor_map_with_bimodule(c.lambda_map(m - 1), s) @ mid.projections[1]
     )
-    folded = cone(first)
+    # first is built from checked tower maps and second kills it by the
+    # commuting square, so both cones are taken unchecked.
+    folded = _cone(first)
     target = tensor_with_bimodule(c.level(m), s)
     blocks = {
         n: block_matrix(
@@ -838,10 +839,7 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
         )
         for n in folded.complex.degrees()
     }
-    closing = GradedMap.build(folded.complex, target, 0, blocks)
-    if not closing.is_chain_map():
-        raise AssertionError("folded square map failed to be a chain map")
-    return _cone(closing).complex
+    return _cone(GradedMap.build(folded.complex, target, 0, blocks)).complex
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:

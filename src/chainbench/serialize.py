@@ -102,7 +102,7 @@ def load_ring(value, where: str) -> Ring:
         if int(tail) < 2:
             raise FormatError(f"{where}: modulus in {value!r} must be an integer >= 2")
         return Zmod(int(tail))
-    raise FormatError(f"{where}: unknown ring {value!r}, expected Z, Q, or Z/<m>")
+    raise FormatError(f"{where}: unknown ring {value[:40]!r}, expected Z, Q, or Z/<m>")
 
 
 def _check_digits(digits: int, where: str) -> None:
@@ -131,7 +131,7 @@ def load_int(value, where: str) -> int:
         if sign_free.isascii() and sign_free.isdigit():
             _check_digits(len(sign_free), where)
             return int(text)
-    raise FormatError(f"{where}: expected an integer in decimal notation, got {value!r}")
+    raise FormatError(f"{where}: expected an integer in decimal notation, got {value!r:.40}")
 
 
 def _dump_entry(x) -> str:
@@ -145,7 +145,7 @@ def _load_entry(value, ring: Ring, where: str):
         return Fraction(load_int(value, where))
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None or match["den"] and not match["den"].strip("0"):
-        raise FormatError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+        raise FormatError(f"{where}: expected an integer or 'p/q' string, got {value!r:.40}")
     num = load_int(match["num"], where)
     return Fraction(num, load_int(match["den"], where)) if match["den"] else Fraction(num)
 
@@ -195,9 +195,9 @@ def load_blocks(value, source: ChainComplex, target: ChainComplex, degree: int, 
         raise FormatError(f"{where}: expected an object of degree-indexed blocks")
     blocks = {}
     for key, mat in value.items():
-        n = load_int(key, f"{where} key {key!r}")
+        n = load_int(key, f"{where} key {key[:40]!r}")
         blocks[n] = load_matrix(
-            mat, source.ring, target.rank(n + degree), source.rank(n), f"{where}[{key}]"
+            mat, source.ring, target.rank(n + degree), source.rank(n), f"{where}[{key[:40]}]"
         )
     try:
         return GradedMap.build(source, target, degree, blocks)
@@ -224,19 +224,19 @@ def load_complex(value, where: str = "complex") -> ChainComplex:
         raise FormatError(f"{where}.ranks: expected an object")
     ranks = {}
     for key, val in obj["ranks"].items():
-        n = load_int(key, f"{where}.ranks key {key!r}")
-        r = load_int(val, f"{where}.ranks[{key}]")
+        n = load_int(key, f"{where}.ranks key {key[:40]!r}")
+        r = load_int(val, f"{where}.ranks[{key[:40]}]")
         if r < 0:
-            raise FormatError(f"{where}.ranks[{key}]: rank must be nonnegative")
+            raise FormatError(f"{where}.ranks[{key[:40]}]: rank must be nonnegative")
         ranks[n] = r
     _check_size(sum(ranks.values()), f"{where}.ranks", "total rank")
     if not isinstance(obj["differentials"], dict):
         raise FormatError(f"{where}.differentials: expected an object")
     diffs = {}
     for key, val in obj["differentials"].items():
-        n = load_int(key, f"{where}.differentials key {key!r}")
+        n = load_int(key, f"{where}.differentials key {key[:40]!r}")
         diffs[n] = load_matrix(
-            val, ring, ranks.get(n - 1, 0), ranks.get(n, 0), f"{where}.differentials[{key}]"
+            val, ring, ranks.get(n - 1, 0), ranks.get(n, 0), f"{where}.differentials[{key[:40]}]"
         )
     try:
         return ChainComplex.build(ring, ranks, diffs)
@@ -322,7 +322,7 @@ def load_diagram(value, where: str = "diagram") -> DiagramOfBimodules:
             if not isinstance(espec[key], str):
                 raise FormatError(f"{where}.edges[{i}].{key}: expected a string")
         if espec["target"] not in rings:
-            raise FormatError(f"{where}.edges[{i}]: unknown target vertex {espec['target']!r}")
+            raise FormatError(f"{where}.edges[{i}]: unknown target vertex {espec['target'][:40]!r}")
         rank = load_int(espec["rank"], f"{where}.edges[{i}].rank")
         if rank < 1:
             raise FormatError(f"{where}.edges[{i}].rank: bimodule rank must be positive")
@@ -363,23 +363,23 @@ def load_dcomplex(value, where: str = "dcomplex") -> DComplex:
     complexes = {}
     for name, _ in diagram.vertices:
         if name not in obj["complexes"]:
-            raise FormatError(f"{where}.complexes: missing vertex {name!r}")
-        complexes[name] = load_complex(obj["complexes"][name], f"{where}.complexes[{name}]")
+            raise FormatError(f"{where}.complexes: missing vertex {name[:40]!r}")
+        complexes[name] = load_complex(obj["complexes"][name], f"{where}.complexes[{name[:40]}]")
     if not isinstance(obj["edge_maps"], dict):
         raise FormatError(f"{where}.edge_maps: expected an object")
     maps = {}
     for e in diagram.edges:
         if e.name not in obj["edge_maps"]:
-            raise FormatError(f"{where}.edge_maps: missing edge {e.name!r}")
+            raise FormatError(f"{where}.edge_maps: missing edge {e.name[:40]!r}")
         target = _tensor_target(
-            complexes[e.target], e.bimodule, f"{where}.edge_maps[{e.name}]"
+            complexes[e.target], e.bimodule, f"{where}.edge_maps[{e.name[:40]}]"
         )
         maps[e.name] = load_blocks(
             obj["edge_maps"][e.name],
             complexes[e.source],
             target,
             0,
-            f"{where}.edge_maps[{e.name}]",
+            f"{where}.edge_maps[{e.name[:40]}]",
         )
     try:
         return DComplex.build(diagram, complexes, maps)

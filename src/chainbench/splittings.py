@@ -207,7 +207,7 @@ def _target_side(b: D0Complex):
     """Kernel inclusions j, retractions theta, sections sigma, defects delta.
 
     Each sigma corrects the degreewise descent section that
-    ladder.reduction_certificates solves for.
+    ladder.reduction_certificates solves for; _verify_splittings checks them.
     """
     s = b.bimodule
     sections = reduction_certificates(b)
@@ -233,8 +233,6 @@ def _target_side(b: D0Complex):
         sigma_next = (b.lambda_map(n) @ sigmas[-1] @ big_r) + (
             sigma_prime @ (ident - (mu_prev_s @ big_r))
         )
-        if (beta_next @ sigma_next) != GradedMap.identity(beta_next.target):
-            raise AssertionError("assembled section failed against the descent")
         theta_blocks = {}
         for deg in level_next.degrees():
             jb = j_next.block(deg)

@@ -606,3 +606,17 @@ def test_each_verb_loads_only_its_own_modules(tmp_path):
         assert code == 0, verb
         assert "chainbench.chains" in loaded
         assert not {f"chainbench.{name}" for name in absent} & set(loaded), (verb, loaded)
+
+
+def test_huge_entry_exits_2_with_one_short_line_in_a_subprocess(tmp_path):
+    """A 1 MB string entry is named by its place and quoted short."""
+    path = tmp_path / "entry.json"
+    path.write_text(
+        json.dumps({"ring": "Z", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["x" * 10**6]]}}),
+        encoding="utf-8",
+    )
+    done = run_child("homology", str(path))
+    assert done.returncode == 2
+    assert done.stdout.count("\n") == 1 and len(done.stdout) < 1024, len(done.stdout)
+    assert "complex.differentials[1] row 0 column 0" in done.stdout
+    assert "Traceback" not in done.stderr

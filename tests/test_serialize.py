@@ -34,6 +34,8 @@ from chainbench.serialize import (
     load_dcomplex,
     load_diagram,
     load_graded_map,
+    load_int,
+    load_ring,
     load_scenario,
     loads,
 )
@@ -289,3 +291,80 @@ def test_numbers_are_padded_with_ascii_whitespace_only():
             load_complex({"ring": "Z", "ranks": {"0": f"{space}1{space}"}, "differentials": {}})
         with pytest.raises(FormatError, match=r"complex.differentials\[1\] row 0 column 0"):
             entry(f" 3/4{space}")
+
+
+# A value this long must never come back whole in a message.
+HUGE = 10**6
+
+
+def _message(call, *args) -> str:
+    with pytest.raises(FormatError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_load_int_quotes_at_most_40_characters_of_a_bad_value():
+    assert _message(load_int, "abc", "here") == "here: expected an integer in decimal notation, got 'abc'"
+    got = _message(load_int, "x" * HUGE, "here")
+    assert got == "here: expected an integer in decimal notation, got '" + "x" * 39
+    got = _message(load_int, list(range(200000)), "here")
+    assert got == "here: expected an integer in decimal notation, got " + repr(list(range(15)))[:40]
+
+
+def test_entries_quote_at_most_40_characters_of_a_bad_value():
+    for ring, value in (("Z", "x" * HUGE), ("Q", "x" * HUGE), ("Q", [["1"]] * HUGE), ("Z/4", {"k": "v" * HUGE})):
+        got = _message(
+            load_complex, {"ring": ring, "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [[value]]}}
+        )
+        assert got.startswith("complex.differentials[1] row 0 column 0: expected an integer")
+        assert len(got) < 200, got[:200]
+    assert _message(load_complex, {"ring": "Q", "ranks": {"0": "1", "1": "1"}, "differentials": {"1": [["1/x"]]}}) == (
+        "complex.differentials[1] row 0 column 0: expected an integer or 'p/q' string, got '1/x'"
+    )
+
+
+def test_unknown_ring_quotes_at_most_40_characters():
+    assert _message(load_ring, "R", "ring") == "ring: unknown ring 'R', expected Z, Q, or Z/<m>"
+    got = _message(load_ring, "R" * HUGE, "ring")
+    assert got == "ring: unknown ring '" + "R" * 40 + "', expected Z, Q, or Z/<m>"
+
+
+def test_object_keys_are_quoted_at_most_40_characters():
+    long_key = "k" * HUGE
+    for field in ("ranks", "differentials"):
+        payload = {"ring": "Z", "ranks": {}, "differentials": {}}
+        payload[field] = {long_key: "1"}
+        got = _message(load_complex, payload)
+        assert got.startswith(f"complex.{field} key '" + "k" * 40 + "': expected an integer")
+        assert len(got) < 200, got[:200]
+    c = ChainComplex.build(ZZ, {0: 1}, {})
+    got = _message(load_graded_map, {"source": dump_complex(c), "target": dump_complex(c), "degree": "0", "blocks": {long_key: []}})
+    assert got.startswith("map.blocks key '" + "k" * 40 + "': expected an integer")
+    assert len(got) < 200, got[:200]
+    # A key that reads as a number after its ASCII padding is named by its first 40 characters.
+    padded = " " * HUGE + "1"
+    got = _message(load_complex, {"ring": "Z", "ranks": {"0": "1", padded: "-1"}, "differentials": {}})
+    assert got == "complex.ranks[" + " " * 40 + "]: rank must be nonnegative"
+    got = _message(load_complex, {"ring": "Z", "ranks": {"0": "1", "1": "1"}, "differentials": {padded: [["x"]]}})
+    assert got.startswith("complex.differentials[" + " " * 40 + "] row 0 column 0")
+    assert len(got) < 200, got[:200]
+
+
+def test_vertex_and_edge_names_are_quoted_at_most_40_characters():
+    name = "n" * HUGE
+    got = _message(
+        load_diagram,
+        {"vertices": [["v", "Z"]], "edges": [{"name": "e", "source": "v", "target": name, "rank": "1"}]},
+    )
+    assert got == "diagram.edges[0]: unknown target vertex '" + "n" * 40 + "'"
+    unit = {"ring": "Z", "ranks": {"0": "1"}, "differentials": {}}
+    diagram = {"vertices": [[name, "Z"]], "edges": []}
+    got = _message(load_dcomplex, {"diagram": diagram, "complexes": {}, "edge_maps": {}})
+    assert got == "dcomplex.complexes: missing vertex '" + "n" * 40 + "'"
+    got = _message(load_dcomplex, {"diagram": diagram, "complexes": {name: {"ring": "Z"}}, "edge_maps": {}})
+    assert got == "dcomplex.complexes[" + "n" * 40 + "]: missing field 'ranks'"
+    diagram = {"vertices": [["v", "Z"]], "edges": [{"name": name, "source": "v", "target": "v", "rank": "1"}]}
+    got = _message(load_dcomplex, {"diagram": diagram, "complexes": {"v": unit}, "edge_maps": {}})
+    assert got == "dcomplex.edge_maps: missing edge '" + "n" * 40 + "'"
+    got = _message(load_dcomplex, {"diagram": diagram, "complexes": {"v": unit}, "edge_maps": {name: []}})
+    assert got == "dcomplex.edge_maps[" + "n" * 40 + "]: expected an object of degree-indexed blocks"
