@@ -131,12 +131,12 @@ class DiagramOfBimodules:
         for e in self.edges:
             for endpoint in (e.source, e.target):
                 if endpoint not in names:
-                    raise ValueError(f"edge {e.name} touches unknown vertex {endpoint}")
+                    raise ValueError(f"edge {e.name[:40]!r} touches unknown vertex {endpoint[:40]!r}")
             if (
                 self.vertex_ring(e.source) != e.bimodule.base
                 or self.vertex_ring(e.target) != e.bimodule.base
             ):
-                raise ValueError(f"edge {e.name} mixes rings")
+                raise ValueError(f"edge {e.name[:40]!r} mixes rings")
         for left, right in self.relations:
             a0, a1, ra = self._path_profile(left)
             b0, b1, rb = self._path_profile(right)
@@ -162,15 +162,19 @@ class DiagramOfBimodules:
         path = tuple(path)
         if not path:
             raise ValueError("relation paths must be nonempty")
-        here = self.edge(path[0]).source
+        edges = {e.name: e for e in self.edges}
+        for name in path:
+            if name not in edges:
+                raise ValueError(f"relation path names unknown edge {name[:40]!r}")
+        start = here = edges[path[0]].source
         rank = 1
         for name in path:
-            e = self.edge(name)
+            e = edges[name]
             if e.source != here:
-                raise ValueError(f"path breaks at edge {name}")
+                raise ValueError(f"path breaks at edge {name[:40]!r}")
             here = e.target
             rank *= e.bimodule.rank
-        return self.edge(path[0]).source, here, rank
+        return start, here, rank
 
 
 def preset_diagram(
@@ -227,7 +231,7 @@ def preset_diagram(
             for i in range(1, levels)
         )
         return DiagramOfBimodules(vertices, tuple(edges), relations)
-    raise ValueError(f"unknown preset diagram {name!r}")
+    raise ValueError(f"unknown preset diagram {name[:40]!r}")
 
 
 @dataclass(frozen=True)
@@ -282,10 +286,10 @@ class DComplex:
             tgt = tensor_with_bimodule(self.complex_at(e.target), e.bimodule)
             if f.source != src or f.target != tgt:
                 raise ShapeMismatch(
-                    f"map on edge {e.name} has the wrong source or target"
+                    f"map on edge {e.name[:40]!r} has the wrong source or target"
                 )
             if f.degree != 0 or not f.is_chain_map():
-                raise ValueError(f"map on edge {e.name} is not a chain map")
+                raise ValueError(f"map on edge {e.name[:40]!r} is not a chain map")
         for left, right in self.diagram.relations:
             if path_composite(self, left).map != path_composite(self, right).map:
                 raise ValueError(
@@ -347,7 +351,7 @@ def path_composite(x: DComplex, path, start: str | None = None) -> PathComposite
     rank = edges[0].bimodule.rank
     for prev, e in zip(edges, edges[1:]):
         if e.source != prev.target:
-            raise ValueError(f"path breaks at edge {e.name}")
+            raise ValueError(f"path breaks at edge {e.name[:40]!r}")
         rank *= e.bimodule.rank
         size = x.complex_at(e.target).total_rank * rank
         if size > MAX_TOTAL_RANK:

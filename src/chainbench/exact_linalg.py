@@ -32,10 +32,11 @@ q for a solve over Z, q for a kernel over Z, none for
 invariant_factors.  rank over Z and Q and det over every ring are one
 fraction-free Bareiss elimination, over Q after scaling each row by
 the lcm of its denominators; rank over Z/p is the row echelon form.
-Over composite Z/m, cycle_quotient_mod reads homology off two
-diagonalizations in Z/m itself, with extended-gcd steps, and never
-factors m; kernels and solves there still lift to the congruence
-lattice over Z.  Moduli are at most MAX_MODULUS = 2**64, where
+Over composite Z/m everything runs in Z/m itself on one
+diagonalization with extended-gcd steps, which never factors m:
+cycle_quotient_mod reads homology off two of them, kernel_basis reads
+a kernel off one that keeps q, and solve_linear solves on one that
+keeps p and q.  Moduli are at most MAX_MODULUS = 2**64, where
 Miller-Rabin with fixed bases decides primality exactly.
 
 Every Matrix holds canonical entries: an int over Z, a Fraction over Q
@@ -77,8 +78,7 @@ class NonFreeKernel(ValueError):
 
     Kernels over a field or over Z are always free.  Over Z/m with m
     composite a kernel can fail to be a free module, in which case no
-    basis matrix exists and the caller has to reformulate, typically by
-    lifting the computation to Z.
+    basis matrix exists and the caller has to reformulate.
     """
 
 
@@ -759,8 +759,8 @@ def smith_normal_form(a: Matrix) -> SNFResult:
 
     Over Z the diagonal is nonnegative with each entry dividing the
     next.  Over a field the diagonal consists of ones followed by
-    zeros.  Z/m with composite m is rejected: work with an integer lift
-    instead, or with cycle_quotient_mod for homology.
+    zeros.  Z/m with composite m is rejected: kernel_basis and
+    solve_linear work there, and cycle_quotient_mod gives homology.
     """
     return _smith(a).result()
 
@@ -882,14 +882,22 @@ def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve d y == p b entry by entry on the diagonalization d = p a q."""
     m = a.ring.modulus
-    a_lift = a.to_ring(ZZ)
-    b_lift = b.to_ring(ZZ)
-    aug = a_lift.hstack(Matrix.identity(ZZ, a.rows).scale(m))
-    x_full = _solve_integer(aug, b_lift)
-    if x_full is None:
+    w = _SnfWorker(a, ("p", "q"))
+    pivots = _diagonalize_mod(w)
+    snf = w.result()
+    c = (snf.p @ b).entries
+    if any(map(any, c[len(pivots):])):
         return None
-    return x_full.rows_slice(0, a.cols).to_ring(a.ring)
+    y = []
+    for e, row in zip(pivots, c):
+        ks = tuple(_multiplier(e, x, m)[0] for x in row)
+        if None in ks:
+            return None
+        y.append(ks)
+    y += [(0,) * b.cols] * (a.cols - len(pivots))
+    return snf.q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -931,84 +939,70 @@ def _kernel_integer(a: Matrix) -> Matrix:
     return snf.q.cols_slice(snf.rank, a.cols)
 
 
-def kernel_lattice_basis_mod(a: Matrix, m: int) -> Matrix:
-    """Basis of the lattice {x in Z^cols : a @ x == 0 mod m} for integer a.
-
-    The lattice contains m Z^cols, so it always has full rank and the
-    result is a square invertible integer matrix whose columns generate
-    exactly the solutions of the congruence system.
-    """
-    if a.ring != ZZ:
-        raise ShapeMismatch("kernel_lattice_basis_mod expects an integer matrix")
-    c = a.cols
-    aug = a.hstack(Matrix.identity(ZZ, a.rows).scale(m))
-    gens = _kernel_integer(aug).rows_slice(0, c)
-    snf_g = smith_normal_form(gens)
-    cols = []
-    for i in range(snf_g.rank):
-        di = snf_g.d.entries[i][i]
-        cols.append([snf_g.pinv.entries[k][i] * di for k in range(c)])
-    basis = Matrix.from_columns(ZZ, cols, c)
-    if basis.cols != c:
-        raise AssertionError("congruence kernel lattice lost full rank")
-    return basis
-
-
 def _kernel_zmod_composite(a: Matrix) -> Matrix:
-    ring = a.ring
-    m = ring.modulus
-    # Integer vectors x with a x == 0 mod m form a full-rank lattice L
-    # inside Z^c (it contains m Z^c).  The kernel over Z/m is L / m Z^c,
-    # which is free exactly when its invariant factors are all 1 or m:
-    # read them off one Smith form of the coordinates of m Z^c in a
-    # basis of L.
-    basis = kernel_lattice_basis_mod(a.to_ring(ZZ), m)
-    coords = _solve_integer(basis, Matrix.identity(ZZ, a.cols).scale(m))
-    if coords is None:
-        raise AssertionError("generators fell outside the congruence lattice")
-    snf_c = smith_normal_form(coords)
-    factors = snf_c.diagonal
-    if any(f == 0 for f in factors):
-        raise AssertionError("congruence quotient came out infinite")
-    bad = [int(f) for f in factors if f not in (1, m)]
+    """The kernel read off the diagonalization d = a q over Z/m.
+
+    It is q times the kernel of d, the sum of the annihilators of the
+    pivots, cyclic of order gcd(pivot, m), and Z/m for every column
+    without a pivot.  That sum is free exactly when its invariant
+    factors are all m.  The pivots' gcds with m divide each other, so
+    then every pivot is a unit and the columns of q past the pivots
+    are a basis.
+    """
+    m = a.ring.modulus
+    w = _SnfWorker(a, ("q",))
+    pivots = _diagonalize_mod(w)
+    bad = [x for x in _invariant_chain(_cyclic_orders(pivots, a.cols, m)) if x != m]
     if bad:
         raise NonFreeKernel(
-            f"kernel over {ring} is not free: cyclic pieces of sizes {bad}"
+            f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
         )
-    picked = [i for i, f in enumerate(factors) if f == m]
-    generators = (basis @ snf_c.pinv).select_columns(picked)
-    return generators.to_ring(ring)
+    return w.result().q.cols_slice(len(pivots), a.cols)
 
 
 def _diagonalize_mod(w: _SnfWorker) -> list:
     """Diagonalize w.d over Z/m, m = w.mod; return the pivots.
 
     Only unimodular steps are taken, with every entry reduced % m:
-    swaps, and extended-gcd steps on two rows or two columns, each a
-    run of Euclidean additions.  An entry in the ideal of the pivot a
-    is cleared in one addition: with g = gcd(a, m), a is a unit times
-    g, so x = k * a for k = (x / g) * (a / g)^-1 mod m / g.  Otherwise
-    Euclid leaves the pivot gcd(a, x), whose gcd with m is a proper
-    divisor of g, so the pivot can shrink only finitely often.  Each
-    pivot has the least gcd with m in the remaining block; when m is a
-    prime power its ideal then holds every other entry, and no Euclid
-    step is taken.  Pivot t ends at d[t][t] and all else is zero.
+    swaps, additions of one row to another, and extended-gcd steps on
+    two rows or two columns, each a run of Euclidean additions.  An
+    entry in the ideal of the pivot a is cleared in one addition: with
+    g = gcd(a, m), a is a unit times g, so x = k * a for
+    k = (x / g) * (a / g)^-1 mod m / g.  Otherwise Euclid leaves the
+    pivot gcd(a, x), whose gcd with m is a proper divisor of g, so the
+    pivot can shrink only finitely often.  Each pivot has the least gcd
+    with m in the remaining block.  The search for the next pivot also
+    checks that every entry of the block lies in the ideal of the last
+    pivot, as the Smith reduction over Z does: when one does not, its
+    row is added to the pivot row and that pivot is redone, which
+    shrinks its gcd with m.  So the pivots' gcds with m divide each
+    other.  When m is a prime power the check always passes, and after
+    a unit pivot it is not made.  Pivot t ends at d[t][t] and all else
+    is zero.
     """
     d, m = w.d, w.mod
     t = 0
     while t < min(w.r, w.c):
-        best, bi, bj = 0, -1, -1
+        ideal = gcd(d[t - 1][t - 1], m) if t else 1
+        best, bi, bj, outside = 0, -1, -1, -1
         for i in range(t, w.r):
             row = d[i]
             for j in range(t, w.c):
                 if row[j]:
                     g = gcd(row[j], m)
+                    if ideal != 1 and g % ideal:
+                        outside = i
+                        break
                     if not best or g < best:
                         best, bi, bj = g, i, j
                         if g == 1:
                             break
-            if best == 1:
+            if best == 1 or outside >= 0:
                 break
+        if outside >= 0:
+            w.add_row(t - 1, outside, 1)
+            t -= 1
+            continue
         if not best:
             break
         w.swap_rows(t, bi)

@@ -2,21 +2,27 @@
 
 smith_normal_form and homology_at below are the library's earlier
 versions, kept verbatim, and so are _rref with the field solve and
-kernel built on it, the rational determinant loop, and the two
-composite Z/m lattice routes (_kernel_zmod_composite and the homology
-one, _homology_mod_composite), and the trial-division invariant
-factors of a sum of cyclic groups that fuzz once built its expected
-homology with (invariant_factors_of_cyclics).  The Smith reduction normalises every entry
-through Ring.normalize after each elementary operation, builds one
-(key, row, column) tuple per candidate pivot and rescans the trailing
-block for divisibility after every pivot.  homology_at reads H_n off
-the cycle lattice: a kernel basis of d_n, the coordinates of d_(n+1)
-in that basis found by a solve, and a Smith form of those coordinates.
-The old _rref normalises every entry it writes through Ring.normalize,
-det eliminates with fractions over Q, and each lattice route solves and
-Smith-reduces on its own.  The library now computes the same results
-more cheaply, or from one shared routine; the tests require the two to
-agree exactly.
+kernel built on it, the rational determinant loop, the composite Z/m
+lattice routes (kernel_lattice_basis_mod, the kernel and the solve
+built on it, _kernel_zmod_composite and _solve_zmod_composite, and the
+homology one, _homology_mod_composite), and the trial-division
+invariant factors of a sum of cyclic groups that fuzz once built its
+expected homology with (invariant_factors_of_cyclics).  The Smith
+reduction normalises every entry through Ring.normalize after each
+elementary operation, builds one (key, row, column) tuple per
+candidate pivot and rescans the trailing block for divisibility after
+every pivot.  homology_at reads H_n off the cycle lattice: a kernel
+basis of d_n, the coordinates of d_(n+1) in that basis found by a
+solve, and a Smith form of those coordinates.  The old _rref
+normalises every entry it writes through Ring.normalize, det
+eliminates with fractions over Q, and each lattice route lifts the
+problem to the lattice {x in Z^c : a x == 0 mod m} and solves and
+Smith-reduces over Z on its own.  The library now computes the same
+results more cheaply, or from one shared routine; the tests require
+the two to agree exactly, except over composite Z/m: there neither a
+kernel basis nor a solution is unique, so a basis need only have as
+many columns and span the same module, and a solve need only find a
+solution exactly when the oracle does.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from chainbench.exact_linalg import (
     ShapeMismatch,
     SNFResult,
     _det_bareiss,
+    _kernel_integer,
     _solve_integer,
     kernel_basis,
-    kernel_lattice_basis_mod,
     rank as matrix_rank,
     solve_linear,
 )
@@ -309,21 +315,45 @@ def _kernel_field(a: Matrix) -> Matrix:
     return Matrix.from_columns(a.ring, columns, a.cols)
 
 
+def kernel_lattice_basis_mod(a: Matrix, m: int) -> Matrix:
+    """Basis of the lattice {x in Z^cols : a @ x == 0 mod m} for integer a.
+
+    The lattice contains m Z^cols, so it always has full rank and the
+    result is a square invertible integer matrix whose columns generate
+    exactly the solutions of the congruence system.
+    """
+    if a.ring != ZZ:
+        raise ShapeMismatch("kernel_lattice_basis_mod expects an integer matrix")
+    c = a.cols
+    aug = a.hstack(Matrix.identity(ZZ, a.rows).scale(m))
+    gens = _kernel_integer(aug).rows_slice(0, c)
+    snf_g = smith_normal_form(gens)
+    cols = []
+    for i in range(snf_g.rank):
+        di = snf_g.d.entries[i][i]
+        cols.append([snf_g.pinv.entries[k][i] * di for k in range(c)])
+    basis = Matrix.from_columns(ZZ, cols, c)
+    if basis.cols != c:
+        raise AssertionError("congruence kernel lattice lost full rank")
+    return basis
+
+
 def _kernel_zmod_composite(a: Matrix) -> Matrix:
     ring = a.ring
     m = ring.modulus
-    c = a.cols
     # Integer vectors x with a x == 0 mod m form a full-rank lattice L
-    # inside Z^c (it contains m Z^c).  Compute a basis for L, express
-    # m Z^c in that basis, and read the quotient off a Smith form.
+    # inside Z^c (it contains m Z^c).  The kernel over Z/m is L / m Z^c,
+    # which is free exactly when its invariant factors are all 1 or m:
+    # read them off one Smith form of the coordinates of m Z^c in a
+    # basis of L.
     basis = kernel_lattice_basis_mod(a.to_ring(ZZ), m)
-    coords = _solve_integer(basis, Matrix.identity(ZZ, c).scale(m))
+    coords = _solve_integer(basis, Matrix.identity(ZZ, a.cols).scale(m))
     if coords is None:
-        raise AssertionError("m Z^c escaped the kernel lattice")
+        raise AssertionError("generators fell outside the congruence lattice")
     snf_c = smith_normal_form(coords)
     factors = snf_c.diagonal
     if any(f == 0 for f in factors):
-        raise AssertionError("degenerate quotient in Z/m kernel computation")
+        raise AssertionError("congruence quotient came out infinite")
     bad = [int(f) for f in factors if f not in (1, m)]
     if bad:
         raise NonFreeKernel(
@@ -332,6 +362,17 @@ def _kernel_zmod_composite(a: Matrix) -> Matrix:
     picked = [i for i, f in enumerate(factors) if f == m]
     generators = (basis @ snf_c.pinv).select_columns(picked)
     return generators.to_ring(ring)
+
+
+def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
+    m = a.ring.modulus
+    a_lift = a.to_ring(ZZ)
+    b_lift = b.to_ring(ZZ)
+    aug = a_lift.hstack(Matrix.identity(ZZ, a.rows).scale(m))
+    x_full = _solve_integer(aug, b_lift)
+    if x_full is None:
+        return None
+    return x_full.rows_slice(0, a.cols).to_ring(a.ring)
 
 
 def det(a: Matrix):

@@ -14,7 +14,7 @@ import chainbench
 from chainbench.chains import ChainComplex, GradedMap
 from chainbench.cli import MAX_COUNT, main
 from chainbench.diagrams import Bimodule, DComplex, loop_object, preset_diagram, tensor_with_bimodule
-from chainbench.exact_linalg import QQ, ZZ, Matrix
+from chainbench.exact_linalg import QQ, ZZ, Matrix, Zmod
 from chainbench.fuzz import random_kernel_tower, random_reduced_ladder
 from chainbench.ladder import D0Morphism, check_an_local, constant_tower
 from chainbench.ladder import test_object as probe
@@ -47,9 +47,10 @@ def write(tmp_path, name: str, payload: dict) -> str:
     return str(path)
 
 
-def run_child(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run `python -m chainbench argv` in a child process with a 60 s timeout,
-    so that a regression to a hang fails the test instead of the suite."""
+def run_child(*argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m chainbench argv` in a child process with a timeout,
+    60 s by default, so that a regression to a hang fails the test
+    instead of the suite."""
     src = str(Path(chainbench.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -57,7 +58,7 @@ def run_child(*argv, **kwargs) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "chainbench", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=env,
         **kwargs,
     )
@@ -620,3 +621,43 @@ def test_huge_entry_exits_2_with_one_short_line_in_a_subprocess(tmp_path):
     assert done.stdout.count("\n") == 1 and len(done.stdout) < 1024, len(done.stdout)
     assert "complex.differentials[1] row 0 column 0" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def _jordan_payload() -> dict:
+    return json.loads(dumps(dump_dcomplex(jordan_dcomplex())))
+
+
+def test_unknown_relation_edge_exits_2_in_a_subprocess(tmp_path):
+    payload = _jordan_payload()
+    payload["diagram"]["relations"] = [[["nope"], ["x"]]]
+    done = run_child("nilpotency", write(tmp_path, "nope.json", payload))
+    assert done.returncode == 2, done.stderr
+    assert "relation path names unknown edge 'nope'" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_huge_edge_source_exits_2_with_one_short_line_in_a_subprocess(tmp_path):
+    payload = _jordan_payload()
+    payload["diagram"]["edges"][0]["source"] = "n" * 10**6
+    done = run_child("nilpotency", write(tmp_path, "source.json", payload))
+    assert done.returncode == 2
+    assert done.stdout.count("\n") == 1 and len(done.stdout) < 1024, len(done.stdout)
+    assert "touches unknown vertex '" + "n" * 40 + "'" in done.stdout
+    assert "Traceback" not in done.stderr
+
+
+def test_tower_over_a_product_of_two_large_primes_in_a_subprocess(tmp_path):
+    """Splittings of this tower take kernels and solves over composite
+    Z/m with 60-bit entries, on levels of total ranks up to 61."""
+    ring = Zmod(1000000016000000063)
+    tower = random_reduced_ladder(
+        random.Random(4), ring, n_levels=5, acyclic_levels={1, 2, 3, 4}, degree_span=2
+    ).complex
+    assert [level.total_rank for level in tower.levels] == [0, 2, 6, 14, 30, 61]
+    path = write(tmp_path, "big-modulus.json", dump_d0complex(tower))
+    done = run_child("verify", path, timeout=30)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "valid tower with 6 levels, stabilization index 5\n"
+    done = run_child("bn-local", path, timeout=30)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "level 5 is not contractible" in done.stdout

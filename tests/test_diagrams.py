@@ -454,3 +454,50 @@ def test_collapse_degree_bounds():
         assert n1 <= n2
         assert n1 + 1 <= (n2 + 2) // 2
         assert n2 <= 2 * n1 + 2
+
+
+LONG = "n" * 10**6
+QUOTED = "'" + "n" * 40 + "'"
+
+
+def _loop_on_long_edge(f):
+    """Realize a one-vertex diagram whose loop is named LONG by f."""
+    diagram = DiagramOfBimodules((("v", ZZ),), (Edge(LONG, "v", "v", Bimodule(ZZ, 1)),))
+    return DComplex.build(diagram, {"v": f.source}, {LONG: f})
+
+
+def _not_a_chain_map():
+    c = two_term(ZZ, 2)
+    return GradedMap.build(c, c, 0, {1: Matrix.from_rows(ZZ, [[1]]), 0: Matrix.from_rows(ZZ, [[0]])})
+
+
+LONG_NAME_SITES = {
+    "unknown preset diagram": lambda: preset_diagram(LONG, ZZ),
+    "touches unknown vertex": lambda: DiagramOfBimodules(
+        (("v", ZZ),), (Edge("x", LONG, "v", Bimodule(ZZ, 1)),)
+    ),
+    "mixes rings": lambda: DiagramOfBimodules(
+        (("v", ZZ), ("w", QQ)), (Edge(LONG, "v", "w", Bimodule(ZZ, 1)),)
+    ),
+    "path breaks at edge": lambda: DiagramOfBimodules(
+        (("a", ZZ), ("b", ZZ)),
+        (Edge("x", "a", "b", Bimodule(ZZ, 1)), Edge(LONG, "a", "b", Bimodule(ZZ, 1))),
+        relations=((("x", LONG), ("x",)),),
+    ),
+    "relation path names unknown edge": lambda: DiagramOfBimodules(
+        (("v", ZZ),), (Edge("x", "v", "v", Bimodule(ZZ, 1)),), relations=(((LONG,), ("x",)),)
+    ),
+    "is not a chain map": lambda: _loop_on_long_edge(_not_a_chain_map()),
+    "has the wrong source or target": lambda: _loop_on_long_edge(
+        GradedMap.zero(two_term(ZZ, 2), unit_level(ZZ))
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_NAME_SITES))
+def test_diagram_messages_quote_at_most_40_characters_of_a_name(site):
+    with pytest.raises(ValueError) as err:
+        LONG_NAME_SITES[site]()
+    message = str(err.value)
+    assert site in message and QUOTED in message, message[:200]
+    assert len(message) < 200, message[:200]

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import snf_oracle
@@ -686,9 +688,24 @@ def test_det_matches_oracle_bit_for_bit():
 
 def _kernel_outcome(fn, a):
     try:
-        return repr(fn(a))
+        return fn(a)
     except NonFreeKernel as err:
         return f"NonFreeKernel: {err}"
+
+
+def _check_kernel_against_oracle(a):
+    """The same NonFreeKernel message as the lattice oracle, or a basis
+    of the same size that spans the oracle's module; returns the outcome."""
+    got = _kernel_outcome(kernel_basis, a)
+    want = _kernel_outcome(snf_oracle._kernel_zmod_composite, a)
+    if isinstance(want, str):
+        assert got == want, a
+    else:
+        assert isinstance(got, Matrix) and got.shape == want.shape, a
+        assert (a @ got).is_zero(), a
+        assert snf_oracle._solve_zmod_composite(got, want) is not None, a
+        assert snf_oracle._solve_zmod_composite(want, got) is not None, a
+    return got
 
 
 def test_kernel_zmod_composite_matches_oracle():
@@ -700,10 +717,8 @@ def test_kernel_zmod_composite_matches_oracle():
         for _ in range(80):
             cases.append(rand_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, 4)))
         for a in cases:
-            got = _kernel_outcome(kernel_basis, a)
-            assert got == _kernel_outcome(snf_oracle._kernel_zmod_composite, a), a
-            outcomes.append(got)
-    raised = sum(1 for o in outcomes if o.startswith("NonFreeKernel"))
+            outcomes.append(_check_kernel_against_oracle(a))
+    raised = sum(1 for o in outcomes if isinstance(o, str))
     assert 20 < raised < len(outcomes) - 20
 
 
@@ -713,3 +728,76 @@ def test_rank_variants():
     assert rank(a.to_ring(QQ)) == 1
     with pytest.raises(ValueError):
         rank(a.to_ring(Zmod(6)))
+
+
+# ---------------------------------------------------------------------------
+# Kernels and solves over composite Z/m against the congruence lattice,
+# on hypothesis inputs.  A basis is not unique, so the two routes must
+# agree on the verdict: the same NonFreeKernel message, or bases with
+# the same number of columns that span the same module, and a solve
+# returns None exactly when the oracle does.  Entries are drawn as
+# multiples of divisors of m, so that non-unit pivots with coprime
+# gcds, where the diagonalization needs its ideal step, come up often.
+# 1000000016000000063 is 1000000007 * 1000000009.
+
+DIVISORS = {
+    4: (2,),
+    6: (2, 3),
+    12: (2, 3, 4, 6),
+    30: (2, 3, 5, 6, 10, 15),
+    36: (2, 3, 4, 6, 9, 12, 18),
+    1000000016000000063: (1000000007, 1000000009),
+}
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def _multiples(m, factors):
+    return st.builds(lambda f, k: f * k % m, st.sampled_from(factors), st.integers(0, m - 1))
+
+
+ENTRIES = {m: _multiples(m, (0, 1) + fs) for m, fs in DIVISORS.items()}
+NON_UNITS = {m: _multiples(m, fs) for m, fs in DIVISORS.items()}
+
+
+@st.composite
+def matrices(draw, m, rows=None, cols=None):
+    """A matrix over Z/m of at most 4 x 5.  Half of them are diagonal
+    with non-unit entries, whose coprime gcds make a free kernel out of
+    several cyclic pieces; half of them have one row and one column zero."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    if draw(st.booleans()):
+        diagonal = draw(st.lists(NON_UNITS[m], min_size=min(rows, cols), max_size=min(rows, cols)))
+        flat = [diagonal[i] if i == j else 0 for i in range(rows) for j in range(cols)]
+    else:
+        flat = draw(st.lists(ENTRIES[m], min_size=rows * cols, max_size=rows * cols))
+    data = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        zero_row, zero_col = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data[zero_row] = [0] * cols
+        for row in data:
+            row[zero_col] = 0
+    return Matrix(Zmod(m), rows, cols, tuple(map(tuple, data)))
+
+
+@pytest.mark.parametrize("m", sorted(DIVISORS))
+@SETTINGS
+@given(data=st.data())
+def test_kernel_matches_lattice_oracle(m, data):
+    _check_kernel_against_oracle(data.draw(matrices(m)))
+
+
+@pytest.mark.parametrize("m", sorted(DIVISORS))
+@SETTINGS
+@given(data=st.data())
+def test_solve_matches_lattice_oracle(m, data):
+    a = data.draw(matrices(m))
+    width = data.draw(st.integers(1, 2))
+    x0 = data.draw(matrices(m, a.cols, width))
+    for b in (data.draw(matrices(m, a.rows, width)), a @ x0):
+        x = solve_linear(a, b)
+        assert (x is None) == (snf_oracle._solve_zmod_composite(a, b) is None), b
+        if x is not None:
+            assert a @ x == b
+    assert solve_linear(a, a @ x0) is not None
