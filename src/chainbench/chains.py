@@ -51,9 +51,9 @@ exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .exact_linalg import (
     Matrix,
     Ring,
@@ -77,7 +77,7 @@ from .exact_linalg import (
 MAX_TOTAL_RANK = 4096
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex:
     """Ranks and differentials indexed by integer degree.
 
@@ -90,6 +90,12 @@ class ChainComplex:
     ring: Ring
     ranks: tuple
     diffs: tuple
+
+    def __init__(self, ring: Ring, ranks: tuple, diffs: tuple) -> None:
+        d = self.__dict__
+        d["ring"] = ring
+        d["ranks"] = ranks
+        d["diffs"] = diffs
 
     @staticmethod
     def build(ring: Ring, ranks, diffs=None, validate: bool = True) -> "ChainComplex":
@@ -169,7 +175,7 @@ class ChainComplex:
         return " ".join(f"{n}:{r}" for n, r in self.ranks)
 
 
-@dataclass(frozen=True)
+@record
 class GradedMap:
     """Degree-homogeneous map between complexes, one block per degree.
 
@@ -186,6 +192,13 @@ class GradedMap:
     target: ChainComplex
     degree: int
     blocks: tuple
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, degree: int, blocks: tuple) -> None:
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["degree"] = degree
+        d["blocks"] = blocks
 
     @staticmethod
     def build(source, target, degree, blocks) -> "GradedMap":
@@ -314,7 +327,7 @@ def _require_chain_map(f: GradedMap, degree=None, what="map"):
 # Homology
 
 
-@dataclass(frozen=True)
+@record
 class HomologySummary:
     """Invariant-factor description of one homology module.
 
@@ -327,6 +340,12 @@ class HomologySummary:
     betti: int
     torsion: tuple
     modulus: int | None = None
+
+    def __init__(self, betti: int, torsion: tuple, modulus: int | None = None) -> None:
+        d = self.__dict__
+        d["betti"] = betti
+        d["torsion"] = torsion
+        d["modulus"] = modulus
 
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
@@ -645,7 +664,7 @@ def shift_unsigned(c: ChainComplex, k: int) -> ChainComplex:
     return ChainComplex.build(c.ring, ranks, diffs, validate=False)
 
 
-@dataclass(frozen=True)
+@record
 class DirectSumData:
     complex: ChainComplex
     inclusions: tuple
@@ -685,7 +704,7 @@ def direct_sum(*parts: ChainComplex) -> DirectSumData:
     return DirectSumData(total, tuple(inclusions), tuple(projections))
 
 
-@dataclass(frozen=True)
+@record
 class ConeData:
     """Mapping cone of a chain map f: A -> B.
 
@@ -734,7 +753,7 @@ def _cone(f: GradedMap) -> ConeData:
     return ConeData(cx, GradedMap.build(b, cx, 0, incl), GradedMap.build(cx, a, -1, proj))
 
 
-@dataclass(frozen=True)
+@record
 class CylinderData:
     """Mapping cylinder of f: A -> B with its structure maps.
 
@@ -808,7 +827,7 @@ def cylinder(f: GradedMap) -> CylinderData:
 # Pushouts along levelwise split injections
 
 
-@dataclass(frozen=True)
+@record
 class PushoutData:
     """Pushout of Z <-g- A -f-> Y where every f_n is a split injection.
 
@@ -907,7 +926,7 @@ def pushout_factor(data: PushoutData, u: GradedMap, w_map: GradedMap) -> GradedM
 # Short exact sequences
 
 
-@dataclass(frozen=True)
+@record
 class SESData:
     """Levelwise split short exact sequence of complexes.
 
@@ -978,7 +997,7 @@ def validate_ses(incl: GradedMap, proj: GradedMap) -> SESData:
     )
 
 
-@dataclass(frozen=True)
+@record
 class RotatedSES:
     """Rotation of a short exact sequence one step to the left.
 

@@ -25,7 +25,10 @@ from .serialize import FormatError, InvalidObject, dump_ring, load_ring, loads
 
 def _read_payload(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: payload: not UTF-8 text ({err.reason})") from err
     try:
         return loads(text)
     except FormatError as err:

@@ -23,13 +23,12 @@ by composing with the extra edge maps, so the scan below is monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
 from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, direct_sum, find_null_homotopy
 
 
-@dataclass(frozen=True)
+@record
 class Bimodule:
     """Free bimodule of finite rank with per-generator twists.
 
@@ -42,21 +41,22 @@ class Bimodule:
     rank: int
     twist: tuple = None
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, base: Ring, rank: int, twist: tuple = None) -> None:
+        if rank < 1:
             raise ValueError("bimodule rank must be positive")
-        twist = self.twist
-        if twist is None:
-            twist = (1,) * self.rank
-        twist = tuple(twist)
-        if len(twist) != self.rank:
-            raise ValueError("need one twist endomorphism per generator")
-        for t in twist:
-            if self.base.normalize(t) != self.base.one:
-                raise ValueError(
-                    "twist endomorphisms must be unital, hence identity here"
-                )
-        object.__setattr__(self, "twist", (1,) * self.rank)
+        if twist is not None:
+            twist = tuple(twist)
+            if len(twist) != rank:
+                raise ValueError("need one twist endomorphism per generator")
+            for t in twist:
+                if base.normalize(t) != base.one:
+                    raise ValueError(
+                        "twist endomorphisms must be unital, hence identity here"
+                    )
+        d = self.__dict__
+        d["base"] = base
+        d["rank"] = rank
+        d["twist"] = (1,) * rank
 
 
 def identity_bimodule(base: Ring) -> Bimodule:
@@ -99,7 +99,7 @@ def tensor_map_with_bimodule(f: GradedMap, s: Bimodule) -> GradedMap:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
     name: str
     source: str
@@ -107,7 +107,7 @@ class Edge:
     bimodule: Bimodule
 
 
-@dataclass(frozen=True)
+@record
 class DiagramOfBimodules:
     """Quiver with a ring per vertex, a bimodule per edge, relations.
 
@@ -234,7 +234,7 @@ def preset_diagram(
     raise ValueError(f"unknown preset diagram {name[:40]!r}")
 
 
-@dataclass(frozen=True)
+@record
 class DComplex:
     """Realization of a diagram: complexes on vertices, maps on edges."""
 
@@ -323,7 +323,7 @@ def composable_paths(diagram: DiagramOfBimodules, length: int, start: str | None
     return sorted(paths)
 
 
-@dataclass(frozen=True)
+@record
 class PathComposite:
     path: tuple
     map: GradedMap

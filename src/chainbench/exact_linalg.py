@@ -51,22 +51,24 @@ sums, differences and products of ints are ints and of Fractions are
 Fractions, and rearranging canonical entries keeps them canonical, so
 the only reduction left is % m over Z/m, which each of those
 operations applies itself.  Normalizing their results again would
-return every entry unchanged.  Both ways run the same constructor and
-__post_init__; _trusted passes it the init-only flag _canonical.  A
-product builds each row as a sum of whole rows of the right factor,
-one term per nonzero entry of the left row.  Over Q that loop runs on
-integers: each left row is scaled by the lcm of its denominators, the
-right factor by one common denominator, and each nonzero entry of the
-result is one Fraction.  QQ.zero and QQ.one are one shared Fraction
-each.
+return every entry unchanged.  Both ways run the same constructor,
+which writes the four fields and calls __post_init__; _trusted passes
+it the flag _canonical, a constructor parameter that is not a field,
+and __post_init__ returns at once on it.  A product builds each row
+as a sum of whole rows of the right factor, one term per nonzero entry
+of the left row.  Over Q that loop runs on integers: each left row is
+scaled by the lcm of its denominators, the right factor by one common
+denominator, and each nonzero entry of the result is one Fraction.
+QQ.zero and QQ.one are one shared Fraction each.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, neg, sub
+
+from ._record import record
 
 
 class ShapeMismatch(ValueError):
@@ -118,7 +120,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Ring:
     """Base ring marker: Ring("Z"), Ring("Q"), or Ring("Zmod", m).
 
@@ -129,18 +131,27 @@ class Ring:
     kind: str
     modulus: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Q", "Zmod"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if not isinstance(self.modulus, int) or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None) -> None:
+        if kind not in ("Z", "Q", "Zmod"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod":
+            if not isinstance(modulus, int) or modulus < 2:
                 raise ValueError("Zmod needs an integer modulus >= 2")
-            if self.modulus > MAX_MODULUS:
+            if modulus > MAX_MODULUS:
                 raise ValueError("Zmod needs a modulus of at most 2**64")
-        elif self.modulus is not None:
-            raise ValueError(f"ring {self.kind} does not take a modulus")
-        field = self.kind == "Q" or (self.kind == "Zmod" and _is_prime(self.modulus))
-        object.__setattr__(self, "_field", field)
+        elif modulus is not None:
+            raise ValueError(f"ring {kind} does not take a modulus")
+        d = self.__dict__
+        d["kind"] = kind
+        d["modulus"] = modulus
+        d["_field"] = kind == "Q" or (kind == "Zmod" and _is_prime(modulus))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is Ring:
+            return self.kind == other.kind and self.modulus == other.modulus
+        return NotImplemented
 
     def __str__(self) -> str:
         if self.kind == "Zmod":
@@ -220,21 +231,28 @@ def _tuples(rows, m):
     return tuple(tuple(x % m for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """Immutable exact matrix; entries is a tuple of row tuples.
 
     The constructor checks the shape and normalizes every entry into
     the ring.  Results of arithmetic on matrices are built by _trusted
     instead, which skips both (see the module docstring); _canonical is
-    its init-only flag and no other caller passes it.
+    its constructor flag, not a field, and no other caller passes it.
     """
 
     ring: Ring
     rows: int
     cols: int
     entries: tuple
-    _canonical: InitVar[bool] = False
+
+    def __init__(self, ring: Ring, rows: int, cols: int, entries: tuple, _canonical: bool = False) -> None:
+        d = self.__dict__
+        d["ring"] = ring
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        self.__post_init__(_canonical)
 
     def __post_init__(self, _canonical: bool) -> None:
         if _canonical:
@@ -251,7 +269,7 @@ class Matrix:
                     f"expected {self.cols} columns, got {len(row)}"
                 )
             fixed.append(tuple(norm(x) for x in row))
-        object.__setattr__(self, "entries", tuple(fixed))
+        self.__dict__["entries"] = tuple(fixed)
 
     @staticmethod
     def _trusted(ring: Ring, rows: int, cols: int, entries: tuple) -> "Matrix":
@@ -521,7 +539,7 @@ def unvec_row_major(v: Matrix, rows: int, cols: int) -> Matrix:
     return Matrix._trusted(v.ring, rows, cols, data)
 
 
-@dataclass(frozen=True)
+@record
 class SNFResult:
     """Smith data:  d == p @ a @ q  with p, q invertible over the ring.
 
@@ -535,6 +553,14 @@ class SNFResult:
     q: Matrix
     pinv: Matrix
     qinv: Matrix
+
+    def __init__(self, d: Matrix, p: Matrix, q: Matrix, pinv: Matrix, qinv: Matrix) -> None:
+        fields = self.__dict__
+        fields["d"] = d
+        fields["p"] = p
+        fields["q"] = q
+        fields["pinv"] = pinv
+        fields["qinv"] = qinv
 
     @property
     def diagonal(self) -> tuple:

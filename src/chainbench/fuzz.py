@@ -12,10 +12,10 @@ oracles that are independent of the code paths under test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, block_matrix, inverse, kernel_basis
 from .chains import (
     ChainComplex,
@@ -72,7 +72,7 @@ def _conjugated(rng: random.Random, c: ChainComplex):
     return ChainComplex.build(c.ring, dict(c.ranks), diffs), basis, inverses
 
 
-@dataclass(frozen=True)
+@record
 class RandomComplex:
     """A generated complex together with its homology known by construction."""
 
@@ -202,7 +202,7 @@ def random_null_homotopic(rng: random.Random, src: ChainComplex, tgt: ChainCompl
     return h.leibniz(), h
 
 
-@dataclass(frozen=True)
+@record
 class RandomExtension:
     """Levelwise split extension with middle conjugate to sub + quotient."""
 
@@ -275,7 +275,7 @@ def random_module_lowering(
     return Matrix.from_rows(ring, data)
 
 
-@dataclass(frozen=True)
+@record
 class RandomLadder:
     """A generated tower whose locality answers are known by construction.
 
@@ -403,7 +403,7 @@ def conjugate_tower(rng: random.Random, s, levels, ascents, descents):
     return mixed, new_ascents, new_descents
 
 
-@dataclass(frozen=True)
+@record
 class RandomKernelTower:
     """A tower all of whose descent kernels are copies of the first level.
 

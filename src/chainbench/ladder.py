@@ -23,8 +23,7 @@ and rejected with an error, never repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .exact_linalg import (
     Matrix,
     ShapeMismatch,
@@ -59,7 +58,7 @@ from .chains import (
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
 
 
-@dataclass(frozen=True)
+@record
 class D0Complex:
     """Eventually constant tower with split ascents and twisted descents.
 
@@ -233,7 +232,7 @@ def is_reduced(c: D0Complex) -> bool:
     return reduction_certificates(c) is not None
 
 
-@dataclass(frozen=True)
+@record
 class ClassMembership:
     """Nested class verdicts for one tower at one cut index.
 
@@ -347,7 +346,7 @@ def detect_probe(d: D0Complex):
 # Descent kernels
 
 
-@dataclass(frozen=True)
+@record
 class KernelData:
     """Degreewise kernel of a descent, with its inclusion chain map."""
 
@@ -405,7 +404,7 @@ def kernel_lambda(c: D0Complex, m: int, source: KernelData = None, target: Kerne
 # Morphisms of towers
 
 
-@dataclass(frozen=True)
+@record
 class D0Morphism:
     """Levelwise chain maps commuting with ascents and descents."""
 
@@ -534,7 +533,7 @@ def _leibniz_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) 
         _leibniz_rows(sys_, d.level(i), c.level(i), q, lambda l, i=i: ("f", i, l))
 
 
-@dataclass(frozen=True)
+@record
 class HomComplex:
     """Families of level maps out of a probe tower, as a chain complex.
 
@@ -714,7 +713,7 @@ def _connecting_matches(ses: SESData, kernel: KernelData, sub_kernel: KernelData
     return True
 
 
-@dataclass(frozen=True)
+@record
 class MorphismSpace:
     """Solution space of all tower morphisms between two towers."""
 
@@ -754,7 +753,7 @@ def morphism_space(d: D0Complex, c: D0Complex) -> MorphismSpace:
 # Locality checks
 
 
-@dataclass(frozen=True)
+@record
 class BnLocalReport:
     """Levelwise contractibility verdict below a cut index.
 
@@ -791,7 +790,7 @@ def check_bn_local(c: D0Complex, n: int, require_reduced: bool = True) -> BnLoca
     return BnLocalReport(failing is None, failing, tuple(contractions), kernel_route)
 
 
-@dataclass(frozen=True)
+@record
 class AnLocalReport:
     """Kernel-ascent equivalence verdict over a range of indices.
 
@@ -883,7 +882,7 @@ def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalRep
 # Factorization through a contractible tower
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationData:
     """A map factored through a levelwise contractible tower.
 

@@ -11,10 +11,10 @@ on admits no nonzero morphism into a tower whose level 1 is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm, prod
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .chains import ChainComplex, GradedMap, find_null_homotopy, homology, is_acyclic
 from .exact_linalg import QQ, ShapeMismatch, _is_prime
 
@@ -31,7 +31,7 @@ def _require_integers(c: ChainComplex) -> None:
 # Order of homology
 
 
-@dataclass(frozen=True)
+@record
 class OrderReport:
     """Cardinality of the total homology, when it is finite.
 
@@ -65,7 +65,7 @@ def homology_order(c: ChainComplex) -> OrderReport:
 # Annihilator exponent
 
 
-@dataclass(frozen=True)
+@record
 class AnnihilatorReport:
     """Least N >= 1 with N times the identity null-homotopic.
 
@@ -105,7 +105,7 @@ def annihilator_exponent(c: ChainComplex) -> AnnihilatorReport:
 # Order classes relative to a pair of primes
 
 
-@dataclass(frozen=True)
+@record
 class OrderClassReport:
     """Placement of a finite homology order against two primes.
 
@@ -162,7 +162,7 @@ def rational_acyclicity(c: ChainComplex) -> bool:
 # Vanishing morphism spaces between the two standard shapes
 
 
-@dataclass(frozen=True)
+@record
 class HomVanishingReport:
     """Certificate that a tower morphism space is zero.
 

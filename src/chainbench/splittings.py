@@ -26,9 +26,9 @@ approximation or genericity assumption enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import record
 from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse
 from .chains import ChainComplex, GradedMap, find_contraction
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
@@ -49,7 +49,7 @@ def tensor_power_map(f: GradedMap, s: Bimodule, i: int) -> GradedMap:
     return tensor_map_with_bimodule(f, Bimodule(s.base, s.rank ** i))
 
 
-@dataclass(frozen=True)
+@record
 class TotalSpace:
     """The probe tower assembled into one complex of stacked quotients.
 
@@ -82,7 +82,7 @@ class TotalSpace:
         return self.alpha_powers[i - 1]
 
 
-@dataclass(frozen=True)
+@record
 class SplittingData:
     """All chosen splittings for one probe/target tower pair.
 
@@ -430,7 +430,7 @@ def derive_splittings(a: D0Complex, b: D0Complex) -> SplittingData:
     return data
 
 
-@dataclass(frozen=True)
+@record
 class TOperator:
     """One contraction operator K (x) S^{p+1} -> K of degree minus one."""
 

@@ -3,7 +3,7 @@
 Each construction below pads its blocks with explicit zero matrices and
 joins them with hstack and vstack, exactly as the library did before
 exact_linalg.block_matrix became the one block assembler.  They return
-the library's own dataclasses, so tests/test_block_assembler.py can
+the library's own value classes, so tests/test_block_assembler.py can
 require every construction to be equal, field for field, to its
 oracle.  _coeff_tensor_then is the entrywise fill that ladder replaced
 by a reshape and a Kronecker product.  tensor_with_bimodule and

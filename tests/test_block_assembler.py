@@ -2,7 +2,7 @@
 
 construction_oracle keeps the constructions as they were built before
 exact_linalg.block_matrix assembled them.  On seeded fuzz inputs over
-Z, Q, Z/3 and Z/4 the library must return dataclasses equal to the
+Z, Q, Z/3 and Z/4 the library must return value objects equal to the
 oracle's, and the seeded fuzz generators that assemble blocks must
 reproduce the outputs recorded before the change.
 """

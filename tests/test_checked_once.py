@@ -9,7 +9,6 @@ two candidate probes, and the fuzz verb must report a broken structure
 map of the identity cone or of a descent kernel.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -219,7 +218,11 @@ class _Broken:
 
 def test_fuzz_verb_reports_a_broken_identity_cone(monkeypatch, capsys):
     original = chains.cone
-    monkeypatch.setattr(chains, "cone", lambda f: dataclasses.replace(original(f), inclusion=_Broken()))
+    def broken_cone(f):
+        good = original(f)
+        return chains.ConeData(good.complex, _Broken(), good.projection)
+
+    monkeypatch.setattr(chains, "cone", broken_cone)
     assert main(["fuzz", "--seed", "1", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "complex instance 0: cone of the identity has a broken structure map" in out

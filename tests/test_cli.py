@@ -51,17 +51,42 @@ def run_child(*argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
     """Run `python -m chainbench argv` in a child process with a timeout,
     60 s by default, so that a regression to a hang fails the test
     instead of the suite."""
+    return run_python("-m", "chainbench", *argv, timeout=timeout, **kwargs)
+
+
+def run_python(*argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python argv` in a child process that imports this chainbench."""
     src = str(Path(chainbench.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "chainbench", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
         env=env,
         **kwargs,
     )
+
+
+def test_verbs_start_without_dataclasses_or_inspect(tmp_path):
+    """A verb's child process pays for every module it imports, so the
+    value classes are built without dataclasses, which pulls in
+    inspect."""
+    complex_path = write(tmp_path, "moore2.json", dump_complex(moore(2)))
+    diagram_path = write(tmp_path, "jordan.json", dump_dcomplex(jordan_dcomplex()))
+    tower_path = write(tmp_path, "tower.json", dump_d0complex(probe("g_m", 1, 2, Bimodule(ZZ, 1))))
+    script = (
+        "import sys\n"
+        "from chainbench.cli import main\n"
+        "a, b, c = sys.argv[1:]\n"
+        "codes = [main(['homology', a]), main(['nilpotency', b]), main(['verify', c])]\n"
+        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
+        "print('codes', codes, 'loaded', loaded, 'ladder', 'chainbench.ladder' in sys.modules)\n"
+    )
+    done = run_python("-c", script, complex_path, diagram_path, tower_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "codes [0, 0, 0] loaded [] ladder True"
 
 
 def test_homology_moore_example(tmp_path, capsys):
@@ -309,6 +334,20 @@ def test_deeply_nested_payload_exits_2_in_a_subprocess(tmp_path):
     assert done.returncode == 2
     assert "nests too deeply" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def test_payload_that_is_not_utf8_exits_2_naming_the_file_in_a_subprocess(tmp_path):
+    """Bytes that do not decode as UTF-8 are a format error naming the
+    file, like invalid JSON, not a bare ValueError from the codec."""
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    done = run_child("homology", str(path))
+    assert done.returncode == 2
+    assert done.stdout == f"input error: {path}: payload: not UTF-8 text (invalid start byte)\n"
+    assert "Traceback" not in done.stderr
+    done = run_child("verify", str(path), "--json")
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["message"] == f"{path}: payload: not UTF-8 text (invalid start byte)"
 
 
 def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):

@@ -6,7 +6,7 @@ the library stopped re-checking its structure maps, so the oracle
 still validates the cone and cylinder boundaries and checks every
 structure map.  Hypothesis (derandomized, no example database) draws a
 ring among Z, Q, Z/3 and Z/4, seeds for the fuzz generators and the
-kind of chain map, and the library must return a dataclass equal to
+kind of chain map, and the library must return a value object equal to
 the oracle's.
 """
 

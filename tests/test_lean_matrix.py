@@ -4,7 +4,7 @@ matrix_oracle keeps the Matrix operations and GradedMap methods as
 they were when every result went through the normalizing constructor.
 On seeded fuzz inputs over Z, Q, Z/4 and Z/5, with empty shapes and
 maps with unstored blocks among them, the library must return equal
-values whose entries are canonical: dataclass equality alone would not
+values whose entries are canonical: field equality alone would not
 notice an int over Q, since Fraction(2) == 2.
 """
 
