@@ -27,17 +27,24 @@ over Q, which solve_linear and kernel_basis read, is fraction-free
 Gauss-Jordan elimination on rows cleared of their denominators, with
 one division by the last pivot at the end.  Each caller eliminates
 only what it reads.  The Smith reduction builds only the
-transforms its caller asks for: all four for smith_normal_form, p and
-q for a solve over Z, q for a kernel over Z, none for
-invariant_factors.  rank over Z and Q and det over every ring are one
-fraction-free Bareiss elimination, over Q after scaling each row by
-the lcm of its denominators; rank over Z/p is the row echelon form.
-Over composite Z/m everything runs in Z/m itself on one
-diagonalization with extended-gcd steps, which never factors m:
-cycle_quotient_mod reads homology off two of them, kernel_basis reads
-a kernel off one that keeps q, and solve_linear solves on one that
-keeps p and q.  Moduli are at most MAX_MODULUS = 2**64, where
-Miller-Rabin with fixed bases decides primality exactly.
+transforms its caller asks for, and tracks only p, q and qinv step by
+step.  pinv is derived once the reduction ends: its row steps are
+recorded, and when q is kept and every row of d holds a nonzero
+pivot, pinv @ d == a @ q makes column j of pinv column j of a @ q
+divided by d_jj (exactly over Z; d_jj is 1 over a field); otherwise
+the recorded steps are replayed on the identity.  A right-hand side
+is carried: a solve starts the worker's p from the rows of b, so the
+same row steps leave p @ b there.  smith_normal_form asks for all
+four transforms, a solve over Z for q with b carried, a kernel over Z
+for q, invariant_factors for none.  rank over Z and Q and det over
+every ring are one fraction-free Bareiss elimination, over Q after
+scaling each row by the lcm of its denominators; rank over Z/p is the
+row echelon form.  Over composite Z/m everything runs in Z/m itself
+on one diagonalization with extended-gcd steps, which never factors
+m: cycle_quotient_mod reads homology off two of them, kernel_basis
+reads a kernel off one that keeps q, and solve_linear solves on one
+that keeps q and carries b.  Moduli are at most MAX_MODULUS = 2**64,
+where Miller-Rabin with fixed bases decides primality exactly.
 
 Every Matrix holds canonical entries: an int over Z, a Fraction over Q
 and an int in range(m) over Z/m.  The public ways in, Matrix(...),
@@ -543,9 +550,11 @@ def unvec_row_major(v: Matrix, rows: int, cols: int) -> Matrix:
 class SNFResult:
     """Smith data:  d == p @ a @ q  with p, q invertible over the ring.
 
-    pinv and qinv are the exact inverses of p and q, accumulated during
-    the reduction rather than recomputed afterwards.  Internal callers
-    that ask the reduction for fewer transforms get None in the others.
+    pinv and qinv are the exact inverses of p and q: qinv accumulated
+    during the reduction, pinv derived from d == p @ a @ q or from the
+    recorded row steps once it ends, neither by inverting a matrix.
+    Internal callers that ask the reduction for fewer transforms get
+    None in the others.
     """
 
     d: Matrix
@@ -600,30 +609,41 @@ class _SnfWorker:
 
     Entries are raw ring values and every operation is plain arithmetic
     on whole rows: integers and fractions are closed and canonical, so
-    the only reduction left is % m over Z/m.  pinv and q only ever see
-    column operations, so they are kept transposed (pinv_t, q_t), which
-    turns each of those into a row operation too.  Only the transforms
-    named in keep are built and updated; the others stay None.  The
-    operations on d do not depend on keep, so every kept transform is
-    the same whichever others are kept.  follow, when given, takes the
-    place of qinv, so that the worker ends with qinv @ follow: rows
-    indexed like the columns of a that follow each column step with
-    its inverse.
+    the only reduction left is % m over Z/m.  q only ever sees column
+    operations, so it is kept transposed (q_t), which turns each of
+    those into a row operation too.  Only the transforms named in keep
+    are built and updated; the others stay None.  The operations on d
+    do not depend on keep, so every kept transform is the same whichever
+    others are kept.
+
+    pinv is not updated inline.  With pinv kept, the row steps are
+    recorded in steps, and result() derives pinv from d == p @ a @ q
+    when it can and replays the steps on the identity otherwise (see
+    _pinv).  carry, when given, takes the place of p, so that the
+    worker ends with p @ carry: rows indexed like the rows of a that
+    follow each row step.  follow, when given, takes the place of qinv,
+    so that the worker ends with qinv @ follow: rows indexed like the
+    columns of a that follow each column step with its inverse.
     """
 
-    def __init__(self, a: Matrix, keep=TRANSFORMS, follow=None):
+    def __init__(self, a: Matrix, keep=TRANSFORMS, carry=None, follow=None):
+        self.a = a
         self.ring = a.ring
         self.mod = a.ring.modulus
         self.r = a.rows
         self.c = a.cols
+        self.keep = keep
         self.d = [list(row) for row in a.entries]
-        self.p = self._eye(self.r) if "p" in keep else None
-        self.pinv_t = self._eye(self.r) if "pinv" in keep else None
+        self.p = self._eye(self.r) if "p" in keep else carry
         self.q_t = self._eye(self.c) if "q" in keep else None
         self.qinv = self._eye(self.c) if "qinv" in keep else follow
+        # Each row step as it acts on the rows of pinv transposed:
+        # (i, j, c) adds c times row j to row i, (i, j, None) swaps
+        # rows i and j, and (i, None, u) scales row i by u.
+        self.steps = [] if "pinv" in keep else None
         # The lists whose rows a row swap or negation moves, and those
         # whose rows a column swap moves.
-        self._row_lists = [x for x in (self.d, self.p, self.pinv_t) if x is not None]
+        self._row_lists = [x for x in (self.d, self.p) if x is not None]
         self._col_lists = [x for x in (self.q_t, self.qinv) if x is not None]
 
     def _eye(self, n):
@@ -635,6 +655,8 @@ class _SnfWorker:
             return
         for rows in self._row_lists:
             rows[i], rows[j] = rows[j], rows[i]
+        if self.steps is not None:
+            self.steps.append((i, j, None))
 
     def swap_cols(self, i, j):
         if i == j:
@@ -645,13 +667,13 @@ class _SnfWorker:
             rows[i], rows[j] = rows[j], rows[i]
 
     def add_row(self, i, j, c):
-        """row_i += c * row_j (on d and p); inverse op recorded on pinv."""
-        d, p, pt, m = self.d, self.p, self.pinv_t, self.mod
+        """row_i += c * row_j (on d and p); the inverse step is recorded for pinv."""
+        d, p, m = self.d, self.p, self.mod
         d[i] = _axpy(d[i], d[j], c, m)
         if p is not None:
             p[i] = _axpy(p[i], p[j], c, m)
-        if pt is not None:
-            pt[j] = _axpy(pt[j], pt[i], -c, m)
+        if self.steps is not None:
+            self.steps.append((j, i, -c))
 
     def add_col(self, j, i, c):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
@@ -670,6 +692,8 @@ class _SnfWorker:
         """row_i *= -1 (over Z only)."""
         for rows in self._row_lists:
             rows[i] = [-x for x in rows[i]]
+        if self.steps is not None:
+            self.steps.append((i, None, -1))
 
     def scale_row(self, i, u):
         """row_i *= u for a unit u (fields only)."""
@@ -677,33 +701,67 @@ class _SnfWorker:
         self.d[i] = _scaled(self.d[i], u, m)
         if self.p is not None:
             self.p[i] = _scaled(self.p[i], u, m)
-        if self.pinv_t is not None:
-            self.pinv_t[i] = _scaled(self.pinv_t[i], self.ring.invert(u), m)
+        if self.steps is not None:
+            self.steps.append((i, None, self.ring.invert(u)))
 
     def diagonal(self) -> list:
         return [self.d[i][i] for i in range(min(self.r, self.c))]
 
+    def _pinv(self, q: Matrix | None) -> Matrix:
+        """p^-1, derived from the finished reduction.
+
+        When q is kept and d has a nonzero diagonal entry in every row,
+        pinv @ d == a @ q determines pinv: its column j is column j of
+        a @ q divided by d_jj, exactly over Z; over a field every d_jj
+        is 1.  Otherwise the recorded row steps are replayed on the
+        identity, so the reduction never runs twice.
+        """
+        ring, r, m = self.ring, self.r, self.mod
+        diag = self.diagonal()
+        if q is not None and len(diag) == r and all(diag):
+            aq = self.a @ (q if r == self.c else q.cols_slice(0, r))
+            divided = [j for j, e in enumerate(diag) if e != 1]
+            if not divided:
+                return aq
+            data = []
+            for row in aq.entries:
+                row = list(row)
+                for j in divided:
+                    row[j], rem = divmod(row[j], diag[j])
+                    if rem:
+                        raise AssertionError("a @ q is not a multiple of the Smith diagonal")
+                data.append(tuple(row))
+            return Matrix._trusted(ring, r, r, tuple(data))
+        pt = self._eye(r)
+        for i, j, c in self.steps:
+            if j is None:
+                pt[i] = _scaled(pt[i], c, m)
+            elif c is None:
+                pt[i], pt[j] = pt[j], pt[i]
+            else:
+                pt[i] = _axpy(pt[i], pt[j], c, m)
+        return Matrix._trusted(ring, r, r, tuple(zip(*pt)))
+
     def result(self) -> SNFResult:
         """The Smith data; a transform that was not kept is None."""
-        ring = self.ring
+        ring, r, c, keep = self.ring, self.r, self.c, self.keep
 
-        def mk(rows, rr, cc, transposed=False):
-            if rows is None:
-                return None
-            return Matrix._trusted(ring, rr, cc, tuple(zip(*rows)) if transposed else tuple(map(tuple, rows)))
+        def mk(rows, rr, cc):
+            return Matrix._trusted(ring, rr, cc, tuple(map(tuple, rows)))
 
+        q = Matrix._trusted(ring, c, c, tuple(zip(*self.q_t))) if "q" in keep else None
         return SNFResult(
-            d=mk(self.d, self.r, self.c),
-            p=mk(self.p, self.r, self.r),
-            q=mk(self.q_t, self.c, self.c, True),
-            pinv=mk(self.pinv_t, self.r, self.r, True),
-            qinv=mk(self.qinv, self.c, self.c),
+            d=mk(self.d, r, c),
+            p=mk(self.p, r, r) if "p" in keep else None,
+            q=q,
+            pinv=self._pinv(q) if "pinv" in keep else None,
+            qinv=mk(self.qinv, c, c) if "qinv" in keep else None,
         )
 
 
-def _smith(a: Matrix, keep=TRANSFORMS) -> _SnfWorker:
+def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
     """The Smith reduction of smith_normal_form, building only the
-    transforms named in keep."""
+    transforms named in keep and carrying carry (see _SnfWorker)."""
     ring = a.ring
     field = ring.is_field()
     if ring.kind == "Zmod" and not field:
@@ -714,7 +772,7 @@ def _smith(a: Matrix, keep=TRANSFORMS) -> _SnfWorker:
     # Over Z and Z/p no nonzero entry has a key below 1, so the scan
     # may stop at the first key of 1; over Q smaller keys exist.
     stop_at_one = ring.kind != "Q"
-    w = _SnfWorker(a, keep)
+    w = _SnfWorker(a, keep, carry)
     d = w.d
     t = 0
     limit = min(w.r, w.c)
@@ -889,14 +947,16 @@ def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
 
 
 def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
-    snf = _smith(a, ("p", "q")).result()
-    c = snf.p @ b
+    """Solve d y == p b entry by entry on the Smith form d = p a q; the
+    rows of b ride along the row steps and end as p b."""
+    w = _smith(a, ("q",), carry=[list(row) for row in b.entries])
+    c = w.p
     y = [[0] * b.cols for _ in range(a.cols)]
     n = min(a.rows, a.cols)
     for i in range(a.rows):
-        di = snf.d.entries[i][i] if i < n else 0
+        di = w.d[i][i] if i < n else 0
         for j in range(b.cols):
-            cij = c.entries[i][j]
+            cij = c[i][j]
             if di == 0:
                 if cij != 0:
                     return None
@@ -904,16 +964,16 @@ def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
                 if cij % di != 0:
                     return None
                 y[i][j] = cij // di
-    return snf.q @ Matrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in y))
+    return w.result().q @ Matrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in y))
 
 
 def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve d y == p b entry by entry on the diagonalization d = p a q."""
+    """Solve d y == p b entry by entry on the diagonalization d = p a q;
+    the rows of b ride along the row steps and end as p b."""
     m = a.ring.modulus
-    w = _SnfWorker(a, ("p", "q"))
+    w = _SnfWorker(a, ("q",), carry=[list(row) for row in b.entries])
     pivots = _diagonalize_mod(w)
-    snf = w.result()
-    c = (snf.p @ b).entries
+    c = w.p
     if any(map(any, c[len(pivots):])):
         return None
     y = []
@@ -923,7 +983,7 @@ def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
             return None
         y.append(ks)
     y += [(0,) * b.cols] * (a.cols - len(pivots))
-    return snf.q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
+    return w.result().q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:

@@ -5,30 +5,36 @@ versions, kept verbatim, and so are _rref with the field solve and
 kernel built on it, the rational determinant loop, the composite Z/m
 lattice routes (kernel_lattice_basis_mod, the kernel and the solve
 built on it, _kernel_zmod_composite and _solve_zmod_composite, and the
-homology one, _homology_mod_composite), and the trial-division
-invariant factors of a sum of cyclic groups that fuzz once built its
-expected homology with (invariant_factors_of_cyclics).  The Smith
-reduction normalises every entry through Ring.normalize after each
-elementary operation, builds one (key, row, column) tuple per
-candidate pivot and rescans the trailing block for divisibility after
-every pivot.  homology_at reads H_n off the cycle lattice: a kernel
-basis of d_n, the coordinates of d_(n+1) in that basis found by a
-solve, and a Smith form of those coordinates.  The old _rref
+homology one, _homology_mod_composite), the solves over Z and over
+composite Z/m that kept p in the Smith worker and then multiplied
+p @ b (solve_integer_via_p and solve_zmod_composite_via_p), and the
+trial-division invariant factors of a sum of cyclic groups that fuzz
+once built its expected homology with (invariant_factors_of_cyclics).
+The Smith reduction normalises every entry through Ring.normalize
+after each elementary operation, builds one (key, row, column) tuple
+per candidate pivot and rescans the trailing block for divisibility
+after every pivot.  homology_at reads H_n off the cycle lattice: a
+kernel basis of d_n, the coordinates of d_(n+1) in that basis found by
+a solve, and a Smith form of those coordinates.  The old _rref
 normalises every entry it writes through Ring.normalize, det
 eliminates with fractions over Q, and each lattice route lifts the
 problem to the lattice {x in Z^c : a x == 0 mod m} and solves and
-Smith-reduces over Z on its own.  The library now computes the same
+Smith-reduces over Z on its own.  The two solves via p run the
+library's own elimination and keep p, where the library now carries
+the rows of b through the row steps.  The library computes the same
 results more cheaply, or from one shared routine; the tests require
-the two to agree exactly, except over composite Z/m: there neither a
-kernel basis nor a solution is unique, so a basis need only have as
-many columns and span the same module, and a solve need only find a
-solution exactly when the oracle does.
+the two to agree exactly, except against the lattice routes over
+composite Z/m: there neither a kernel basis nor a solution is unique,
+so a basis need only have as many columns and span the same module,
+and a solve need only find a solution exactly when the oracle does.
 """
 
 from __future__ import annotations
 
 from chainbench.chains import ChainComplex, HomologySummary
 from fractions import Fraction
+
+from chainbench import exact_linalg
 
 from chainbench.exact_linalg import (
     ZZ,
@@ -373,6 +379,44 @@ def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
     if x_full is None:
         return None
     return x_full.rows_slice(0, a.cols).to_ring(a.ring)
+
+
+def solve_integer_via_p(a: Matrix, b: Matrix) -> Matrix | None:
+    snf = exact_linalg._smith(a, ("p", "q")).result()
+    c = snf.p @ b
+    y = [[0] * b.cols for _ in range(a.cols)]
+    n = min(a.rows, a.cols)
+    for i in range(a.rows):
+        di = snf.d.entries[i][i] if i < n else 0
+        for j in range(b.cols):
+            cij = c.entries[i][j]
+            if di == 0:
+                if cij != 0:
+                    return None
+            else:
+                if cij % di != 0:
+                    return None
+                y[i][j] = cij // di
+    return snf.q @ Matrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in y))
+
+
+def solve_zmod_composite_via_p(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve d y == p b entry by entry on the diagonalization d = p a q."""
+    m = a.ring.modulus
+    w = exact_linalg._SnfWorker(a, ("p", "q"))
+    pivots = exact_linalg._diagonalize_mod(w)
+    snf = w.result()
+    c = (snf.p @ b).entries
+    if any(map(any, c[len(pivots):])):
+        return None
+    y = []
+    for e, row in zip(pivots, c):
+        ks = tuple(exact_linalg._multiplier(e, x, m)[0] for x in row)
+        if None in ks:
+            return None
+        y.append(ks)
+    y += [(0,) * b.cols] * (a.cols - len(pivots))
+    return snf.q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
 
 
 def det(a: Matrix):

@@ -1,12 +1,14 @@
-"""cone, cylinder and pushout_along_cofibration against their oracles,
-on inputs drawn by hypothesis.
+"""cone, cylinder, pushout_along_cofibration, direct_sum, rotate_ses
+and exact_square_total against their oracles, on inputs drawn by
+hypothesis.
 
 tests/construction_oracle.py keeps each construction as it was before
 the library stopped re-checking its structure maps, so the oracle
 still validates the cone and cylinder boundaries and checks every
 structure map.  Hypothesis (derandomized, no example database) draws a
-ring among Z, Q, Z/3 and Z/4, seeds for the fuzz generators and the
-kind of chain map, and the library must return a value object equal to
+ring among Z, Q, Z/3 and Z/4, seeds for the fuzz generators, the kind
+of chain map, the number of summands, and the tower and the index of
+its exact square, and the library must return a value object equal to
 the oracle's.
 """
 
@@ -15,9 +17,26 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import construction_oracle as oracle
-from chainbench.chains import GradedMap, cone, cylinder, pushout_along_cofibration
+from chainbench.chains import (
+    ChainComplex,
+    GradedMap,
+    cone,
+    cylinder,
+    direct_sum,
+    pushout_along_cofibration,
+    rotate_ses,
+    validate_ses,
+)
 from chainbench.exact_linalg import QQ, ZZ, Zmod
-from chainbench.fuzz import random_chain_map, random_complex, random_extension, random_null_homotopic
+from chainbench.fuzz import (
+    random_chain_map,
+    random_complex,
+    random_extension,
+    random_kernel_tower,
+    random_null_homotopic,
+    random_reduced_ladder,
+)
+from chainbench.ladder import exact_square_total
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -79,3 +98,56 @@ def test_cylinder_matches_oracle(f):
 def test_pushout_matches_oracle(legs):
     f, g = legs
     assert pushout_along_cofibration(f, g) == oracle.pushout_along_cofibration(f, g)
+
+
+@st.composite
+def summands(draw):
+    """One to three small complexes, with a zero complex among them
+    half of the time."""
+    rng = random.Random(draw(SEEDS))
+    ring = draw(RINGS)
+    parts = [_small(rng, ring) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), ChainComplex.zero_complex(ring))
+    return parts
+
+
+@st.composite
+def short_exact_sequences(draw):
+    rng = random.Random(draw(SEEDS))
+    ring = draw(RINGS)
+    ext = random_extension(rng, _small(rng, ring), _small(rng, ring))
+    return validate_ses(ext.incl, ext.proj)
+
+
+@st.composite
+def exact_squares(draw):
+    """A reduced ladder or a kernel tower of three or four levels and
+    the index of one of its exact squares."""
+    rng = random.Random(draw(SEEDS))
+    ring = draw(RINGS)
+    levels = draw(st.integers(3, 4))
+    if draw(st.booleans()):
+        tower = random_reduced_ladder(rng, ring, n_levels=levels).complex
+    else:
+        tower = random_kernel_tower(rng, ring, n_levels=levels, s_rank=draw(st.integers(1, 2))).complex
+    return tower, draw(st.integers(1, tower.top_index - 1))
+
+
+@PROPERTY
+@given(summands())
+def test_direct_sum_matches_oracle(parts):
+    assert direct_sum(*parts) == oracle.direct_sum(*parts)
+
+
+@PROPERTY
+@given(short_exact_sequences())
+def test_rotate_ses_matches_oracle(ses):
+    assert rotate_ses(ses) == oracle.rotate_ses(ses)
+
+
+@PROPERTY
+@given(exact_squares())
+def test_exact_square_total_matches_oracle(square):
+    tower, m = square
+    assert exact_square_total(tower, m) == oracle.exact_square_total(tower, m)
