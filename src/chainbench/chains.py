@@ -76,6 +76,13 @@ from .exact_linalg import (
 # produce; exact elimination on total rank r costs about r^3 time.
 MAX_TOTAL_RANK = 4096
 
+# Largest Leibniz system, rows times columns, that leibniz_system
+# assembles.  Assembly and solve hold it densely, at about 40 bytes an
+# entry: `homotopy` on a 2809 x 2809 system over Z peaked at 320 MB of
+# memory, while complexes far inside MAX_TOTAL_RANK give systems of
+# many gigabytes.
+_MAX_LEIBNIZ_ENTRIES = 1 << 23
+
 
 @record
 class ChainComplex:
@@ -540,7 +547,6 @@ def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, de
     vec((df)_n) = vec(d f_n - (-1)^degree f_(n-1) d), so the rows are
     laid out like the unknowns of a degree-(degree - 1) map.
     """
-    sign = 1 if degree % 2 == 0 else -1
     for n, t in src.ranks:
         p = tgt.rank(n + degree - 1)
         if p == 0:
@@ -550,7 +556,8 @@ def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, de
         if system.has(here):
             terms.append((here, _coeff_left(tgt.diff(n + degree), t)))
         if system.has(below):
-            terms.append((below, _coeff_right(src.diff(n), p).scale(-sign)))
+            coeff = _coeff_right(src.diff(n), p)
+            terms.append((below, coeff if degree % 2 else -coeff))
         system.condition(p * t, terms)
 
 
@@ -570,8 +577,16 @@ def leibniz_system(src: ChainComplex, tgt: ChainComplex, degree: int):
     coordinates of the resulting degree-(degree - 1) map, laid out like
     _map_system(src, tgt, degree - 1).  Kernel vectors of a are
     precisely the chain maps, and solving a x == b finds preimages
-    under d.
+    under d.  Raises ValueError, before assembling anything, when the
+    system has more than _MAX_LEIBNIZ_ENTRIES entries.
     """
+    rows = sum(t * tgt.rank(n + degree - 1) for n, t in src.ranks)
+    cols = sum(t * tgt.rank(n + degree) for n, t in src.ranks)
+    if rows * cols > _MAX_LEIBNIZ_ENTRIES:
+        raise ValueError(
+            f"the Leibniz system has {rows} rows and {cols} columns, "
+            f"{rows * cols} entries, over the limit of {_MAX_LEIBNIZ_ENTRIES}"
+        )
     system = _map_system(src, tgt, degree)
     _leibniz_rows(system, src, tgt, degree, lambda n: n)
     return system.matrix(), system

@@ -19,27 +19,36 @@ the first entry of absolute value 1; over Q it always scans the whole
 block.  The divisibility check that follows each pivot is skipped when
 the pivot is 1.
 
-The Smith reduction, _rref over Z/p and the elimination over
-composite Z/m share one row arithmetic, _axpy and _scaled, on raw
-entries, whole rows at a time: integer and rational arithmetic is
-closed and canonical, so the only reduction is % m over Z/m.  _rref
+All elimination works on raw entries: integer and rational
+arithmetic is closed and canonical, so the only reduction is % m over
+Z/m.  _rref over Z/p updates whole rows with _axpy and _scaled.  _rref
 over Q, which solve_linear and kernel_basis read, is fraction-free
 Gauss-Jordan elimination on rows cleared of their denominators, with
-one division by the last pivot at the end.  Each caller eliminates
-only what it reads.  The Smith reduction builds only the
-transforms its caller asks for, and tracks only p, q and qinv step by
-step.  pinv is derived once the reduction ends: its row steps are
-recorded, and when q is kept and every row of d holds a nonzero
-pivot, pinv @ d == a @ q makes column j of pinv column j of a @ q
-divided by d_jj (exactly over Z; d_jj is 1 over a field); otherwise
-the recorded steps are replayed on the identity.  A right-hand side
-is carried: a solve starts the worker's p from the rows of b, so the
-same row steps leave p @ b there.  smith_normal_form asks for all
-four transforms, a solve over Z for q with b carried, a kernel over Z
-for q, invariant_factors for none.  rank over Z and Q and det over
-every ring are one fraction-free Bareiss elimination, over Q after
-scaling each row by the lcm of its denominators; rank over Z/p is the
-row echelon form.  Over composite Z/m everything runs in Z/m itself
+one division by the last pivot at the end.  The Smith reduction and
+the elimination over composite Z/m share one worker, _SnfWorker.  It
+keeps each row of d joined in one list with the row of p, or with the
+row of a carried right-hand side, so a row swap, negation, scaling or
+addition acts once per row.  Its row steps work on a live column
+window: every row at or below the current pivot is zero left of the
+pivot column, and every finished pivot row is zero off its diagonal,
+so a step on rows i and j starts at column min(i, j).  q and qinv
+only see column steps; both are kept as rows (q transposed), so a
+column step is a row update too.  Every such update, _axpy_sparse,
+works in place and touches only the positions where the source row is
+nonzero.  Each caller eliminates only what it reads.  The Smith
+reduction builds only the transforms its caller asks for, and tracks
+only p, q and qinv step by step.  pinv is derived once the reduction
+ends: its row steps are recorded, and when q is kept and every row of
+d holds a nonzero pivot, pinv @ d == a @ q makes column j of pinv
+column j of a @ q divided by d_jj (exactly over Z; d_jj is 1 over a
+field); otherwise the recorded steps are replayed on the identity.  A
+right-hand side is carried: a solve joins the rows of b to the rows of
+a in place of p, so the same row steps leave p @ b there.
+smith_normal_form asks for all four transforms, a solve over Z for q
+with b carried, a kernel over Z for q, invariant_factors for none.
+rank over Z and Q and det over every ring are one fraction-free
+Bareiss elimination, over Q after scaling each row by the lcm of its
+denominators; rank over Z/p is the row echelon form.  Over composite Z/m everything runs in Z/m itself
 on one diagonalization with extended-gcd steps, which never factors
 m: cycle_quotient_mod reads homology off two of them, kernel_basis
 reads a kernel off one that keeps q, and solve_linear solves on one
@@ -72,6 +81,7 @@ QQ.zero and QQ.one are one shared Fraction each.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
 from math import gcd, lcm, prod
 from operator import add, neg, sub
 
@@ -601,49 +611,75 @@ def _scaled(x, u, m):
     return [u * a % m for a in x]
 
 
+def _axpy_sparse(x, y, c, m, start=0):
+    """x += c * y in place from position start on, only where y is
+    nonzero; each entry written is reduced % m unless m is None."""
+    if m is None:
+        for k in compress(range(start, len(y)), islice(y, start, None)):
+            x[k] += c * y[k]
+    else:
+        for k in compress(range(start, len(y)), islice(y, start, None)):
+            x[k] = (x[k] + c * y[k]) % m
+
+
 TRANSFORMS = ("p", "pinv", "q", "qinv")
 
 
 class _SnfWorker:
     """Mutable state for the Smith reduction with tracked elementary ops.
 
-    Entries are raw ring values and every operation is plain arithmetic
-    on whole rows: integers and fractions are closed and canonical, so
-    the only reduction left is % m over Z/m.  q only ever sees column
-    operations, so it is kept transposed (q_t), which turns each of
-    those into a row operation too.  Only the transforms named in keep
-    are built and updated; the others stay None.  The operations on d
-    do not depend on keep, so every kept transform is the same whichever
-    others are kept.
+    Entries are raw ring values and every operation is plain arithmetic:
+    integers and fractions are closed and canonical, so the only
+    reduction left is % m over Z/m.
 
-    pinv is not updated inline.  With pinv kept, the row steps are
-    recorded in steps, and result() derives pinv from d == p @ a @ q
-    when it can and replays the steps on the identity otherwise (see
-    _pinv).  carry, when given, takes the place of p, so that the
-    worker ends with p @ carry: rows indexed like the rows of a that
-    follow each row step.  follow, when given, takes the place of qinv,
-    so that the worker ends with qinv @ follow: rows indexed like the
-    columns of a that follow each column step with its inverse.
+    rows holds one list per row of a: the row of d, its first c
+    entries, followed by the row of p when p is kept, or else by the
+    row of carry, when given.  carry thus follows each row step, and
+    the worker ends with p @ carry there.  A row swap, negation,
+    scaling or addition acts once per row, on d and on what rides
+    along.  Both reductions keep every row at or below the current
+    pivot t zero left of column t, and every finished pivot row zero
+    off its diagonal.  So add_row(i, j, c) starts at column min(i, j),
+    and negate_row(t) and scale_row(t, u), which only ever act on the
+    pivot row, start at column t: the entries before are known zero.
+
+    q only ever sees column operations, so it is kept transposed (q_t),
+    which turns each of them into a row operation; qinv sees the
+    inverse steps as row operations.  follow, when given, takes the
+    place of qinv, so that the worker ends with qinv @ follow: rows
+    indexed like the columns of a that follow each column step with its
+    inverse.  Every row update, on rows, q_t and qinv alike, is made in
+    place by _axpy_sparse, only where the source row is nonzero.
+
+    Only the transforms named in keep are built and updated; the others
+    stay None.  The operations on d do not depend on keep, so every
+    kept transform is the same whichever others are kept.  pinv is not
+    updated inline.  With pinv kept, the row steps are recorded in
+    steps, and result() derives pinv from d == p @ a @ q when it can
+    and replays the steps on the identity otherwise (see _pinv).
     """
 
     def __init__(self, a: Matrix, keep=TRANSFORMS, carry=None, follow=None):
         self.a = a
         self.ring = a.ring
         self.mod = a.ring.modulus
-        self.r = a.rows
+        self.r = r = a.rows
         self.c = a.cols
         self.keep = keep
-        self.d = [list(row) for row in a.entries]
-        self.p = self._eye(self.r) if "p" in keep else carry
+        if "p" in keep:
+            z, o = self.ring.zero, self.ring.one
+            self.rows = [[*row, *(z,) * i, o, *(z,) * (r - 1 - i)] for i, row in enumerate(a.entries)]
+        elif carry is not None:
+            self.rows = [[*row, *tail] for row, tail in zip(a.entries, carry)]
+        else:
+            self.rows = [list(row) for row in a.entries]
         self.q_t = self._eye(self.c) if "q" in keep else None
         self.qinv = self._eye(self.c) if "qinv" in keep else follow
         # Each row step as it acts on the rows of pinv transposed:
         # (i, j, c) adds c times row j to row i, (i, j, None) swaps
         # rows i and j, and (i, None, u) scales row i by u.
         self.steps = [] if "pinv" in keep else None
-        # The lists whose rows a row swap or negation moves, and those
-        # whose rows a column swap moves.
-        self._row_lists = [x for x in (self.d, self.p) if x is not None]
+        # The lists whose rows a column swap moves.
         self._col_lists = [x for x in (self.q_t, self.qinv) if x is not None]
 
     def _eye(self, n):
@@ -653,59 +689,60 @@ class _SnfWorker:
     def swap_rows(self, i, j):
         if i == j:
             return
-        for rows in self._row_lists:
-            rows[i], rows[j] = rows[j], rows[i]
+        rows = self.rows
+        rows[i], rows[j] = rows[j], rows[i]
         if self.steps is not None:
             self.steps.append((i, j, None))
 
     def swap_cols(self, i, j):
         if i == j:
             return
-        for row in self.d:
+        for row in self.rows:
             row[i], row[j] = row[j], row[i]
         for rows in self._col_lists:
             rows[i], rows[j] = rows[j], rows[i]
 
     def add_row(self, i, j, c):
-        """row_i += c * row_j (on d and p); the inverse step is recorded for pinv."""
-        d, p, m = self.d, self.p, self.mod
-        d[i] = _axpy(d[i], d[j], c, m)
-        if p is not None:
-            p[i] = _axpy(p[i], p[j], c, m)
+        """row_i += c * row_j from column min(i, j) on; the inverse step is recorded for pinv."""
+        _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
     def add_col(self, j, i, c):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
         m = self.mod
-        for row in self.d:
+        for row in self.rows:
             x = row[i]
             if x:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
-        qt, qinv = self.q_t, self.qinv
-        if qt is not None:
-            qt[j] = _axpy(qt[j], qt[i], c, m)
-        if qinv is not None:
-            qinv[i] = _axpy(qinv[i], qinv[j], -c, m)
+        if self.q_t is not None:
+            _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
+        if self.qinv is not None:
+            _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)
 
     def negate_row(self, i):
-        """row_i *= -1 (over Z only)."""
-        for rows in self._row_lists:
-            rows[i] = [-x for x in rows[i]]
+        """row_i *= -1 (over Z only) from column i on, for pivot row i."""
+        x = self.rows[i]
+        x[i:] = [-v for v in x[i:]]
         if self.steps is not None:
             self.steps.append((i, None, -1))
 
     def scale_row(self, i, u):
-        """row_i *= u for a unit u (fields only)."""
-        m = self.mod
-        self.d[i] = _scaled(self.d[i], u, m)
-        if self.p is not None:
-            self.p[i] = _scaled(self.p[i], u, m)
+        """row_i *= u for a unit u (fields only) from column i on, for pivot row i."""
+        x = self.rows[i]
+        x[i:] = _scaled(x[i:], u, self.mod)
         if self.steps is not None:
             self.steps.append((i, None, self.ring.invert(u)))
 
     def diagonal(self) -> list:
-        return [self.d[i][i] for i in range(min(self.r, self.c))]
+        rows = self.rows
+        return [rows[i][i] for i in range(min(self.r, self.c))]
+
+    def q_columns(self, start: int = 0) -> Matrix:
+        """Columns start, ..., c - 1 of q; q must be kept."""
+        c = self.c
+        data = tuple(zip(*self.q_t[start:])) if start < c else ((),) * c
+        return Matrix._trusted(self.ring, c, c - start, data)
 
     def _pinv(self, q: Matrix | None) -> Matrix:
         """p^-1, derived from the finished reduction.
@@ -744,18 +781,14 @@ class _SnfWorker:
 
     def result(self) -> SNFResult:
         """The Smith data; a transform that was not kept is None."""
-        ring, r, c, keep = self.ring, self.r, self.c, self.keep
-
-        def mk(rows, rr, cc):
-            return Matrix._trusted(ring, rr, cc, tuple(map(tuple, rows)))
-
-        q = Matrix._trusted(ring, c, c, tuple(zip(*self.q_t))) if "q" in keep else None
+        ring, r, c, keep, rows = self.ring, self.r, self.c, self.keep, self.rows
+        q = self.q_columns() if "q" in keep else None
         return SNFResult(
-            d=mk(self.d, r, c),
-            p=mk(self.p, r, r) if "p" in keep else None,
+            d=Matrix._trusted(ring, r, c, tuple(tuple(row[:c]) for row in rows)),
+            p=Matrix._trusted(ring, r, r, tuple(tuple(row[c:]) for row in rows)) if "p" in keep else None,
             q=q,
             pinv=self._pinv(q) if "pinv" in keep else None,
-            qinv=mk(self.qinv, c, c) if "qinv" in keep else None,
+            qinv=Matrix._trusted(ring, c, c, tuple(map(tuple, self.qinv))) if "qinv" in keep else None,
         )
 
 
@@ -773,7 +806,7 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
     # may stop at the first key of 1; over Q smaller keys exist.
     stop_at_one = ring.kind != "Q"
     w = _SnfWorker(a, keep, carry)
-    d = w.d
+    d = w.rows
     t = 0
     limit = min(w.r, w.c)
     while t < limit:
@@ -827,7 +860,8 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
         if not field and piv != 1:
             bad_row = -1
             for i in range(t + 1, w.r):
-                if any(x % piv for x in d[i][t + 1:]):
+                # Past column c a joined row holds p or the carried b.
+                if any(x % piv for x in d[i][t + 1:w.c]):
                     bad_row = i
                     break
             if bad_row >= 0:
@@ -949,41 +983,44 @@ def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
 def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve d y == p b entry by entry on the Smith form d = p a q; the
     rows of b ride along the row steps and end as p b."""
-    w = _smith(a, ("q",), carry=[list(row) for row in b.entries])
-    c = w.p
-    y = [[0] * b.cols for _ in range(a.cols)]
-    n = min(a.rows, a.cols)
-    for i in range(a.rows):
-        di = w.d[i][i] if i < n else 0
-        for j in range(b.cols):
-            cij = c[i][j]
-            if di == 0:
-                if cij != 0:
-                    return None
-            else:
-                if cij % di != 0:
-                    return None
-                y[i][j] = cij // di
-    return w.result().q @ Matrix(ZZ, a.cols, b.cols, tuple(tuple(r) for r in y))
+    w = _smith(a, ("q",), carry=b.entries)
+    cols = a.cols
+    y = []
+    for i, row in enumerate(w.rows):
+        di = row[i] if i < cols else 0
+        if di == 0:
+            if any(row[cols:]):
+                return None
+            y.append(row[cols:])
+            continue
+        ys = []
+        for cij in row[cols:]:
+            yij, rem = divmod(cij, di)
+            if rem:
+                return None
+            ys.append(yij)
+        y.append(ys)
+    y = tuple(map(tuple, y[:cols])) + ((0,) * b.cols,) * (cols - len(y))
+    return w.q_columns() @ Matrix._trusted(ZZ, cols, b.cols, y)
 
 
 def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve d y == p b entry by entry on the diagonalization d = p a q;
     the rows of b ride along the row steps and end as p b."""
     m = a.ring.modulus
-    w = _SnfWorker(a, ("q",), carry=[list(row) for row in b.entries])
+    w = _SnfWorker(a, ("q",), carry=b.entries)
     pivots = _diagonalize_mod(w)
-    c = w.p
-    if any(map(any, c[len(pivots):])):
+    cols = a.cols
+    if any(any(row[cols:]) for row in w.rows[len(pivots):]):
         return None
     y = []
-    for e, row in zip(pivots, c):
-        ks = tuple(_multiplier(e, x, m)[0] for x in row)
+    for e, row in zip(pivots, w.rows):
+        ks = tuple(_multiplier(e, x, m)[0] for x in row[cols:])
         if None in ks:
             return None
         y.append(ks)
-    y += [(0,) * b.cols] * (a.cols - len(pivots))
-    return w.result().q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
+    y += [(0,) * b.cols] * (cols - len(pivots))
+    return w.q_columns() @ Matrix._trusted(a.ring, cols, b.cols, tuple(y))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -1021,8 +1058,8 @@ def _kernel_field(a: Matrix) -> Matrix:
 
 
 def _kernel_integer(a: Matrix) -> Matrix:
-    snf = _smith(a, ("q",)).result()
-    return snf.q.cols_slice(snf.rank, a.cols)
+    w = _smith(a, ("q",))
+    return w.q_columns(sum(1 for x in w.diagonal() if x))
 
 
 def _kernel_zmod_composite(a: Matrix) -> Matrix:
@@ -1043,7 +1080,7 @@ def _kernel_zmod_composite(a: Matrix) -> Matrix:
         raise NonFreeKernel(
             f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
         )
-    return w.result().q.cols_slice(len(pivots), a.cols)
+    return w.q_columns(len(pivots))
 
 
 def _diagonalize_mod(w: _SnfWorker) -> list:
@@ -1066,7 +1103,7 @@ def _diagonalize_mod(w: _SnfWorker) -> list:
     a unit pivot it is not made.  Pivot t ends at d[t][t] and all else
     is zero.
     """
-    d, m = w.d, w.mod
+    d, m = w.rows, w.mod
     t = 0
     while t < min(w.r, w.c):
         ideal = gcd(d[t - 1][t - 1], m) if t else 1

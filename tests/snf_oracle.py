@@ -9,7 +9,10 @@ homology one, _homology_mod_composite), the solves over Z and over
 composite Z/m that kept p in the Smith worker and then multiplied
 p @ b (solve_integer_via_p and solve_zmod_composite_via_p), and the
 trial-division invariant factors of a sum of cyclic groups that fuzz
-once built its expected homology with (invariant_factors_of_cyclics).
+once built its expected homology with (invariant_factors_of_cyclics),
+and the Smith worker that kept d, p and carry as separate lists and
+updated whole rows (DenseSnfWorker), with the composite kernel and
+solve run on it.
 The Smith reduction normalises every entry through Ring.normalize
 after each elementary operation, builds one (key, row, column) tuple
 per candidate pivot and rescans the trailing block for divisibility
@@ -487,3 +490,202 @@ def invariant_factors_of_cyclics(orders) -> tuple:
                 factor *= plist[slot]
         chain.append(factor)
     return tuple(reversed(chain))
+
+
+# ---------------------------------------------------------------------------
+# The composite kernel and solve on the dense worker
+
+
+class DenseSnfWorker:
+    """The Smith worker before its rows were joined.
+
+    d, p and carry are separate lists, and every step acts on whole
+    rows; each column step on q_t and qinv is a whole-row update.  The
+    code is the library's as it was, except that rows also names d, the
+    list that exact_linalg._diagonalize_mod reads, so that the library's
+    composite diagonalization runs its exact step sequence on these
+    dense rows.  Its earlier docstring follows.
+
+    Entries are raw ring values and every operation is plain arithmetic
+    on whole rows: integers and fractions are closed and canonical, so
+    the only reduction left is % m over Z/m.  q only ever sees column
+    operations, so it is kept transposed (q_t), which turns each of
+    those into a row operation too.  Only the transforms named in keep
+    are built and updated; the others stay None.  The operations on d
+    do not depend on keep, so every kept transform is the same whichever
+    others are kept.
+
+    pinv is not updated inline.  With pinv kept, the row steps are
+    recorded in steps, and result() derives pinv from d == p @ a @ q
+    when it can and replays the steps on the identity otherwise (see
+    _pinv).  carry, when given, takes the place of p, so that the
+    worker ends with p @ carry: rows indexed like the rows of a that
+    follow each row step.  follow, when given, takes the place of qinv,
+    so that the worker ends with qinv @ follow: rows indexed like the
+    columns of a that follow each column step with its inverse.
+    """
+
+    def __init__(self, a: Matrix, keep=exact_linalg.TRANSFORMS, carry=None, follow=None):
+        self.a = a
+        self.ring = a.ring
+        self.mod = a.ring.modulus
+        self.r = a.rows
+        self.c = a.cols
+        self.keep = keep
+        self.d = [list(row) for row in a.entries]
+        self.rows = self.d
+        self.p = self._eye(self.r) if "p" in keep else carry
+        self.q_t = self._eye(self.c) if "q" in keep else None
+        self.qinv = self._eye(self.c) if "qinv" in keep else follow
+        # Each row step as it acts on the rows of pinv transposed:
+        # (i, j, c) adds c times row j to row i, (i, j, None) swaps
+        # rows i and j, and (i, None, u) scales row i by u.
+        self.steps = [] if "pinv" in keep else None
+        # The lists whose rows a row swap or negation moves, and those
+        # whose rows a column swap moves.
+        self._row_lists = [x for x in (self.d, self.p) if x is not None]
+        self._col_lists = [x for x in (self.q_t, self.qinv) if x is not None]
+
+    def _eye(self, n):
+        z, o = self.ring.zero, self.ring.one
+        return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+    def swap_rows(self, i, j):
+        if i == j:
+            return
+        for rows in self._row_lists:
+            rows[i], rows[j] = rows[j], rows[i]
+        if self.steps is not None:
+            self.steps.append((i, j, None))
+
+    def swap_cols(self, i, j):
+        if i == j:
+            return
+        for row in self.d:
+            row[i], row[j] = row[j], row[i]
+        for rows in self._col_lists:
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def add_row(self, i, j, c):
+        """row_i += c * row_j (on d and p); the inverse step is recorded for pinv."""
+        d, p, m = self.d, self.p, self.mod
+        d[i] = exact_linalg._axpy(d[i], d[j], c, m)
+        if p is not None:
+            p[i] = exact_linalg._axpy(p[i], p[j], c, m)
+        if self.steps is not None:
+            self.steps.append((j, i, -c))
+
+    def add_col(self, j, i, c):
+        """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
+        m = self.mod
+        for row in self.d:
+            x = row[i]
+            if x:
+                row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
+        qt, qinv = self.q_t, self.qinv
+        if qt is not None:
+            qt[j] = exact_linalg._axpy(qt[j], qt[i], c, m)
+        if qinv is not None:
+            qinv[i] = exact_linalg._axpy(qinv[i], qinv[j], -c, m)
+
+    def negate_row(self, i):
+        """row_i *= -1 (over Z only)."""
+        for rows in self._row_lists:
+            rows[i] = [-x for x in rows[i]]
+        if self.steps is not None:
+            self.steps.append((i, None, -1))
+
+    def scale_row(self, i, u):
+        """row_i *= u for a unit u (fields only)."""
+        m = self.mod
+        self.d[i] = exact_linalg._scaled(self.d[i], u, m)
+        if self.p is not None:
+            self.p[i] = exact_linalg._scaled(self.p[i], u, m)
+        if self.steps is not None:
+            self.steps.append((i, None, self.ring.invert(u)))
+
+    def diagonal(self) -> list:
+        return [self.d[i][i] for i in range(min(self.r, self.c))]
+
+    def _pinv(self, q: Matrix | None) -> Matrix:
+        """p^-1, derived from the finished reduction.
+
+        When q is kept and d has a nonzero diagonal entry in every row,
+        pinv @ d == a @ q determines pinv: its column j is column j of
+        a @ q divided by d_jj, exactly over Z; over a field every d_jj
+        is 1.  Otherwise the recorded row steps are replayed on the
+        identity, so the reduction never runs twice.
+        """
+        ring, r, m = self.ring, self.r, self.mod
+        diag = self.diagonal()
+        if q is not None and len(diag) == r and all(diag):
+            aq = self.a @ (q if r == self.c else q.cols_slice(0, r))
+            divided = [j for j, e in enumerate(diag) if e != 1]
+            if not divided:
+                return aq
+            data = []
+            for row in aq.entries:
+                row = list(row)
+                for j in divided:
+                    row[j], rem = divmod(row[j], diag[j])
+                    if rem:
+                        raise AssertionError("a @ q is not a multiple of the Smith diagonal")
+                data.append(tuple(row))
+            return Matrix._trusted(ring, r, r, tuple(data))
+        pt = self._eye(r)
+        for i, j, c in self.steps:
+            if j is None:
+                pt[i] = exact_linalg._scaled(pt[i], c, m)
+            elif c is None:
+                pt[i], pt[j] = pt[j], pt[i]
+            else:
+                pt[i] = exact_linalg._axpy(pt[i], pt[j], c, m)
+        return Matrix._trusted(ring, r, r, tuple(zip(*pt)))
+
+    def result(self) -> SNFResult:
+        """The Smith data; a transform that was not kept is None."""
+        ring, r, c, keep = self.ring, self.r, self.c, self.keep
+
+        def mk(rows, rr, cc):
+            return Matrix._trusted(ring, rr, cc, tuple(map(tuple, rows)))
+
+        q = Matrix._trusted(ring, c, c, tuple(zip(*self.q_t))) if "q" in keep else None
+        return SNFResult(
+            d=mk(self.d, r, c),
+            p=mk(self.p, r, r) if "p" in keep else None,
+            q=q,
+            pinv=self._pinv(q) if "pinv" in keep else None,
+            qinv=mk(self.qinv, c, c) if "qinv" in keep else None,
+        )
+
+
+def kernel_zmod_composite_dense(a: Matrix) -> Matrix:
+    """exact_linalg._kernel_zmod_composite on DenseSnfWorker."""
+    m = a.ring.modulus
+    w = DenseSnfWorker(a, ("q",))
+    pivots = exact_linalg._diagonalize_mod(w)
+    orders = exact_linalg._cyclic_orders(pivots, a.cols, m)
+    bad = [x for x in exact_linalg._invariant_chain(orders) if x != m]
+    if bad:
+        raise NonFreeKernel(
+            f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
+        )
+    return w.result().q.cols_slice(len(pivots), a.cols)
+
+
+def solve_zmod_composite_dense(a: Matrix, b: Matrix) -> Matrix | None:
+    """exact_linalg._solve_zmod_composite on DenseSnfWorker, b carried."""
+    m = a.ring.modulus
+    w = DenseSnfWorker(a, ("q",), carry=[list(row) for row in b.entries])
+    pivots = exact_linalg._diagonalize_mod(w)
+    c = w.p
+    if any(map(any, c[len(pivots):])):
+        return None
+    y = []
+    for e, row in zip(pivots, c):
+        ks = tuple(exact_linalg._multiplier(e, x, m)[0] for x in row)
+        if None in ks:
+            return None
+        y.append(ks)
+    y += [(0,) * b.cols] * (a.cols - len(pivots))
+    return w.result().q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))

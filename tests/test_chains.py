@@ -415,6 +415,28 @@ def test_contraction_avoids_kronecker_system(monkeypatch):
     assert find_contraction(two_term(ZZ, 3)) is None
 
 
+def test_leibniz_bound_counts_the_assembled_size(monkeypatch):
+    """leibniz_system counts the rows and columns of its system from the
+    ranks before assembling it; the counts are those of the assembled
+    matrix, so exactly the systems over the bound are refused."""
+    import chainbench.chains as chains
+
+    rng = random.Random(20261019)
+    for ring in (ZZ, QQ, Zmod(4)):
+        for _ in range(12):
+            src = random_complex(rng, ring).complex
+            tgt = random_complex(rng, ring).complex
+            degree = rng.randint(-1, 2)
+            a, _ = chains.leibniz_system(src, tgt, degree)
+            monkeypatch.setattr(chains, "_MAX_LEIBNIZ_ENTRIES", a.rows * a.cols)
+            assert chains.leibniz_system(src, tgt, degree)[0] == a
+            if a.rows * a.cols:
+                monkeypatch.setattr(chains, "_MAX_LEIBNIZ_ENTRIES", a.rows * a.cols - 1)
+                with pytest.raises(ValueError, match=f"{a.rows} rows and {a.cols} columns"):
+                    chains.leibniz_system(src, tgt, degree)
+            monkeypatch.undo()
+
+
 def test_witness_composition_rules():
     rng = random.Random(3)
     for _ in range(15):

@@ -391,6 +391,28 @@ def test_nilpotency_composite_over_the_cap_exits_2_in_a_subprocess(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_homotopy_over_the_leibniz_bound_exits_2_in_a_subprocess(tmp_path):
+    """A map between complexes of total rank 64 and 128, far inside
+    MAX_TOTAL_RANK, whose Leibniz system would be 4096 x 4096: the
+    homotopy search must refuse it, naming the size, before assembling
+    it.  The address-space limit keeps a regression from taking the
+    host's memory."""
+    src = ChainComplex.build(ZZ, {0: 64}, {})
+    tgt = ChainComplex.build(ZZ, {0: 64, 1: 64}, {1: Matrix.identity(ZZ, 64)})
+    f = GradedMap.build(src, tgt, 0, {0: Matrix.identity(ZZ, 64)})
+    path = write(tmp_path, "pair64.json", dump_graded_map(f))
+    limit = (1 << 30, 1 << 30)
+    done = run_child(
+        "homotopy", path, "--json", timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert done.returncode == 2, done.stderr
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "error"
+    assert "4096 rows and 4096 columns" in report["message"]
+    assert "Traceback" not in done.stderr
+
+
 def test_count_options_out_of_range_exit_2(tmp_path, capsys):
     """Negative or oversized counts are usage errors, never a verdict."""
     jordan = write(tmp_path, "jordan.json", dump_dcomplex(jordan_dcomplex()))
