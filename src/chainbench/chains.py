@@ -58,6 +58,7 @@ from .exact_linalg import (
     Matrix,
     Ring,
     ShapeMismatch,
+    _is_onto,
     block_matrix,
     cycle_quotient_mod,
     invariant_factors,
@@ -145,6 +146,16 @@ class ChainComplex:
     def _diff_map(self):
         return dict(self.diffs)
 
+    @cached_property
+    def _identity_blocks(self):
+        """The blocks of GradedMap.identity(self), made once per complex.
+
+        Only the blocks are kept, not a map pointing back at self, so no
+        reference cycle forms.  GradedMap.compose recognizes a map whose
+        blocks are this very tuple as the identity.
+        """
+        return tuple((n, Matrix.identity(self.ring, r)) for n, r in self.ranks)
+
     def rank(self, n: int) -> int:
         return self._rank_map.get(n, 0)
 
@@ -192,7 +203,9 @@ class GradedMap:
     stored blocks and the stored differentials.  build checks the ring
     and shape of every block it is given; compose, leibniz, + and
     negation build their results from blocks of known ring and shape
-    with _unchecked, which only drops the zero blocks.
+    with _unchecked, which only drops the zero blocks.  identity hands
+    out the blocks its complex keeps, and compose returns the other
+    factor when one factor is such an identity.
     """
 
     source: ChainComplex
@@ -239,9 +252,13 @@ class GradedMap:
 
     @staticmethod
     def identity(c: ChainComplex) -> "GradedMap":
-        return GradedMap.build(
-            c, c, 0, {n: Matrix.identity(c.ring, r) for n, r in c.ranks}
-        )
+        return GradedMap(c, c, 0, c._identity_blocks)
+
+    def _is_identity(self) -> bool:
+        """Whether self is GradedMap.identity of its source, by object
+        identity alone: its blocks are the ones the source stores."""
+        c = self.source
+        return self.target is c and self.degree == 0 and self.blocks is c.__dict__.get("_identity_blocks")
 
     @cached_property
     def _block_map(self):
@@ -283,8 +300,14 @@ class GradedMap:
         )
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
-        if other.target != self.source:
+        """self after other; a factor that is GradedMap.identity returns
+        the other factor unchanged."""
+        if other.target is self.source:
+            if self._is_identity():
+                return other
+            if other._is_identity():
+                return self
+        elif other.target != self.source:
             raise ShapeMismatch("composition needs other.target == self.source")
         mine = self._block_map
         out = {}
@@ -738,9 +761,10 @@ def cone(f: GradedMap) -> ConeData:
     return _cone(f)
 
 
-def _cone(f: GradedMap) -> ConeData:
-    """The cone of f, for a caller that has checked f is a degree-0 chain
-    map; d^2 == 0 and the structure maps follow from that, unchecked."""
+def _cone_complex(f: GradedMap) -> ChainComplex:
+    """The complex of the cone of f, without its structure maps, for a
+    caller that has checked f is a degree-0 chain map and reads only
+    the complex; d^2 == 0 follows from that, unchecked."""
     a, b = f.source, f.target
     ring = a.ring
     degrees = sorted({n for n in b.degrees()} | {n + 1 for n in a.degrees()})
@@ -756,7 +780,21 @@ def _cone(f: GradedMap) -> ConeData:
         )
         for n in degrees
     }
-    cx = ChainComplex.build(ring, ranks, diffs, validate=False)
+    return ChainComplex.build(ring, ranks, diffs, validate=False)
+
+
+def _cone(f: GradedMap) -> ConeData:
+    """The cone of f with its structure maps, for a caller that has
+    checked f is a degree-0 chain map; the complex is _cone_complex(f),
+    and the inclusion and projection are chain maps by their block
+    form, unchecked."""
+    a, b = f.source, f.target
+    ring = a.ring
+    cx = _cone_complex(f)
+
+    def sizes(n):
+        return [a.rank(n - 1), b.rank(n)]
+
     incl = {
         n: block_matrix(ring, sizes(n), [b.rank(n)], {(1, 0): Matrix.identity(ring, b.rank(n))})
         for n in b.degrees()
@@ -1045,8 +1083,8 @@ def rotate_ses(data: SESData) -> RotatedSES:
     gamma = GradedMap.build(down, x, 0, {n - 1: m for n, m in gamma_blocks.items()})
     if not gamma.is_chain_map():
         raise AssertionError("connecting map failed to be a chain map")
-    pad = cone(GradedMap.identity(down))
-    summed = direct_sum(x, pad.complex)
+    pad = _cone_complex(GradedMap.identity(down))
+    summed = direct_sum(x, pad)
 
     def sizes(n):
         # x, then the padding cone: z in degree n, then down in degree n (z in degree n + 1).
@@ -1064,7 +1102,7 @@ def rotate_ses(data: SESData) -> RotatedSES:
     new_incl = GradedMap.build(down, summed.complex, 0, new_incl_blocks)
     new_proj = GradedMap.build(summed.complex, y, 0, new_proj_blocks)
     rotated = validate_ses(new_incl, new_proj)
-    return RotatedSES(rotated, gamma, pad.complex)
+    return RotatedSES(rotated, gamma, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,12 +1137,6 @@ def is_homology_equivalence(f: GradedMap) -> bool:
         bt = solve_linear(kt, tgt.diff(n + 1))
         if bt is None:
             raise AssertionError("boundaries escaped the cycle lattice")
-        aug = induced.hstack(bt)
-        if ring.kind == "Z":
-            factors = invariant_factors(aug)
-            onto = len(factors) == kt.cols and all(x == 1 for x in factors)
-        else:
-            onto = matrix_rank(aug) == kt.cols
-        if not onto:
+        if not _is_onto(induced.hstack(bt)):
             return False
     return True

@@ -176,11 +176,14 @@ def _cmd_homotopy(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    from .chains import cone, homology
+    from .chains import _cone_complex, _require_chain_map, homology
     from .serialize import load_graded_map
 
     f = load_graded_map(_read_payload(args.file))
-    folded = cone(f).complex
+    # The verb reads only the cone's complex, so its structure maps are
+    # not built; the check is the one cone() makes.
+    _require_chain_map(f, degree=0, what="cone input")
+    folded = _cone_complex(f)
     table = homology(folded)
     nontrivial = _nontrivial(table)
     report = {

@@ -374,7 +374,7 @@ class Matrix:
         """Row i of the product is the sum of a_ik times row k of other."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ShapeMismatch(f"ring mismatch: {self.ring} vs {other.ring}")
         if self.cols != other.rows:
             raise ShapeMismatch(
@@ -1245,6 +1245,19 @@ def is_split_injection(a: Matrix) -> Matrix | None:
 def is_split_surjection(a: Matrix) -> Matrix | None:
     """Section s with a @ s == identity, or None when a is not split surjective."""
     return solve_linear(a, Matrix.identity(a.ring, a.rows))
+
+
+def _is_onto(a: Matrix) -> bool:
+    """Whether a is split surjective, decided without a section where
+    the ring allows: over a field its rank is a.rows; over Z its
+    invariant factors are a.rows ones; over composite Z/m a section is
+    solved for, as is_split_surjection does."""
+    if a.ring.is_field():
+        return rank(a) == a.rows
+    if a.ring.kind == "Z":
+        factors = invariant_factors(a)
+        return len(factors) == a.rows and all(x == 1 for x in factors)
+    return is_split_surjection(a) is not None
 
 
 def split_with_complement(a: Matrix):

@@ -27,6 +27,7 @@ from ._record import record
 from .exact_linalg import (
     Matrix,
     ShapeMismatch,
+    _is_onto,
     block_matrix,
     is_split_surjection,
     kernel_basis,
@@ -42,7 +43,7 @@ from .chains import (
     _BlockSystem,
     _coeff_left,
     _coeff_right,
-    _cone,
+    _cone_complex,
     _leibniz_rows,
     cone,
     cylinder,
@@ -229,7 +230,19 @@ def reduction_certificates(c: D0Complex):
 
 
 def is_reduced(c: D0Complex) -> bool:
-    return reduction_certificates(c) is not None
+    """Whether every descent is degreewise split surjective.
+
+    Decides exactly when reduction_certificates(c) is not None, but
+    solves for no section where the ring allows: a block over a field
+    needs rank equal to its row count, and over Z as many invariant
+    factors as rows, all of them 1.  Over composite Z/m a section is
+    still solved for (exact_linalg._is_onto).
+    """
+    return all(
+        _is_onto(a.block(n))
+        for a in c.descents
+        for n in a.target.degrees()
+    )
 
 
 @record
@@ -258,7 +271,7 @@ def classify(x: D0Complex, n: int) -> ClassMembership:
     cones = []
     constant = True
     for i in range(n, x.top_index):
-        k = find_contraction(_cone(x.lambda_map(i)).complex)
+        k = find_contraction(_cone_complex(x.lambda_map(i)))
         cones.append((i, k))
         constant = constant and k is not None
     level_k = find_contraction(x.level(n))
@@ -565,7 +578,7 @@ def hom_complex(d: D0Complex, c: D0Complex) -> HomComplex:
         raise ShapeMismatch("towers must share the bimodule")
     if d.top_index != c.top_index:
         raise ShapeMismatch("towers must have the same length")
-    if reduction_certificates(c) is None:
+    if not is_reduced(c):
         raise ValueError("descents must be degreewise split surjective")
     ring = c.bimodule.base
     qs = set()
@@ -829,16 +842,16 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     )
     # first is built from checked tower maps and second kills it by the
     # commuting square, so both cones are taken unchecked.
-    folded = _cone(first)
+    folded = _cone_complex(first)
     target = tensor_with_bimodule(c.level(m), s)
     blocks = {
         n: block_matrix(
             s.base, [target.rank(n)], [c.level(m).rank(n - 1), mid.complex.rank(n)],
             {(0, 1): second.block(n)},
         )
-        for n in folded.complex.degrees()
+        for n in folded.degrees()
     }
-    return _cone(GradedMap.build(folded.complex, target, 0, blocks)).complex
+    return _cone_complex(GradedMap.build(folded, target, 0, blocks))
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:
@@ -865,7 +878,7 @@ def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalRep
         lam_tilde = kernel_lambda(c, m, kern(m), kern(m + 1))
         nonzero = tuple(
             (deg, summary)
-            for deg, summary in sorted(homology(_cone(lam_tilde).complex).items())
+            for deg, summary in sorted(homology(_cone_complex(lam_tilde)).items())
             if not summary.is_trivial()
         )
         square_ok = is_acyclic(exact_square_total(c, m))
