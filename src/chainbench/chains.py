@@ -35,9 +35,9 @@ and never factors m.
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
 maps.  _BlockSystem collects such systems: its unknowns are matrix
-blocks named by keys and vectorised row-major, each condition is a
-group of rows of Kronecker coefficients, and block_matrix assembles
-the conditions as block rows over the unknowns.  _leibniz_rows
+blocks named by keys and vectorised row-major, and each condition is
+a group of rows given by the factors a, b of its terms X -> a @ X @ b,
+which exact_linalg._factor_matrix writes into rows.  _leibniz_rows
 appends the rows of df for one pair of complexes; leibniz_system, the
 tower systems of the ladder module and the fuzzers are all built on
 it.  A general null-homotopy solves that system for every block of the
@@ -58,12 +58,12 @@ from .exact_linalg import (
     Matrix,
     Ring,
     ShapeMismatch,
+    _factor_matrix,
     _is_onto,
     block_matrix,
     cycle_quotient_mod,
     invariant_factors,
     kernel_basis,
-    kron,
     rank as matrix_rank,
     is_split_surjection,
     solve_linear,
@@ -469,16 +469,19 @@ def same_homology(a: ChainComplex, b: ChainComplex) -> bool:
 
 
 class _BlockSystem:
-    """Linear conditions on a family of matrix unknowns, for block_matrix.
+    """Linear conditions on a family of matrix unknowns.
 
     Each unknown is a matrix block named by a key.  Its coordinates are
     the row-major vectorization of the block, and the blocks are
     stacked in the order their keys were registered; blocks with no
-    entries are not registered.  A condition appends a group of rows
-    that pairs unknown keys with coefficient matrices; terms on keys
-    that are not registered are dropped, and terms on the same key are
-    summed.  matrix() and stack() hand the unknowns as block columns,
-    or block rows, to exact_linalg.block_matrix.
+    entries are not registered.  A condition appends a group of rows,
+    the row-major vectorization of a sum of terms (key, a, b), each the
+    map X -> a @ X @ b on the unknown block X named by key, where
+    exactly one of a and b is None and stands for the identity.  The
+    keys within one condition are distinct, and terms on keys that are
+    not registered are dropped.  matrix() hands the conditions to
+    exact_linalg._factor_matrix, and stack() the unknowns, as block
+    rows, to exact_linalg.block_matrix.
     """
 
     def __init__(self, ring):
@@ -499,25 +502,22 @@ class _BlockSystem:
         return key in self.sizes
 
     def condition(self, row_count: int, terms) -> None:
-        """Add row_count rows; terms pairs unknown keys with coefficients."""
+        """Add row_count rows; terms are (key, a, b) with one factor None."""
         if row_count == 0:
             return
-        kept = {}
-        for k, m in terms:
-            if k in self.sizes:
-                kept[k] = kept[k] + m if k in kept else m
+        kept = []
+        for key, a, b in terms:
+            if key not in self.sizes:
+                continue
+            p, t = self.sizes[key]
+            fits = (a.cols, a.rows * t) == (p, row_count) if b is None else (b.rows, p * b.cols) == (t, row_count)
+            if not fits:
+                raise ShapeMismatch(f"a factor of a {p}x{t} block does not give {row_count} rows")
+            kept.append((self.offsets[key], p, t, a, b))
         self.row_groups.append((row_count, kept))
 
-    def _layout(self):
-        """Coordinate counts and block indices of the unknowns, in order."""
-        return [p * t for p, t in self.sizes.values()], {key: j for j, key in enumerate(self.sizes)}
-
     def matrix(self) -> Matrix:
-        widths, slot = self._layout()
-        blocks = {
-            (g, slot[key]): coeff for g, (_, kept) in enumerate(self.row_groups) for key, coeff in kept.items()
-        }
-        return block_matrix(self.ring, [r for r, _ in self.row_groups], widths, blocks)
+        return _factor_matrix(self.ring, self.total, self.row_groups)
 
     def slice_rows(self, stacked: Matrix, key) -> Matrix:
         """Rows of a solution matrix belonging to one unknown block."""
@@ -538,7 +538,7 @@ class _BlockSystem:
         coordinates of that block; a zero placement on a key that is
         not registered is allowed and ignored.
         """
-        heights, slot = self._layout()
+        slot = {key: j for j, key in enumerate(self.sizes)}
         blocks = {}
         for key, mat in placements.items():
             if key not in self.sizes:
@@ -549,17 +549,7 @@ class _BlockSystem:
             if mat.shape != (p * t, width):
                 raise AssertionError("placement shape mismatch")
             blocks[(slot[key], 0)] = mat
-        return block_matrix(self.ring, heights, [width], blocks)
-
-
-def _coeff_left(a: Matrix, t: int) -> Matrix:
-    """Coefficient of X -> vec(A X) for X with t columns, row-major."""
-    return kron(a, Matrix.identity(a.ring, t))
-
-
-def _coeff_right(b: Matrix, p: int) -> Matrix:
-    """Coefficient of X -> vec(X B) for X with p rows, row-major."""
-    return kron(Matrix.identity(b.ring, p), b.transpose())
+        return block_matrix(self.ring, [p * t for p, t in self.sizes.values()], [width], blocks)
 
 
 def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, degree: int, key) -> None:
@@ -574,14 +564,8 @@ def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, de
         p = tgt.rank(n + degree - 1)
         if p == 0:
             continue
-        here, below = key(n), key(n - 1)
-        terms = []
-        if system.has(here):
-            terms.append((here, _coeff_left(tgt.diff(n + degree), t)))
-        if system.has(below):
-            coeff = _coeff_right(src.diff(n), p)
-            terms.append((below, coeff if degree % 2 else -coeff))
-        system.condition(p * t, terms)
+        d = src.diff(n)
+        system.condition(p * t, [(key(n), tgt.diff(n + degree), None), (key(n - 1), None, d if degree % 2 else -d)])
 
 
 def _map_system(src: ChainComplex, tgt: ChainComplex, degree: int) -> _BlockSystem:

@@ -21,7 +21,8 @@ the pivot is 1.
 
 All elimination works on raw entries: integer and rational
 arithmetic is closed and canonical, so the only reduction is % m over
-Z/m.  _rref over Z/p updates whole rows with _axpy and _scaled.  _rref
+Z/m.  _rref over Z/p scales the pivot row with _scaled and clears its
+column with _axpy_sparse, in place and from the pivot column on.  _rref
 over Q, which solve_linear and kernel_basis read, is fraction-free
 Gauss-Jordan elimination on rows cleared of their denominators, with
 one division by the last pivot at the end.  The Smith reduction and
@@ -61,12 +62,12 @@ from_rows, from_columns, a change of ring with to_ring, and every
 loader of serialize, check the shape and normalize each entry.  The
 results of arithmetic on matrices (products, sums, differences,
 negation, scale, transpose, the stacks and slices, zero, identity,
-kron, block_matrix, vec_row_major and unvec_row_major, and the Smith
-data) are built by the internal Matrix._trusted, which does neither:
-sums, differences and products of ints are ints and of Fractions are
-Fractions, and rearranging canonical entries keeps them canonical, so
-the only reduction left is % m over Z/m, which each of those
-operations applies itself.  Normalizing their results again would
+kron, block_matrix, vec_row_major and unvec_row_major, _factor_matrix
+and the Smith data) are built by the internal Matrix._trusted, which
+does neither: sums, differences and products of ints are ints and of
+Fractions are Fractions, and rearranging canonical entries keeps them
+canonical, so the only reduction left is % m over Z/m, which each of
+those operations applies itself.  Normalizing their results again would
 return every entry unchanged.  Both ways run the same constructor,
 which writes the four fields and calls __post_init__; _trusted passes
 it the flag _canonical, a constructor parameter that is not a field,
@@ -556,6 +557,37 @@ def unvec_row_major(v: Matrix, rows: int, cols: int) -> Matrix:
     return Matrix._trusted(v.ring, rows, cols, data)
 
 
+def _factor_matrix(ring: Ring, width: int, groups) -> Matrix:
+    """Rows of linear conditions on row-major vectorized matrix unknowns.
+
+    groups lists (row_count, terms); each term (off, p, t, a, b) is X ->
+    a @ X @ b on the p x t unknown at column off, with one of a and b
+    None for the identity, and the unknowns of a group are distinct.  A
+    left factor a puts a[i][k] at row i*t + v, column off + k*t + v, and
+    a right factor b of width w puts b[k][v] at row i*w + v, column off
+    + i*t + k: kron(a, I_t) and kron(I_p, b^T), without either product.
+    """
+    z = ring.zero
+    rows = []
+    for row_count, terms in groups:
+        group = [[z] * width for _ in range(row_count)]
+        for off, p, t, a, b in terms:
+            if b is None:
+                end = off + p * t
+                for i, arow in enumerate(a.entries):
+                    if any(arow):
+                        for v in range(t):
+                            group[i * t + v][off + v:end:t] = arow
+            else:
+                w = b.cols
+                for v, bcol in enumerate(zip(*b.entries)):
+                    if any(bcol):
+                        for i in range(p):
+                            group[i * w + v][off + i * t:off + i * t + t] = bcol
+        rows.extend(map(tuple, group))
+    return Matrix._trusted(ring, len(rows), width, tuple(rows))
+
+
 @record
 class SNFResult:
     """Smith data:  d == p @ a @ q  with p, q invertible over the ring.
@@ -595,13 +627,6 @@ class SNFResult:
     def invariant_factors(self) -> tuple:
         z = self.d.ring.zero
         return tuple(x for x in self.diagonal if x != z)
-
-
-def _axpy(x, y, c, m):
-    """The row x + c * y, reduced % m unless m is None."""
-    if m is None:
-        return [a + c * b for a, b in zip(x, y)]
-    return [(a + c * b) % m for a, b in zip(x, y)]
 
 
 def _scaled(x, u, m):
@@ -776,7 +801,7 @@ class _SnfWorker:
             elif c is None:
                 pt[i], pt[j] = pt[j], pt[i]
             else:
-                pt[i] = _axpy(pt[i], pt[j], c, m)
+                _axpy_sparse(pt[i], pt[j], c, m)
         return Matrix._trusted(ring, r, r, tuple(zip(*pt)))
 
     def result(self) -> SNFResult:
@@ -914,7 +939,8 @@ def _rref(a: Matrix):
         for i in range(a.rows):
             f = m[i][col]
             if f and i != prow:
-                m[i] = _axpy(m[i], mp, -f, mod)
+                # The pivot row is zero left of col.
+                _axpy_sparse(m[i], mp, -f, mod, col)
         pivots.append(col)
         prow += 1
         if prow == a.rows:

@@ -33,16 +33,12 @@ from .exact_linalg import (
     kernel_basis,
     solve_linear,
     split_with_complement,
-    unvec_row_major,
-    vec_row_major,
 )
 from .chains import (
     ChainComplex,
     GradedMap,
     SESData,
     _BlockSystem,
-    _coeff_left,
-    _coeff_right,
     _cone_complex,
     _leibniz_rows,
     cone,
@@ -485,21 +481,13 @@ def d0_zero_morphism(source: D0Complex, target: D0Complex) -> D0Morphism:
 # block, and the commuting squares push the last descent condition up.
 #
 # The systems are assembled by chains._BlockSystem with unknown keys
-# ("f", i, l).  The chain condition of each level map and the boundary
-# of the family complex are the rows of the graded differential, which
-# chains._leibniz_rows appends level by level; the same function
-# assembles chains.leibniz_system.
-
-
-def _coeff_tensor_then(b: Matrix, p: int, s: int) -> Matrix:
-    """Coefficient of X -> vec(kron(X, I_s) @ B), X with p rows.
-
-    B has r*s rows and the result keeps row-major vec ordering on both
-    sides, with the tensor factor fastest among the rows of kron(X, I).
-    Both vecs agree with vec(X @ R), where R is the row-major r x s*t
-    reshape of B, so this is the coefficient of a right factor.
-    """
-    return _coeff_right(unvec_row_major(vec_row_major(b), b.rows // s, s * b.cols), p)
+# ("f", i, l).  A descent square reads alpha_c @ X_i - kron(X_(i-1),
+# I_s) @ alpha_d, and its second term vectorizes like X_(i-1) @ R, where
+# row k of R joins rows k*s .. k*s + s - 1 of alpha_d.  The chain
+# condition of each level map and the boundary of the family complex
+# are the rows of the graded differential, which chains._leibniz_rows
+# appends level by level; the same function assembles
+# chains.leibniz_system.
 
 
 def _register_family(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:
@@ -517,13 +505,7 @@ def _compat_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -
             p1 = c.level(i + 1).rank(l + q)
             if t == 0 or p1 == 0:
                 continue
-            sys_.condition(
-                p1 * t,
-                [
-                    (("f", i + 1, l), _coeff_right(lam_d.block(l), p1)),
-                    (("f", i, l), -_coeff_left(lam_c.block(l + q), t)),
-                ],
-            )
+            sys_.condition(p1 * t, [(("f", i + 1, l), None, lam_d.block(l)), (("f", i, l), -lam_c.block(l + q), None)])
     for i in range(1, d.top_index + 1):
         alpha_d, alpha_c = d.alpha_map(i), c.alpha_map(i)
         for l in d.level(i).degrees():
@@ -531,13 +513,10 @@ def _compat_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -
             p2 = c.level(i - 1).rank(l + q)
             if t == 0 or p2 == 0:
                 continue
-            sys_.condition(
-                p2 * s * t,
-                [
-                    (("f", i, l), _coeff_left(alpha_c.block(l + q), t)),
-                    (("f", i - 1, l), -_coeff_tensor_then(alpha_d.block(l), p2, s)),
-                ],
-            )
+            b = -alpha_d.block(l)
+            joined = tuple(sum(b.entries[k:k + s], ()) for k in range(0, b.rows, s))
+            r = Matrix(b.ring, b.rows // s, s * t, joined)
+            sys_.condition(p2 * s * t, [(("f", i, l), alpha_c.block(l + q), None), (("f", i - 1, l), None, r)])
 
 
 def _leibniz_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:

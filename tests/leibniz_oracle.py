@@ -14,6 +14,13 @@ candidate, with the helper _homology_exponent that reads a second
 homology table.  The library now assembles every one of these systems with
 one block assembler and one Leibniz function, and finds the annihilator
 with one solve; the tests require the results to agree exactly.
+
+_register_family and _compat_conditions are the library's versions from
+when every condition was a Kronecker coefficient matrix, on
+_coeff_left, _coeff_right and construction_oracle._coeff_tensor_then;
+the library now passes each condition as the factors of its terms and
+writes them into rows itself.  So hom_complex and morphism_space here
+share no assembly code with the library.
 """
 
 from __future__ import annotations
@@ -38,9 +45,7 @@ from chainbench.ladder import (
     HomComplex,
     MorphismSpace,
     _climb_column,
-    _compat_conditions,
     _connecting_matches,
-    _register_family,
     detect_probe,
     kernel_complex,
     kernel_lambda,
@@ -51,6 +56,7 @@ from chainbench.orders import (
     _require_integers,
     homology_order,
 )
+from construction_oracle import _coeff_tensor_then
 
 
 def leibniz_system(src: ChainComplex, tgt: ChainComplex, degree: int):
@@ -219,6 +225,44 @@ def _coeff_left(a: Matrix, t: int) -> Matrix:
 def _coeff_right(b: Matrix, p: int) -> Matrix:
     """Coefficient of X -> vec(X B) for X with p rows, row-major."""
     return kron(Matrix.identity(b.ring, p), b.transpose())
+
+
+def _register_family(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:
+    for i in range(d.top_index + 1):
+        for l in d.level(i).degrees():
+            sys_.unknown(("f", i, l), c.level(i).rank(l + q), d.level(i).rank(l))
+
+
+def _compat_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) -> None:
+    s = d.bimodule.rank
+    for i in range(d.top_index):
+        lam_d, lam_c = d.lambda_map(i), c.lambda_map(i)
+        for l in d.level(i).degrees():
+            t = d.level(i).rank(l)
+            p1 = c.level(i + 1).rank(l + q)
+            if t == 0 or p1 == 0:
+                continue
+            sys_.condition(
+                p1 * t,
+                [
+                    (("f", i + 1, l), _coeff_right(lam_d.block(l), p1)),
+                    (("f", i, l), -_coeff_left(lam_c.block(l + q), t)),
+                ],
+            )
+    for i in range(1, d.top_index + 1):
+        alpha_d, alpha_c = d.alpha_map(i), c.alpha_map(i)
+        for l in d.level(i).degrees():
+            t = d.level(i).rank(l)
+            p2 = c.level(i - 1).rank(l + q)
+            if t == 0 or p2 == 0:
+                continue
+            sys_.condition(
+                p2 * s * t,
+                [
+                    (("f", i, l), _coeff_left(alpha_c.block(l + q), t)),
+                    (("f", i - 1, l), -_coeff_tensor_then(alpha_d.block(l), p2, s)),
+                ],
+            )
 
 
 def _chain_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex) -> None:

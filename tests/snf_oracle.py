@@ -496,6 +496,13 @@ def invariant_factors_of_cyclics(orders) -> tuple:
 # The composite kernel and solve on the dense worker
 
 
+def _axpy(x, y, c, m):
+    """The row x + c * y, reduced % m unless m is None."""
+    if m is None:
+        return [a + c * b for a, b in zip(x, y)]
+    return [(a + c * b) % m for a, b in zip(x, y)]
+
+
 class DenseSnfWorker:
     """The Smith worker before its rows were joined.
 
@@ -569,9 +576,9 @@ class DenseSnfWorker:
     def add_row(self, i, j, c):
         """row_i += c * row_j (on d and p); the inverse step is recorded for pinv."""
         d, p, m = self.d, self.p, self.mod
-        d[i] = exact_linalg._axpy(d[i], d[j], c, m)
+        d[i] = _axpy(d[i], d[j], c, m)
         if p is not None:
-            p[i] = exact_linalg._axpy(p[i], p[j], c, m)
+            p[i] = _axpy(p[i], p[j], c, m)
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
@@ -584,9 +591,9 @@ class DenseSnfWorker:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
         qt, qinv = self.q_t, self.qinv
         if qt is not None:
-            qt[j] = exact_linalg._axpy(qt[j], qt[i], c, m)
+            qt[j] = _axpy(qt[j], qt[i], c, m)
         if qinv is not None:
-            qinv[i] = exact_linalg._axpy(qinv[i], qinv[j], -c, m)
+            qinv[i] = _axpy(qinv[i], qinv[j], -c, m)
 
     def negate_row(self, i):
         """row_i *= -1 (over Z only)."""
@@ -639,7 +646,7 @@ class DenseSnfWorker:
             elif c is None:
                 pt[i], pt[j] = pt[j], pt[i]
             else:
-                pt[i] = exact_linalg._axpy(pt[i], pt[j], c, m)
+                pt[i] = _axpy(pt[i], pt[j], c, m)
         return Matrix._trusted(ring, r, r, tuple(zip(*pt)))
 
     def result(self) -> SNFResult:

@@ -5,14 +5,22 @@ exact_linalg.block_matrix assembled them.  On seeded fuzz inputs over
 Z, Q, Z/3 and Z/4 the library must return value objects equal to the
 oracle's, and the seeded fuzz generators that assemble blocks must
 reproduce the outputs recorded before the change.
+
+chains._BlockSystem takes each term of a condition as the factors of
+X -> a @ X @ b and writes them into rows itself; a derandomized
+property test requires its matrix to equal, by repr, the one that
+leibniz_oracle._BlockSystem assembles from Kronecker coefficients.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import construction_oracle as oracle
+import leibniz_oracle as oracle_leibniz
 import snf_oracle
 from chainbench import exact_linalg
 from chainbench.chains import (
@@ -26,7 +34,7 @@ from chainbench.chains import (
     rotate_ses,
     validate_ses,
 )
-from chainbench.exact_linalg import QQ, ZZ, Matrix, Zmod
+from chainbench.exact_linalg import QQ, ZZ, Matrix, ShapeMismatch, Zmod
 from chainbench.fuzz import (
     random_chain_map,
     random_complex,
@@ -36,7 +44,7 @@ from chainbench.fuzz import (
     random_null_homotopic,
     random_reduced_ladder,
 )
-from chainbench.ladder import _coeff_tensor_then, exact_square_total
+from chainbench.ladder import exact_square_total
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(4))
 
@@ -95,24 +103,106 @@ def test_exact_square_total_matches_oracle():
     assert compared >= 24
 
 
-def test_coeff_tensor_then_matches_oracle():
-    rng = random.Random(8300)
-    for ring in RINGS:
-        for _ in range(30):
-            p, r, s, t = (rng.randint(0, 3) for _ in range(4))
-            s += 1
-            b = random_matrix(rng, ring, r * s, t)
-            assert _coeff_tensor_then(b, p, s) == oracle._coeff_tensor_then(b, p, s)
+# Term kinds of a condition: a left factor, a right factor, and
+# kron(X, I_s) @ B, given to the library as the right factor R whose row
+# k joins rows k*s .. k*s + s - 1 of B.
+KINDS = ("left", "right", 1, 2, 3)
+PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
 
-def test_block_system_sums_repeated_terms():
+def _entries(ring):
+    if ring.kind == "Q":
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if ring.kind == "Z":
+        return st.integers(-4, 4)
+    return st.integers(0, ring.modulus - 1)
+
+
+@st.composite
+def _matrices(draw, ring, rows, cols):
+    flat = draw(st.lists(_entries(ring), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(ring, rows, cols, tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)))
+
+
+@st.composite
+def block_systems(draw, ring, seen):
+    """A library _BlockSystem and the oracle's Kronecker one with equal
+    conditions; adds (kind, registered) of every term drawn to seen.
+
+    Unknowns of a zero dimension are never registered, and the key
+    "absent" is never declared; terms on either are dropped by both.
+    """
+    shapes = {key: (draw(st.integers(0, 3)), draw(st.integers(0, 3))) for key in range(draw(st.integers(1, 4)))}
+    system, kron_system = _BlockSystem(ring), oracle_leibniz._BlockSystem(ring)
+    for key, (p, t) in shapes.items():
+        system.unknown(key, p, t)
+        kron_system.unknown(key, p, t)
+    shapes["absent"] = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 4))):
+        # The condition is the row-major vectorization of a rows x cols matrix.
+        first = draw(st.sampled_from(sorted(shapes, key=str)))
+        kind = draw(st.sampled_from(KINDS))
+        p, t = shapes[first]
+        rows = draw(st.integers(0, 3)) if kind == "left" else p * (1 if kind == "right" else kind)
+        cols = t if kind == "left" else draw(st.integers(0, 3))
+        terms, kron_terms = [], []
+        drawn = []
+        for key in draw(st.permutations(sorted(shapes, key=str))):
+            p, t = shapes[key]
+            fits = [x for x in KINDS if (t == cols if x == "left" else p * (1 if x == "right" else x) == rows)]
+            if key != first and (not fits or draw(st.booleans())):
+                continue
+            this = kind if key == first else draw(st.sampled_from(fits))
+            sign = draw(st.sampled_from((1, -1)))
+            drawn.append((this, system.has(key)))
+            if this == "left":
+                a = draw(_matrices(ring, rows, p)).scale(sign)
+                terms.append((key, a, None))
+                kron_terms.append((key, oracle_leibniz._coeff_left(a, t)))
+            elif this == "right":
+                b = draw(_matrices(ring, t, cols)).scale(sign)
+                terms.append((key, None, b))
+                kron_terms.append((key, oracle_leibniz._coeff_right(b, p)))
+            else:
+                s = this
+                b = draw(_matrices(ring, t * s, cols)).scale(sign)
+                r = Matrix(ring, t, s * cols, tuple(sum(b.entries[j:j + s], ()) for j in range(0, b.rows, s)))
+                terms.append((key, None, r))
+                kron_terms.append((key, oracle._coeff_tensor_then(b, p, s)))
+        system.condition(rows * cols, terms)
+        kron_system.condition(rows * cols, kron_terms)
+        if rows * cols:
+            seen.update(drawn)
+    return system, kron_system
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, Zmod(4), Zmod(5), Zmod(6)), ids=str)
+def test_block_system_matches_kronecker_oracle(ring):
+    seen = set()
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        system, kron_system = data.draw(block_systems(ring, seen))
+        assert repr(system.matrix()) == repr(kron_system.matrix())
+
+    check()
+    assert seen == {(kind, registered) for kind in KINDS for registered in (True, False)}
+
+
+def test_block_system_writes_factors_in_layout():
     system = _BlockSystem(ZZ)
     system.unknown("x", 1, 2)
+    system.unknown("empty", 3, 0)
     system.unknown("y", 1, 1)
-    one = Matrix.from_rows(ZZ, [[1, 2]])
-    system.condition(1, [("x", one), ("absent", Matrix.identity(ZZ, 1)), ("x", one.scale(3))])
-    system.condition(2, [("y", Matrix.from_rows(ZZ, [[5], [6]]))])
-    assert system.matrix() == Matrix.from_rows(ZZ, [[4, 8, 0], [0, 0, 5], [0, 0, 6]])
+    assert system.total == 3 and not system.has("empty")
+    left = Matrix.from_rows(ZZ, [[3]])
+    system.condition(2, [("x", left, None), ("absent", Matrix.identity(ZZ, 1), None), ("empty", None, left)])
+    system.condition(2, [("y", None, Matrix.from_rows(ZZ, [[5, 6]]))])
+    system.condition(0, [("x", Matrix.zero(ZZ, 0, 1), None)])
+    assert system.matrix() == Matrix.from_rows(ZZ, [[3, 0, 0], [0, 3, 0], [0, 0, 5], [0, 0, 6]])
+    with pytest.raises(ShapeMismatch):
+        system.condition(3, [("x", left, None)])
 
 
 # sha256 of the reprs of four seeded outputs (seeds 9100..9103) per
