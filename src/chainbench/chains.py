@@ -24,8 +24,9 @@ not given are zero, so nothing here pads with zero matrices.
 
 Homology costs one elimination per stored differential and reads
 only what that elimination leaves: over Z the Smith diagonal, built
-without transforms, and over Q and Z/p the rank, a fraction-free
-Bareiss elimination over Q.  H_n is read off the data of d_n and
+without transforms, and over Q and Z/p the rank, the pivot count of
+one row echelon form: fraction-free over Q, on rows cleared of their
+denominators.  H_n is read off the data of d_n and
 d_(n+1), and a differential that is not stored costs nothing.  Over
 composite Z/m each degree takes exact_linalg.cycle_quotient_mod,
 which works in Z/m itself: it diagonalizes d_n with d_(n+1) following

@@ -21,11 +21,16 @@ the pivot is 1.
 
 All elimination works on raw entries: integer and rational
 arithmetic is closed and canonical, so the only reduction is % m over
-Z/m.  _rref over Z/p scales the pivot row with _scaled and clears its
-column with _axpy_sparse, in place and from the pivot column on.  _rref
-over Q, which solve_linear and kernel_basis read, is fraction-free
-Gauss-Jordan elimination on rows cleared of their denominators, with
-one division by the last pivot at the end.  The Smith reduction and
+Z/m.  Field solves and kernels, ranks and determinants run one loop,
+_eliminate, in place on row lists; its pivot is the first nonzero
+entry of the column.  Over Z/p it scales the pivot row with _scaled
+and clears the column with _axpy_sparse, from the pivot column on.
+Over Z it is fraction-free: every entry stays a minor of the input.
+Over Q the rows are first cleared of their denominators and then
+eliminated over Z.  _rref, which solve_linear and kernel_basis read,
+asks for the reduced form, and over Q divides by the last pivot once
+at the end; rank and det stop at the echelon form, and det over Z/m
+eliminates the lifted residues over Z.  The Smith reduction and
 the elimination over composite Z/m share one worker, _SnfWorker.  It
 keeps each row of d joined in one list with the row of p, or with the
 row of a carried right-hand side, so a row swap, negation, scaling or
@@ -47,11 +52,9 @@ right-hand side is carried: a solve joins the rows of b to the rows of
 a in place of p, so the same row steps leave p @ b there.
 smith_normal_form asks for all four transforms, a solve over Z for q
 with b carried, a kernel over Z for q, invariant_factors for none.
-rank over Z and Q and det over every ring are one fraction-free
-Bareiss elimination, over Q after scaling each row by the lcm of its
-denominators; rank over Z/p is the row echelon form.  Over composite Z/m everything runs in Z/m itself
-on one diagonalization with extended-gcd steps, which never factors
-m: cycle_quotient_mod reads homology off two of them, kernel_basis
+Over composite Z/m everything runs in Z/m itself on one
+diagonalization with extended-gcd steps, which never factors m:
+cycle_quotient_mod reads homology off two of them, kernel_basis
 reads a kernel off one that keeps q, and solve_linear solves on one
 that keeps q and carries b.  Moduli are at most MAX_MODULUS = 2**64,
 where Miller-Rabin with fixed bases decides primality exactly.
@@ -917,81 +920,82 @@ def invariant_factors(a: Matrix) -> tuple:
     return tuple(x for x in _smith(a, ()).diagonal() if x)
 
 
+def _eliminate(m, cols, ring, reduced):
+    """Eliminate the rows m in place over their first cols columns.
+
+    ring is ZZ for integer rows, eliminated fraction-free, or Z/p.  The
+    pivot is the first nonzero entry of its column at or below the rows
+    already pivoted.  Over ZZ a pivot p in column col turns every row x
+    with entry f there into (p * x - f * y) // prev, y the pivot row and
+    prev the previous pivot (Bareiss, Math. Comp. 22, 1968): every entry
+    stays a minor of the input, so the division is exact.  Over Z/p the
+    pivot row is scaled to 1 and its multiples are subtracted.  The rows
+    below the pivot are zero left of col, so they are updated from col
+    on.  reduced also clears the rows above the pivot (Gauss-Jordan;
+    Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997); over ZZ
+    those are not zero left of col, so they change over their full
+    width.  Returns (pivot columns, sign of the row permutation, last
+    pivot); over ZZ, for a square input of full rank, sign * last pivot
+    is its determinant, and after reduced every pivot row holds the
+    last pivot at its pivot column.
+    """
+    mod = ring.modulus
+    n = len(m)
+    pivots = []
+    sign = prev = 1
+    t = 0
+    for col in range(cols):
+        if t == n:
+            break
+        for sel in range(t, n):
+            if m[sel][col]:
+                break
+        else:
+            continue
+        if sel != t:
+            m[t], m[sel] = m[sel], m[t]
+            sign = -sign
+        y = m[t]
+        p = y[col]
+        if mod is None:
+            for lo, ys, block in ((col, y[col:], range(t + 1, n)), (0, y, range(t) if reduced else ())):
+                for i in block:
+                    x = m[i]
+                    f = x[col]
+                    if f:
+                        x[lo:] = [(p * u - f * v) // prev for u, v in zip(x[lo:], ys)]
+                    elif p != prev:
+                        x[lo:] = [p * u // prev for u in x[lo:]]
+            prev = p
+        else:
+            y[col:] = _scaled(y[col:], ring.invert(p), mod)
+            for i in range(0 if reduced else t + 1, n):
+                f = m[i][col]
+                if f and i != t:
+                    _axpy_sparse(m[i], y, -f, mod, col)
+        pivots.append(col)
+        t += 1
+    return pivots, sign, prev
+
+
 def _rref(a: Matrix):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    """Reduced row echelon form over a field; returns (rows, pivot columns).
+
+    Over Q the rows are cleared of their denominators, which leaves
+    their span alone, and eliminated fraction-free; the reduced row
+    echelon form is unique, so dividing by the last pivot at the end
+    gives exactly the form that Fraction arithmetic reaches.
+    """
     ring = a.ring
     if ring.kind == "Q":
-        return _rref_rational(a)
-    mod = ring.modulus
-    m = [list(row) for row in a.entries]
-    pivots = []
-    prow = 0
-    for col in range(a.cols):
-        sel = -1
-        for i in range(prow, a.rows):
-            if m[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        mp = m[prow] = _scaled(m[prow], ring.invert(m[prow][col]), mod)
-        for i in range(a.rows):
-            f = m[i][col]
-            if f and i != prow:
-                # The pivot row is zero left of col.
-                _axpy_sparse(m[i], mp, -f, mod, col)
-        pivots.append(col)
-        prow += 1
-        if prow == a.rows:
-            break
+        m = [list(row) for row in _cleared_rows(a.entries)[0] if any(row)]
+        pivots, _, prev = _eliminate(m, a.cols, ZZ, True)
+        m = [[Fraction(u, prev) if u else _Q_ZERO for u in row] for row in m]
+    else:
+        m = [list(row) for row in a.entries if any(row)]
+        pivots = _eliminate(m, a.cols, ring, True)[0]
+    m += [[ring.zero] * a.cols for _ in range(a.rows - len(m))]
     return m, pivots
-
-
-def _rref_rational(a: Matrix):
-    """_rref over Q by fraction-free Gauss-Jordan elimination on integers.
-
-    Each row is cleared of its denominators, which leaves its row space
-    alone.  A pivot p in column col turns every other row x, whose
-    entry there is f, into (p * x - f * y) // prev, y the pivot row and
-    prev the previous pivot (Nakos, Turner and Williams, SIGSAM Bull.
-    31(3), 1997).  As in Bareiss elimination every entry stays a minor
-    of the input, so the division is exact, and every pivot row ends
-    with the last pivot at its pivot column.  The reduced row echelon
-    form is unique, so dividing those rows by the last pivot gives
-    exactly the form that Fraction arithmetic reaches.
-    """
-    m = [row for row in _cleared_rows(a.entries)[0] if any(row)]
-    pivots = []
-    prev = 1
-    prow = 0
-    for col in range(a.cols):
-        sel = -1
-        for i in range(prow, len(m)):
-            if m[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        y = m[prow]
-        p = y[col]
-        for i, x in enumerate(m):
-            if i == prow:
-                continue
-            f = x[col]
-            if f:
-                m[i] = [(p * u - f * v) // prev for u, v in zip(x, y)]
-            elif p != prev:
-                m[i] = [p * u // prev for u in x]
-        pivots.append(col)
-        prev = p
-        prow += 1
-        if prow == len(m):
-            break
-    rows = [[Fraction(u, prev) if u else _Q_ZERO for u in row] for row in m]
-    rows += [[_Q_ZERO] * a.cols for _ in range(a.rows - len(m))]
-    return rows, pivots
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
@@ -1312,40 +1316,6 @@ def split_with_complement(a: Matrix):
     return r, comp, proj
 
 
-def _bareiss(rows):
-    """Fraction-free elimination of integer rows (Bareiss, Math. Comp. 22, 1968).
-
-    Each step clears the column under a pivot with 2x2 cross products
-    divided exactly by the previous pivot, so every entry stays a minor
-    of the input and no fraction arises.  A column with no pivot is
-    skipped.  Returns (rank, sign, pivot): sign is that of the row
-    permutation and pivot the last pivot, which for a nonsingular square
-    input is sign times its determinant.
-    """
-    m = [r for r in rows if any(r)]
-    rank, sign, prev = 0, 1, 1
-    while m and m[0]:
-        sel = next((i for i, row in enumerate(m) if row[0]), -1)
-        if sel < 0:
-            m = [row[1:] for row in m]
-            continue
-        if sel:
-            m[0], m[sel] = m[sel], m[0]
-            sign = -sign
-        top = m[0]
-        piv, tail = top[0], top[1:]
-        m = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m[1:]]
-        prev = piv
-        rank += 1
-    return rank, sign, prev
-
-
-def _det_bareiss(rows) -> int:
-    """Determinant of a square integer matrix given as rows."""
-    rank, sign, pivot = _bareiss(rows)
-    return sign * pivot if rank == len(rows) else 0
-
-
 def _cleared_rows(entries):
     """Rational rows, each scaled by the lcm of its denominators.
 
@@ -1363,29 +1333,34 @@ def _cleared_rows(entries):
 
 
 def det(a: Matrix):
-    """Exact determinant in the base ring."""
+    """Exact determinant in the base ring, from one fraction-free
+    elimination over Z: of the entries over Z, of their lifts over Z/m
+    and of the rows cleared of their denominators over Q."""
     if not a.is_square():
         raise ShapeMismatch("determinant needs a square matrix")
-    if a.ring.kind == "Z":
-        return _det_bareiss(a.entries)
-    if a.ring.kind == "Zmod":
-        return _det_bareiss(a.entries) % a.ring.modulus
-    # Rational: clear each row's denominators, then eliminate over Z.
-    rows, scales = _cleared_rows(a.entries)
-    return Fraction(_det_bareiss(rows), prod(scales))
+    kind = a.ring.kind
+    rows, scales = _cleared_rows(a.entries) if kind == "Q" else (a.entries, ())
+    pivots, sign, prev = _eliminate([list(row) for row in rows], a.cols, ZZ, False)
+    d = sign * prev if len(pivots) == a.rows else 0
+    if kind == "Zmod":
+        return d % a.ring.modulus
+    if kind == "Q":
+        return Fraction(d, prod(scales))
+    return d
 
 
 def rank(a: Matrix) -> int:
     """Rank over Z or over a field (not defined for composite Z/m).
 
-    Over Z and Q one Bareiss elimination, over Q after clearing each
-    row's denominators; over Z/p the row echelon form.
+    The number of pivots of one row echelon form: fraction-free over Z
+    and over Q, there after clearing each row's denominators, and mod p
+    over Z/p.
     """
-    kind = a.ring.kind
-    if kind == "Z":
-        return _bareiss(a.entries)[0]
-    if kind == "Q":
-        return _bareiss(_cleared_rows(a.entries)[0])[0]
-    if a.ring.is_field():
-        return len(_rref(a)[1])
-    raise ValueError("rank over Z/m with composite m is not well defined")
+    ring = a.ring
+    if ring.kind == "Zmod" and not ring.is_field():
+        raise ValueError("rank over Z/m with composite m is not well defined")
+    if ring.kind == "Q":
+        ring, rows = ZZ, _cleared_rows(a.entries)[0]
+    else:
+        rows = a.entries
+    return len(_eliminate([list(row) for row in rows if any(row)], a.cols, ring, False)[0])

@@ -2,7 +2,11 @@
 
 smith_normal_form and homology_at below are the library's earlier
 versions, kept verbatim, and so are _rref with the field solve and
-kernel built on it, the rational determinant loop, the composite Z/m
+kernel built on it, the rational determinant loop, the three
+elimination loops that the library's one _eliminate replaced (the
+integer Bareiss elimination _bareiss with _det_bareiss on it, which
+ranked over Z and Q and gave every determinant, and the fraction-free
+Gauss-Jordan elimination _rref_rational over Q), the composite Z/m
 lattice routes (kernel_lattice_basis_mod, the kernel and the solve
 built on it, _kernel_zmod_composite and _solve_zmod_composite, and the
 homology one, _homology_mod_composite), the solves over Z and over
@@ -18,7 +22,11 @@ after each elementary operation, builds one (key, row, column) tuple
 per candidate pivot and rescans the trailing block for divisibility
 after every pivot.  homology_at reads H_n off the cycle lattice: a
 kernel basis of d_n, the coordinates of d_(n+1) in that basis found by
-a solve, and a Smith form of those coordinates.  The old _rref
+a solve, and a Smith form of those coordinates.  Over a field it
+counts the cycles and the boundaries with this module's own _rref, so
+that no library elimination stands on both sides of a comparison;
+det and the rank loops here never call the library's _rref, rank or
+det either.  The old _rref
 normalises every entry it writes through Ring.normalize, det
 eliminates with fractions over Q, and each lattice route lifts the
 problem to the lattice {x in Z^c : a x == 0 mod m} and solves and
@@ -46,11 +54,11 @@ from chainbench.exact_linalg import (
     Ring,
     ShapeMismatch,
     SNFResult,
-    _det_bareiss,
+    _Q_ZERO,
+    _cleared_rows,
     _kernel_integer,
     _solve_integer,
     kernel_basis,
-    rank as matrix_rank,
     solve_linear,
 )
 
@@ -235,8 +243,8 @@ def homology_at(c: ChainComplex, n: int) -> HomologySummary:
     if c.rank(n) == 0:
         return HomologySummary(0, (), modulus)
     if ring.is_field():
-        cycles = kernel_basis(c.diff(n)).cols
-        image = matrix_rank(c.diff(n + 1))
+        cycles = _kernel_field(c.diff(n)).cols
+        image = len(_rref(c.diff(n + 1))[1])
         return HomologySummary(cycles - image, (), modulus)
     if ring.kind == "Z":
         cycles = kernel_basis(c.diff(n))
@@ -420,6 +428,86 @@ def solve_zmod_composite_via_p(a: Matrix, b: Matrix) -> Matrix | None:
         y.append(ks)
     y += [(0,) * b.cols] * (a.cols - len(pivots))
     return snf.q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
+
+
+def _bareiss(rows):
+    """Fraction-free elimination of integer rows (Bareiss, Math. Comp. 22, 1968).
+
+    Each step clears the column under a pivot with 2x2 cross products
+    divided exactly by the previous pivot, so every entry stays a minor
+    of the input and no fraction arises.  A column with no pivot is
+    skipped.  Returns (rank, sign, pivot): sign is that of the row
+    permutation and pivot the last pivot, which for a nonsingular square
+    input is sign times its determinant.
+    """
+    m = [r for r in rows if any(r)]
+    rank, sign, prev = 0, 1, 1
+    while m and m[0]:
+        sel = next((i for i, row in enumerate(m) if row[0]), -1)
+        if sel < 0:
+            m = [row[1:] for row in m]
+            continue
+        if sel:
+            m[0], m[sel] = m[sel], m[0]
+            sign = -sign
+        top = m[0]
+        piv, tail = top[0], top[1:]
+        m = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m[1:]]
+        prev = piv
+        rank += 1
+    return rank, sign, prev
+
+
+def _det_bareiss(rows) -> int:
+    """Determinant of a square integer matrix given as rows."""
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
+
+
+def _rref_rational(a: Matrix):
+    """_rref over Q by fraction-free Gauss-Jordan elimination on integers.
+
+    Each row is cleared of its denominators, which leaves its row space
+    alone.  A pivot p in column col turns every other row x, whose
+    entry there is f, into (p * x - f * y) // prev, y the pivot row and
+    prev the previous pivot (Nakos, Turner and Williams, SIGSAM Bull.
+    31(3), 1997).  As in Bareiss elimination every entry stays a minor
+    of the input, so the division is exact, and every pivot row ends
+    with the last pivot at its pivot column.  The reduced row echelon
+    form is unique, so dividing those rows by the last pivot gives
+    exactly the form that Fraction arithmetic reaches.
+    """
+    m = [row for row in _cleared_rows(a.entries)[0] if any(row)]
+    pivots = []
+    prev = 1
+    prow = 0
+    for col in range(a.cols):
+        sel = -1
+        for i in range(prow, len(m)):
+            if m[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        y = m[prow]
+        p = y[col]
+        for i, x in enumerate(m):
+            if i == prow:
+                continue
+            f = x[col]
+            if f:
+                m[i] = [(p * u - f * v) // prev for u, v in zip(x, y)]
+            elif p != prev:
+                m[i] = [p * u // prev for u in x]
+        pivots.append(col)
+        prev = p
+        prow += 1
+        if prow == len(m):
+            break
+    rows = [[Fraction(u, prev) if u else _Q_ZERO for u in row] for row in m]
+    rows += [[_Q_ZERO] * a.cols for _ in range(a.rows - len(m))]
+    return rows, pivots
 
 
 def det(a: Matrix):

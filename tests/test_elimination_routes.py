@@ -7,12 +7,15 @@ factors m.  Property-based tests (hypothesis, derandomized) draw seeds
 for the fuzz generators and compare every route with the oracle kept
 in tests/: homology with snf_oracle.homology_at, rank with the oracle
 row echelon form and Smith form, every transform subset of the Smith
-worker with the full smith_normal_form.
+worker with the full smith_normal_form.  The one field and rank
+elimination, _eliminate, is checked through its callers rank, det and
+_rref against the three loops it replaced, kept in snf_oracle.
 """
 
 import itertools
 import random
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -27,11 +30,13 @@ from chainbench.exact_linalg import (
     ZZ,
     Matrix,
     Zmod,
+    _cleared_rows,
     _invariant_chain,
     _is_prime,
     _rref,
     _smith,
     cycle_quotient_mod,
+    det,
     invariant_factors,
     inverse,
     rank,
@@ -178,6 +183,69 @@ def test_rank_matches_rref_and_oracle(seed):
             assert r == snf_oracle.smith_normal_form(a).rank, a
             if ring.is_field():
                 assert r == len(_rref(a)[1]) == len(snf_oracle._rref(a)[1]), a
+
+
+# The largest prime below 2^64: residues of 64 bits.
+P64 = 2 ** 64 - 59
+ELIMINATION_RINGS = (ZZ, QQ, Zmod(2), Zmod(5), Zmod(P64))
+
+
+SHAPES = ("0xn", "nx0", "square", "tall", "wide")
+
+
+def elimination_input(rng, ring, shape) -> Matrix:
+    """A matrix of the given shape over ring: 0 x n, n x 0, square, tall
+    or wide; dense or sparse; with zero rows and with rows repeated or
+    scaled from earlier ones."""
+    n, extra = rng.randint(0, 7), rng.randint(1, 4)
+    rows, cols = {
+        "0xn": (0, n), "nx0": (n, 0), "square": (n, n), "tall": (n + extra, n), "wide": (n, n + extra),
+    }[shape]
+    density = rng.choice((1.0, 0.6, 0.25, 0.1))
+    bound = rng.choice((1, 9, 10 ** 6))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if ring.kind == "Zmod":
+            return rng.randrange(ring.modulus)
+        if ring.kind == "Q":
+            return Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3, 12, 10 ** 6 + 3)))
+        return rng.randint(-bound, bound)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        roll = rng.random()
+        if roll < 0.1:
+            data[i] = [0] * cols
+        elif roll < 0.2:
+            k = rng.choice((1, -1, 2))
+            data[i] = [k * x for x in data[rng.randrange(i)]]
+    return Matrix(ring, rows, cols, tuple(map(tuple, data)))
+
+
+@PROPERTY
+@given(SEEDS)
+def test_one_elimination_matches_the_loops_it_replaced(seed):
+    """rank, det and _rref against _bareiss, _det_bareiss, _rref_rational
+    and the normalising _rref, all kept in snf_oracle."""
+    rng = random.Random(seed)
+    for ring, shape in itertools.product(ELIMINATION_RINGS, SHAPES):
+        a = elimination_input(rng, ring, shape)
+        kind = ring.kind
+        if kind == "Z":
+            assert rank(a) == snf_oracle._bareiss(a.entries)[0], a
+        elif kind == "Q":
+            assert rank(a) == snf_oracle._bareiss(_cleared_rows(a.entries)[0])[0], a
+        else:
+            assert rank(a) == len(snf_oracle._rref(a)[1]), a
+        if a.is_square():
+            assert repr(det(a)) == repr(snf_oracle.det(a)), a
+        if kind != "Z":
+            want = repr(snf_oracle._rref(a))
+            assert repr(_rref(a)) == want, a
+            if kind == "Q":
+                assert repr(snf_oracle._rref_rational(a)) == want, a
 
 
 def test_rank_rejects_composite_moduli():
