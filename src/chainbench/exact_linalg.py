@@ -50,14 +50,14 @@ column j of a @ q divided by d_jj (exactly over Z; d_jj is 1 over a
 field); otherwise the recorded steps are replayed on the identity.  A
 right-hand side is carried: a solve joins the rows of b to the rows of
 a in place of p, so the same row steps leave p @ b there.
-smith_normal_form asks for all four transforms, a solve over Z for q
-with b carried, a kernel over Z for q, invariant_factors for none.
-Over composite Z/m everything runs in Z/m itself on one
-diagonalization with extended-gcd steps, which never factors m:
-cycle_quotient_mod reads homology off two of them, kernel_basis
-reads a kernel off one that keeps q, and solve_linear solves on one
-that keeps q and carries b.  Moduli are at most MAX_MODULUS = 2**64,
-where Miller-Rabin with fixed bases decides primality exactly.
+smith_normal_form asks for all four transforms, invariant_factors for
+none.  Over composite Z/m everything runs in Z/m itself with
+extended-gcd steps, which never factor m.  Over Z and composite Z/m,
+solve_linear (q kept, b carried), kernel_basis (q kept) and _is_onto
+read the pivots of one diagonalization, _diagonalize, the same way;
+cycle_quotient_mod reads homology off two.  Moduli are at most
+MAX_MODULUS = 2**64, where Miller-Rabin with fixed bases decides
+primality exactly.
 
 Every Matrix holds canonical entries: an int over Z, a Fraction over Q
 and an int in range(m) over Z/m.  The public ways in, Matrix(...),
@@ -766,11 +766,12 @@ class _SnfWorker:
         rows = self.rows
         return [rows[i][i] for i in range(min(self.r, self.c))]
 
-    def q_columns(self, start: int = 0) -> Matrix:
-        """Columns start, ..., c - 1 of q; q must be kept."""
+    def q_columns(self, start: int = 0, stop: int | None = None) -> Matrix:
+        """Columns start, ..., stop - 1 of q, stop c by default; q must be kept."""
         c = self.c
-        data = tuple(zip(*self.q_t[start:])) if start < c else ((),) * c
-        return Matrix._trusted(self.ring, c, c - start, data)
+        cols = self.q_t[start:stop]
+        data = tuple(zip(*cols)) if cols else ((),) * c
+        return Matrix._trusted(self.ring, c, len(cols), data)
 
     def _pinv(self, q: Matrix | None) -> Matrix:
         """p^-1, derived from the finished reduction.
@@ -1010,47 +1011,45 @@ def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix(a.ring, a.cols, b.cols, tuple(tuple(r) for r in x))
 
 
-def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve d y == p b entry by entry on the Smith form d = p a q; the
-    rows of b ride along the row steps and end as p b."""
-    w = _smith(a, ("q",), carry=b.entries)
-    cols = a.cols
+def _diagonalize(a: Matrix, keep=(), carry=None):
+    """(worker, pivots) of d = p a q: _smith over Z, _diagonalize_mod over
+    composite Z/m.  The pivots are the nonzero diagonal entries of d, in
+    order; keep and carry go to the worker (see _SnfWorker)."""
+    if a.ring.kind == "Z":
+        w = _smith(a, keep, carry)
+        return w, list(filter(None, w.diagonal()))
+    w = _SnfWorker(a, keep, carry)
+    return w, _diagonalize_mod(w)
+
+
+def _solve_diagonal(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve d y == p b row by row on d = p a q over Z or composite Z/m.
+
+    The rows of b ride along the row steps and end as p b.  A row past
+    the pivots has a solution only where p b is zero; a row with pivot
+    e needs e to divide each entry, in Z or in Z/m (_multiplier), and
+    then y holds the multipliers, the row itself when e is 1.  y is
+    zero past the pivots, so x = q y needs only the pivot columns of q.
+    """
+    m, cols = a.ring.modulus, a.cols
+    w, pivots = _diagonalize(a, ("q",), b.entries)
+    rows, r = w.rows, len(pivots)
+    for row in rows[r:]:
+        if any(row[cols:]):
+            return None
     y = []
-    for i, row in enumerate(w.rows):
-        di = row[i] if i < cols else 0
-        if di == 0:
-            if any(row[cols:]):
-                return None
-            y.append(row[cols:])
+    for e, row in zip(pivots, rows):
+        if e == 1:
+            y.append(tuple(row[cols:]))
             continue
         ys = []
-        for cij in row[cols:]:
-            yij, rem = divmod(cij, di)
-            if rem:
+        for x in row[cols:]:
+            k = _multiplier(e, x, m)[0]
+            if k is None:
                 return None
-            ys.append(yij)
-        y.append(ys)
-    y = tuple(map(tuple, y[:cols])) + ((0,) * b.cols,) * (cols - len(y))
-    return w.q_columns() @ Matrix._trusted(ZZ, cols, b.cols, y)
-
-
-def _solve_zmod_composite(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve d y == p b entry by entry on the diagonalization d = p a q;
-    the rows of b ride along the row steps and end as p b."""
-    m = a.ring.modulus
-    w = _SnfWorker(a, ("q",), carry=b.entries)
-    pivots = _diagonalize_mod(w)
-    cols = a.cols
-    if any(any(row[cols:]) for row in w.rows[len(pivots):]):
-        return None
-    y = []
-    for e, row in zip(pivots, w.rows):
-        ks = tuple(_multiplier(e, x, m)[0] for x in row[cols:])
-        if None in ks:
-            return None
-        y.append(ks)
-    y += [(0,) * b.cols] * (cols - len(pivots))
-    return w.q_columns() @ Matrix._trusted(a.ring, cols, b.cols, tuple(y))
+            ys.append(k)
+        y.append(tuple(ys))
+    return w.q_columns(0, r) @ Matrix._trusted(a.ring, r, b.cols, tuple(y))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -1067,9 +1066,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
         return Matrix.zero(a.ring, 0, b.cols) if b.is_zero() else None
     if a.ring.is_field():
         return _solve_field(a, b)
-    if a.ring.kind == "Z":
-        return _solve_integer(a, b)
-    return _solve_zmod_composite(a, b)
+    return _solve_diagonal(a, b)
 
 
 def _kernel_field(a: Matrix) -> Matrix:
@@ -1087,29 +1084,21 @@ def _kernel_field(a: Matrix) -> Matrix:
     return Matrix.from_columns(a.ring, columns, a.cols)
 
 
-def _kernel_integer(a: Matrix) -> Matrix:
-    w = _smith(a, ("q",))
-    return w.q_columns(sum(1 for x in w.diagonal() if x))
-
-
-def _kernel_zmod_composite(a: Matrix) -> Matrix:
-    """The kernel read off the diagonalization d = a q over Z/m.
-
-    It is q times the kernel of d, the sum of the annihilators of the
-    pivots, cyclic of order gcd(pivot, m), and Z/m for every column
-    without a pivot.  That sum is free exactly when its invariant
-    factors are all m.  The pivots' gcds with m divide each other, so
-    then every pivot is a unit and the columns of q past the pivots
-    are a basis.
+def _kernel_diagonal(a: Matrix) -> Matrix:
+    """The kernel read off d = p a q over Z or composite Z/m: q times
+    the kernel of d.  Over Z/m that kernel sums Z/gcd(e, m) over the
+    pivots e and Z/m over the other columns; those gcds divide each
+    other and none is m, so it is free exactly when all of them are 1.
+    A free kernel is spanned by the columns of q past the pivots.
     """
+    w, pivots = _diagonalize(a, ("q",))
     m = a.ring.modulus
-    w = _SnfWorker(a, ("q",))
-    pivots = _diagonalize_mod(w)
-    bad = [x for x in _invariant_chain(_cyclic_orders(pivots, a.cols, m)) if x != m]
-    if bad:
-        raise NonFreeKernel(
-            f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
-        )
+    if m is not None:
+        bad = [g for g in (gcd(e, m) for e in pivots) if g > 1]
+        if bad:
+            raise NonFreeKernel(
+                f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
+            )
     return w.q_columns(len(pivots))
 
 
@@ -1181,7 +1170,11 @@ def _diagonalize_mod(w: _SnfWorker) -> list:
 
 
 def _multiplier(a, x, m):
-    """(k, None) with x == k * a mod m when gcd(a, m) divides x, else (None, x // a)."""
+    """(k, None) with x == k * a mod m when gcd(a, m) divides x, else
+    (None, x // a); over Z (m is None), x == k * a when a divides x."""
+    if m is None:
+        k, rem = divmod(x, a)
+        return (None, k) if rem else (k, None)
     g = gcd(a, m)
     if x % g:
         return None, x // a
@@ -1247,9 +1240,7 @@ def kernel_basis(a: Matrix) -> Matrix:
     """
     if a.ring.is_field():
         return _kernel_field(a)
-    if a.ring.kind == "Z":
-        return _kernel_integer(a)
-    return _kernel_zmod_composite(a)
+    return _kernel_diagonal(a)
 
 
 def inverse(a: Matrix) -> Matrix | None:
@@ -1278,16 +1269,15 @@ def is_split_surjection(a: Matrix) -> Matrix | None:
 
 
 def _is_onto(a: Matrix) -> bool:
-    """Whether a is split surjective, decided without a section where
-    the ring allows: over a field its rank is a.rows; over Z its
-    invariant factors are a.rows ones; over composite Z/m a section is
-    solved for, as is_split_surjection does."""
+    """Whether a is split surjective, decided without a section: over a
+    field its rank is a.rows; over Z and composite Z/m, d = p a q has
+    a pivot in every row and every pivot is a unit, gcd(e, m) == 1
+    (with m = 0 over Z, where gcd(e, 0) == e for the positive pivots)."""
     if a.ring.is_field():
         return rank(a) == a.rows
-    if a.ring.kind == "Z":
-        factors = invariant_factors(a)
-        return len(factors) == a.rows and all(x == 1 for x in factors)
-    return is_split_surjection(a) is not None
+    m = a.ring.modulus or 0
+    pivots = _diagonalize(a)[1]
+    return len(pivots) == a.rows and all(gcd(e, m) == 1 for e in pivots)
 
 
 def split_with_complement(a: Matrix):

@@ -229,10 +229,9 @@ def is_reduced(c: D0Complex) -> bool:
     """Whether every descent is degreewise split surjective.
 
     Decides exactly when reduction_certificates(c) is not None, but
-    solves for no section where the ring allows: a block over a field
-    needs rank equal to its row count, and over Z as many invariant
-    factors as rows, all of them 1.  Over composite Z/m a section is
-    still solved for (exact_linalg._is_onto).
+    solves for no section: a block over a field needs rank equal to its
+    row count, and over Z or composite Z/m a diagonalization with a
+    unit pivot in every row (exact_linalg._is_onto).
     """
     return all(
         _is_onto(a.block(n))

@@ -11,12 +11,19 @@ lattice routes (kernel_lattice_basis_mod, the kernel and the solve
 built on it, _kernel_zmod_composite and _solve_zmod_composite, and the
 homology one, _homology_mod_composite), the solves over Z and over
 composite Z/m that kept p in the Smith worker and then multiplied
-p @ b (solve_integer_via_p and solve_zmod_composite_via_p), and the
-trial-division invariant factors of a sum of cyclic groups that fuzz
-once built its expected homology with (invariant_factors_of_cyclics),
-and the Smith worker that kept d, p and carry as separate lists and
-updated whole rows (DenseSnfWorker), with the composite kernel and
-solve run on it.
+p @ b (solve_integer_via_p and solve_zmod_composite_via_p), the four
+routes that read solves and kernels off the diagonal d = p a q one
+ring at a time before the library's one read-off (_solve_integer and
+_kernel_integer over Z, solve_zmod_composite_diagonal and
+kernel_zmod_composite_diagonal over composite Z/m) with the
+three-branch _is_onto that solved for a section over composite Z/m,
+the trial-division invariant factors of a sum of cyclic groups that
+fuzz once built its expected homology with
+(invariant_factors_of_cyclics), and the Smith worker that kept d, p
+and carry as separate lists and updated whole rows (DenseSnfWorker),
+with the composite kernel and solve run on it.  The lattice routes
+solve and take kernels over Z with this module's _solve_integer and
+_kernel_integer, not with the library's read-off that they check.
 The Smith reduction normalises every entry through Ring.normalize
 after each elementary operation, builds one (key, row, column) tuple
 per candidate pivot and rescans the trailing block for divisibility
@@ -56,8 +63,6 @@ from chainbench.exact_linalg import (
     SNFResult,
     _Q_ZERO,
     _cleared_rows,
-    _kernel_integer,
-    _solve_integer,
     kernel_basis,
     solve_linear,
 )
@@ -330,6 +335,95 @@ def _kernel_field(a: Matrix) -> Matrix:
             v[p] = a.ring.normalize(-m[idx][f])
         columns.append(v)
     return Matrix.from_columns(a.ring, columns, a.cols)
+
+
+# ---------------------------------------------------------------------------
+# The solves, kernels and onto-test over Z and composite Z/m, read off
+# the diagonal route by route before exact_linalg read them off once
+
+
+def _solve_integer(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve d y == p b entry by entry on the Smith form d = p a q; the
+    rows of b ride along the row steps and end as p b."""
+    w = exact_linalg._smith(a, ("q",), carry=b.entries)
+    cols = a.cols
+    y = []
+    for i, row in enumerate(w.rows):
+        di = row[i] if i < cols else 0
+        if di == 0:
+            if any(row[cols:]):
+                return None
+            y.append(row[cols:])
+            continue
+        ys = []
+        for cij in row[cols:]:
+            yij, rem = divmod(cij, di)
+            if rem:
+                return None
+            ys.append(yij)
+        y.append(ys)
+    y = tuple(map(tuple, y[:cols])) + ((0,) * b.cols,) * (cols - len(y))
+    return w.q_columns() @ Matrix._trusted(ZZ, cols, b.cols, y)
+
+
+def solve_zmod_composite_diagonal(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve d y == p b entry by entry on the diagonalization d = p a q;
+    the rows of b ride along the row steps and end as p b."""
+    m = a.ring.modulus
+    w = exact_linalg._SnfWorker(a, ("q",), carry=b.entries)
+    pivots = exact_linalg._diagonalize_mod(w)
+    cols = a.cols
+    if any(any(row[cols:]) for row in w.rows[len(pivots):]):
+        return None
+    y = []
+    for e, row in zip(pivots, w.rows):
+        ks = tuple(exact_linalg._multiplier(e, x, m)[0] for x in row[cols:])
+        if None in ks:
+            return None
+        y.append(ks)
+    y += [(0,) * b.cols] * (cols - len(pivots))
+    return w.q_columns() @ Matrix._trusted(a.ring, cols, b.cols, tuple(y))
+
+
+def _kernel_integer(a: Matrix) -> Matrix:
+    w = exact_linalg._smith(a, ("q",))
+    return w.q_columns(sum(1 for x in w.diagonal() if x))
+
+
+def kernel_zmod_composite_diagonal(a: Matrix) -> Matrix:
+    """The kernel read off the diagonalization d = a q over Z/m.
+
+    It is q times the kernel of d, the sum of the annihilators of the
+    pivots, cyclic of order gcd(pivot, m), and Z/m for every column
+    without a pivot.  That sum is free exactly when its invariant
+    factors are all m.  The pivots' gcds with m divide each other, so
+    then every pivot is a unit and the columns of q past the pivots
+    are a basis.
+    """
+    m = a.ring.modulus
+    w = exact_linalg._SnfWorker(a, ("q",))
+    pivots = exact_linalg._diagonalize_mod(w)
+    orders = exact_linalg._cyclic_orders(pivots, a.cols, m)
+    bad = [x for x in exact_linalg._invariant_chain(orders) if x != m]
+    if bad:
+        raise NonFreeKernel(
+            f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
+        )
+    return w.q_columns(len(pivots))
+
+
+def _is_onto(a: Matrix) -> bool:
+    """Whether a is split surjective, decided without a section where
+    the ring allows: over a field its rank is a.rows; over Z its
+    invariant factors are a.rows ones; over composite Z/m a section is
+    solved for, as is_split_surjection does (here on the solve above,
+    which is_split_surjection reached through solve_linear)."""
+    if a.ring.is_field():
+        return exact_linalg.rank(a) == a.rows
+    if a.ring.kind == "Z":
+        factors = exact_linalg.invariant_factors(a)
+        return len(factors) == a.rows and all(x == 1 for x in factors)
+    return solve_zmod_composite_diagonal(a, Matrix.identity(a.ring, a.rows)) is not None
 
 
 def kernel_lattice_basis_mod(a: Matrix, m: int) -> Matrix:
@@ -755,7 +849,7 @@ class DenseSnfWorker:
 
 
 def kernel_zmod_composite_dense(a: Matrix) -> Matrix:
-    """exact_linalg._kernel_zmod_composite on DenseSnfWorker."""
+    """kernel_zmod_composite_diagonal on DenseSnfWorker."""
     m = a.ring.modulus
     w = DenseSnfWorker(a, ("q",))
     pivots = exact_linalg._diagonalize_mod(w)
@@ -769,7 +863,7 @@ def kernel_zmod_composite_dense(a: Matrix) -> Matrix:
 
 
 def solve_zmod_composite_dense(a: Matrix, b: Matrix) -> Matrix | None:
-    """exact_linalg._solve_zmod_composite on DenseSnfWorker, b carried."""
+    """solve_zmod_composite_diagonal on DenseSnfWorker, b carried."""
     m = a.ring.modulus
     w = DenseSnfWorker(a, ("q",), carry=[list(row) for row in b.entries])
     pivots = exact_linalg._diagonalize_mod(w)

@@ -239,8 +239,17 @@ LATTICE_ROUTES = ("random_kernel_tower Z/4", "random_reduced_ladder Z/4")
 def test_seeded_fuzz_outputs_pinned(key, monkeypatch):
     name, label = key.split(" ")
     if key in LATTICE_ROUTES:
-        monkeypatch.setattr(exact_linalg, "_kernel_zmod_composite", snf_oracle._kernel_zmod_composite)
-        monkeypatch.setattr(exact_linalg, "_solve_zmod_composite", snf_oracle._solve_zmod_composite)
+        # The read-off serves Z and composite Z/m; only Z/m goes to the lattice.
+        kernel, solve = exact_linalg._kernel_diagonal, exact_linalg._solve_diagonal
+
+        def lattice_kernel(a):
+            return snf_oracle._kernel_zmod_composite(a) if a.ring.kind == "Zmod" else kernel(a)
+
+        def lattice_solve(a, b):
+            return snf_oracle._solve_zmod_composite(a, b) if a.ring.kind == "Zmod" else solve(a, b)
+
+        monkeypatch.setattr(exact_linalg, "_kernel_diagonal", lattice_kernel)
+        monkeypatch.setattr(exact_linalg, "_solve_diagonal", lattice_solve)
     ring = {"Z": ZZ, "Q": QQ, "Z/3": Zmod(3), "Z/4": Zmod(4)}[label]
     digest = hashlib.sha256()
     for seed in range(4):

@@ -9,7 +9,10 @@ in tests/: homology with snf_oracle.homology_at, rank with the oracle
 row echelon form and Smith form, every transform subset of the Smith
 worker with the full smith_normal_form.  The one field and rank
 elimination, _eliminate, is checked through its callers rank, det and
-_rref against the three loops it replaced, kept in snf_oracle.
+_rref against the three loops it replaced, kept in snf_oracle.  Over Z
+and composite Z/m, solve_linear, kernel_basis and _is_onto read one
+diagonalization off the same way; they are checked against the routes
+that read it ring by ring, kept there too.
 """
 
 import itertools
@@ -29,9 +32,11 @@ from chainbench.exact_linalg import (
     TRANSFORMS,
     ZZ,
     Matrix,
+    NonFreeKernel,
     Zmod,
     _cleared_rows,
     _invariant_chain,
+    _is_onto,
     _is_prime,
     _rref,
     _smith,
@@ -39,8 +44,11 @@ from chainbench.exact_linalg import (
     det,
     invariant_factors,
     inverse,
+    is_split_surjection,
+    kernel_basis,
     rank,
     smith_normal_form,
+    solve_linear,
 )
 from chainbench.fuzz import (
     random_complex,
@@ -246,6 +254,61 @@ def test_one_elimination_matches_the_loops_it_replaced(seed):
             assert repr(_rref(a)) == want, a
             if kind == "Q":
                 assert repr(snf_oracle._rref_rational(a)) == want, a
+
+
+READ_OFF_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(12), Zmod(30), Zmod(P10 * Q10))
+
+
+def read_off_input(rng, ring, shape) -> Matrix:
+    """elimination_input with some rows, or all, multiplied by a prime
+    factor of the modulus (over Z by 2 or 3), so that pivots that are
+    not units show up over every ring."""
+    a = elimination_input(rng, ring, shape)
+    m = ring.modulus
+    factor = rng.choice([f for f in (2, 3, 5, P10, Q10) if m % f == 0] if m else (2, 3))
+    share = rng.choice((0.0, 0.5, 1.0))
+    data = [[x * factor for x in row] if rng.random() < share else row for row in a.entries]
+    return Matrix(ring, a.rows, a.cols, tuple(map(tuple, data)))
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except NonFreeKernel as err:
+        return f"NonFreeKernel: {err}"
+
+
+@PROPERTY
+@given(SEEDS)
+def test_one_read_off_matches_the_routes_it_replaced(seed):
+    """solve_linear, kernel_basis and _is_onto over Z and composite Z/m
+    against _solve_integer, _kernel_integer, solve_zmod_composite_diagonal,
+    kernel_zmod_composite_diagonal and the three-branch _is_onto, all
+    kept in snf_oracle: the same reprs, the same NonFreeKernel messages
+    and the same verdicts, which is_split_surjection's section confirms."""
+    rng = random.Random(seed)
+    for ring, shape in itertools.product(READ_OFF_RINGS, SHAPES):
+        a = read_off_input(rng, ring, shape)
+        if ring == ZZ:
+            old_solve, old_kernel = snf_oracle._solve_integer, snf_oracle._kernel_integer
+            units = (1, -1)
+        else:
+            old_solve = snf_oracle.solve_zmod_composite_diagonal
+            old_kernel = snf_oracle.kernel_zmod_composite_diagonal
+            units = [u for u in (5, 7, 11, 13) if gcd(u, ring.modulus) == 1]
+        assert _outcome(kernel_basis, a) == _outcome(old_kernel, a), a
+        width = rng.randint(1, 3)
+        for b in (
+            random_matrix(rng, ring, a.rows, width, bound=9),
+            a @ random_matrix(rng, ring, a.cols, width, bound=9),
+            Matrix.zero(ring, a.rows, width),
+        ):
+            assert repr(solve_linear(a, b)) == repr(old_solve(a, b)), (a, b)
+        widened = a.hstack(Matrix.identity(ring, a.rows).scale(rng.choice(units)))
+        for c in (a, a.transpose(), widened):
+            onto = _is_onto(c)
+            assert onto == snf_oracle._is_onto(c), c
+            assert onto == (is_split_surjection(c) is not None), c
 
 
 def test_rank_rejects_composite_moduli():

@@ -40,7 +40,7 @@ from chainbench.exact_linalg import (
     unvec_row_major,
     vec_row_major,
 )
-from chainbench.exact_linalg import _rref, _solve_integer, _solve_zmod_composite
+from chainbench.exact_linalg import _rref
 
 
 def mk(ring, data):
@@ -644,8 +644,8 @@ def test_solve_without_unknowns_matches_elimination():
     """A system with no unknowns is answered without eliminating; the
     answer must be the one each elimination route gives."""
     routes = (
-        (ZZ, _solve_integer),
-        (Zmod(6), _solve_zmod_composite),
+        (ZZ, snf_oracle._solve_integer),
+        (Zmod(6), snf_oracle.solve_zmod_composite_diagonal),
         (QQ, snf_oracle._solve_field),
         (Zmod(5), snf_oracle._solve_field),
     )
