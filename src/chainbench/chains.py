@@ -59,8 +59,10 @@ from .exact_linalg import (
     Matrix,
     Ring,
     ShapeMismatch,
+    _coordinates,
     _factor_matrix,
     _is_onto,
+    _kernel,
     block_matrix,
     cycle_quotient_mod,
     invariant_factors,
@@ -1115,13 +1117,9 @@ def is_homology_equivalence(f: GradedMap) -> bool:
         if ht.is_trivial():
             continue
         ks = kernel_basis(src.diff(n))
-        kt = kernel_basis(tgt.diff(n))
-        induced = solve_linear(kt, f.block(n) @ ks)
-        if induced is None:
-            raise AssertionError("cycles were not carried into cycles")
-        bt = solve_linear(kt, tgt.diff(n + 1))
-        if bt is None:
-            raise AssertionError("boundaries escaped the cycle lattice")
+        kt, lt = _kernel(tgt.diff(n))
+        induced = _coordinates(kt, lt, f.block(n) @ ks, "cycles were not carried into cycles")
+        bt = _coordinates(kt, lt, tgt.diff(n + 1), "boundaries escaped the cycle lattice")
         if not _is_onto(induced.hstack(bt)):
             return False
     return True

@@ -29,8 +29,8 @@ Over Z it is fraction-free: every entry stays a minor of the input.
 Over Q the rows are first cleared of their denominators and then
 eliminated over Z.  _rref, which solve_linear and kernel_basis read,
 asks for the reduced form, and over Q divides by the last pivot once
-at the end; rank and det stop at the echelon form, and det over Z/m
-eliminates the lifted residues over Z.  The Smith reduction and
+at the end; rank and det stop at the echelon form, and det over
+composite Z/m eliminates its lift to Z.  The Smith reduction and
 the elimination over composite Z/m share one worker, _SnfWorker.  It
 keeps each row of d joined in one list with the row of p, or with the
 row of a carried right-hand side, so a row swap, negation, scaling or
@@ -53,11 +53,14 @@ a in place of p, so the same row steps leave p @ b there.
 smith_normal_form asks for all four transforms, invariant_factors for
 none.  Over composite Z/m everything runs in Z/m itself with
 extended-gcd steps, which never factor m.  Over Z and composite Z/m,
-solve_linear (q kept, b carried), kernel_basis (q kept) and _is_onto
-read the pivots of one diagonalization, _diagonalize, the same way;
-cycle_quotient_mod reads homology off two.  Moduli are at most
-MAX_MODULUS = 2**64, where Miller-Rabin with fixed bases decides
-primality exactly.
+solve_linear (q kept, b carried), _kernel (q and qinv kept) and
+_is_onto read the pivots of one diagonalization, _diagonalize, the
+same way; cycle_quotient_mod reads homology off two.  _kernel also
+returns a left inverse l of its basis k, the rows of qinv past the
+pivots or over a field the identity's rows at the free columns;
+_coordinates and split_with_complement read through l.  Moduli are
+at most MAX_MODULUS = 2**64, where Miller-Rabin with fixed bases
+decides primality exactly.
 
 Every Matrix holds canonical entries: an int over Z, a Fraction over Q
 and an int in range(m) over Z/m.  The public ways in, Matrix(...),
@@ -936,9 +939,9 @@ def _eliminate(m, cols, ring, reduced):
     Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997); over ZZ
     those are not zero left of col, so they change over their full
     width.  Returns (pivot columns, sign of the row permutation, last
-    pivot); over ZZ, for a square input of full rank, sign * last pivot
-    is its determinant, and after reduced every pivot row holds the
-    last pivot at its pivot column.
+    pivot over ZZ, product of the pivots over Z/p); for a square input
+    of full rank, sign times that is its determinant, and over ZZ after
+    reduced every pivot row holds the last pivot at its pivot column.
     """
     mod = ring.modulus
     n = len(m)
@@ -969,6 +972,7 @@ def _eliminate(m, cols, ring, reduced):
                         x[lo:] = [p * u // prev for u in x[lo:]]
             prev = p
         else:
+            prev = prev * p % mod
             y[col:] = _scaled(y[col:], ring.invert(p), mod)
             for i in range(0 if reduced else t + 1, n):
                 f = m[i][col]
@@ -1069,29 +1073,30 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     return _solve_diagonal(a, b)
 
 
-def _kernel_field(a: Matrix) -> Matrix:
+def _kernel_field(a: Matrix):
     m, pivots = _rref(a)
     pivot_set = set(pivots)
     free = [j for j in range(a.cols) if j not in pivot_set]
     z, o = a.ring.zero, a.ring.one
-    columns = []
+    columns, left = [], []
     for f in free:
         v = [z] * a.cols
         v[f] = o
+        left.append(tuple(v))
         for idx, p in enumerate(pivots):
             v[p] = -m[idx][f]
         columns.append(v)
-    return Matrix.from_columns(a.ring, columns, a.cols)
+    return Matrix.from_columns(a.ring, columns, a.cols), Matrix._trusted(a.ring, len(free), a.cols, tuple(left))
 
 
-def _kernel_diagonal(a: Matrix) -> Matrix:
-    """The kernel read off d = p a q over Z or composite Z/m: q times
+def _kernel_diagonal(a: Matrix):
+    """(k, l) read off d = p a q over Z or composite Z/m: k is q times
     the kernel of d.  Over Z/m that kernel sums Z/gcd(e, m) over the
     pivots e and Z/m over the other columns; those gcds divide each
     other and none is m, so it is free exactly when all of them are 1.
-    A free kernel is spanned by the columns of q past the pivots.
+    Then k is the columns of q past the pivots and l those rows of qinv.
     """
-    w, pivots = _diagonalize(a, ("q",))
+    w, pivots = _diagonalize(a, ("q", "qinv"))
     m = a.ring.modulus
     if m is not None:
         bad = [g for g in (gcd(e, m) for e in pivots) if g > 1]
@@ -1099,7 +1104,8 @@ def _kernel_diagonal(a: Matrix) -> Matrix:
             raise NonFreeKernel(
                 f"kernel over {a.ring} is not free: cyclic pieces of sizes {bad}"
             )
-    return w.q_columns(len(pivots))
+    r = len(pivots)
+    return w.q_columns(r), Matrix._trusted(a.ring, a.cols - r, a.cols, tuple(map(tuple, w.qinv[r:])))
 
 
 def _diagonalize_mod(w: _SnfWorker) -> list:
@@ -1238,9 +1244,23 @@ def kernel_basis(a: Matrix) -> Matrix:
     saturated).  Over Z/m with composite m the kernel may fail to be
     free, in which case NonFreeKernel is raised.
     """
+    return _kernel(a)[0]
+
+
+def _kernel(a: Matrix):
+    """(k, l): the basis of kernel_basis and a left inverse, l @ k == 1."""
     if a.ring.is_field():
         return _kernel_field(a)
     return _kernel_diagonal(a)
+
+
+def _coordinates(k: Matrix, l: Matrix, v: Matrix, what: str) -> Matrix:
+    """The only x with k @ x == v, l @ v as l @ k == 1; AssertionError(what)
+    when v leaves the span of k, where solve_linear(k, v) gives None."""
+    x = l @ v
+    if k @ x != v:
+        raise AssertionError(what)
+    return x
 
 
 def inverse(a: Matrix) -> Matrix | None:
@@ -1291,18 +1311,16 @@ def split_with_complement(a: Matrix):
         r @ comp == 0 and proj @ a == 0
 
     so the columns of comp complete the image of a to a basis.  Returns
-    None when a is not a split injection.
+    None when a is not a split injection.  With l the left inverse of
+    comp, a kernel basis of r, [r; l - (l @ a) @ r] inverts [a | comp].
     """
-    r0 = is_split_injection(a)
-    if r0 is None:
+    r = is_split_injection(a)
+    if r is None:
         return None
-    comp = kernel_basis(r0)
-    t = a.hstack(comp)
-    tinv = inverse(t)
-    if tinv is None:
+    comp, left = _kernel(r)
+    proj = left - (left @ a) @ r
+    if a @ r + comp @ proj != Matrix.identity(a.ring, a.rows):
         raise AssertionError("image plus complement failed to span")
-    r = tinv.rows_slice(0, a.cols)
-    proj = tinv.rows_slice(a.cols, t.cols)
     return r, comp, proj
 
 
@@ -1323,14 +1341,15 @@ def _cleared_rows(entries):
 
 
 def det(a: Matrix):
-    """Exact determinant in the base ring, from one fraction-free
-    elimination over Z: of the entries over Z, of their lifts over Z/m
-    and of the rows cleared of their denominators over Q."""
+    """Exact determinant in the base ring from one row echelon form: in
+    Z/p itself, else fraction-free over Z, of the entries, their lifts
+    over composite Z/m or the rows cleared of denominators over Q."""
     if not a.is_square():
         raise ShapeMismatch("determinant needs a square matrix")
     kind = a.ring.kind
     rows, scales = _cleared_rows(a.entries) if kind == "Q" else (a.entries, ())
-    pivots, sign, prev = _eliminate([list(row) for row in rows], a.cols, ZZ, False)
+    ring = a.ring if kind == "Zmod" and a.ring.is_field() else ZZ
+    pivots, sign, prev = _eliminate([list(row) for row in rows], a.cols, ring, False)
     d = sign * prev if len(pivots) == a.rows else 0
     if kind == "Zmod":
         return d % a.ring.modulus

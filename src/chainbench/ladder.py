@@ -27,7 +27,9 @@ from ._record import record
 from .exact_linalg import (
     Matrix,
     ShapeMismatch,
+    _coordinates,
     _is_onto,
+    _kernel,
     block_matrix,
     is_split_surjection,
     kernel_basis,
@@ -361,12 +363,32 @@ class KernelData:
     complex: ChainComplex
     inclusion: GradedMap
 
+    def __init__(self, complex: ChainComplex, inclusion: GradedMap, _left: dict | None = None) -> None:
+        self.__dict__.update(complex=complex, inclusion=inclusion, _left=_left)
+
+    def coordinates(self, n: int, v: Matrix, what: str) -> Matrix:
+        """v in the degree-n basis, through the left inverses _left from kernel_complex."""
+        if self._left is None:
+            raise ValueError("only a KernelData made by kernel_complex carries coordinates")
+        left = self._left[n] if n in self._left else Matrix.zero(self.complex.ring, 0, 0)
+        return _coordinates(self.inclusion.block(n), left, v, what)
+
+
+def _subcomplex(ring, bases, boundary, what: str) -> ChainComplex:
+    """The complex on kernel bases (k, l) by degree with the boundary that
+    boundary(n), out of degree n, induces; d^2 == 0 follows, unchecked."""
+    diffs = {}
+    for n, (k, _) in bases.items():
+        if k.cols and n - 1 in bases:
+            diffs[n] = _coordinates(*bases[n - 1], boundary(n) @ k, what)
+    return ChainComplex.build(ring, {n: k.cols for n, (k, _) in bases.items()}, diffs, validate=False)
+
 
 def kernel_complex(c: D0Complex, m: int) -> KernelData:
     """Kernel of alpha_m with the boundary induced from level m.
 
     The boundary of level m preserves the kernel because alpha_m is a
-    chain map, so each boundary block is solved exactly in the kernel
+    chain map, so each boundary block is read exactly in the kernel
     bases.  Over the integers the bases are saturated, which keeps the
     induced boundary integral.  Given a checked chain map alpha_m and
     injective bases, d^2 == 0 and the inclusion follow, unchecked.
@@ -375,25 +397,16 @@ def kernel_complex(c: D0Complex, m: int) -> KernelData:
         raise ValueError(f"no descent at level {m}")
     a = c.alpha_map(m)
     b = c.level(m)
-    bases = {n: kernel_basis(a.block(n)) for n in b.degrees()}
-    ranks = {n: k.cols for n, k in bases.items()}
-    diffs = {}
-    for n in b.degrees():
-        kn = bases[n]
-        km = bases.get(n - 1)
-        if kn.cols == 0 or km is None or km.cols == 0:
-            continue
-        sol = solve_linear(km, b.diff(n) @ kn)
-        if sol is None:
-            raise AssertionError("boundary escaped the descent kernel")
-        diffs[n] = sol
-    kc = ChainComplex.build(b.ring, ranks, diffs, validate=False)
-    return KernelData(kc, GradedMap.build(kc, b, 0, {n: k for n, k in bases.items() if k.cols}))
+    bases = {n: _kernel(a.block(n)) for n in b.degrees()}
+    kc = _subcomplex(b.ring, bases, b.diff, "boundary escaped the descent kernel")
+    inclusion = GradedMap.build(kc, b, 0, {n: k for n, (k, _) in bases.items() if k.cols})
+    return KernelData(kc, inclusion, {n: l for n, (_, l) in bases.items()})
 
 
 def kernel_lambda(c: D0Complex, m: int, source: KernelData = None, target: KernelData = None) -> GradedMap:
-    """Chain map induced by ascent m between adjacent descent kernels; it
-    relies on the checked ascent and the injective kernel inclusions."""
+    """Chain map induced by ascent m between adjacent descent kernels from
+    kernel_complex; it relies on the checked ascent and the injective
+    kernel inclusions."""
     if not 1 <= m <= c.top_index - 1:
         raise ValueError(f"no adjacent kernels at level {m}")
     src = source if source is not None else kernel_complex(c, m)
@@ -401,10 +414,8 @@ def kernel_lambda(c: D0Complex, m: int, source: KernelData = None, target: Kerne
     lam = c.lambda_map(m)
     blocks = {}
     for n in src.complex.degrees():
-        sol = solve_linear(tgt.inclusion.block(n), lam.block(n) @ src.inclusion.block(n))
-        if sol is None:
-            raise AssertionError("ascent escaped the next descent kernel")
-        blocks[n] = sol
+        image = lam.block(n) @ src.inclusion.block(n)
+        blocks[n] = tgt.coordinates(n, image, "ascent escaped the next descent kernel")
     return GradedMap.build(src.complex, tgt.complex, 0, blocks)
 
 
@@ -524,6 +535,15 @@ def _leibniz_conditions(sys_: _BlockSystem, d: D0Complex, c: D0Complex, q: int) 
         _leibniz_rows(sys_, d.level(i), c.level(i), q, lambda l, i=i: ("f", i, l))
 
 
+def _family_system(d: D0Complex, c: D0Complex, q: int, *conditions) -> _BlockSystem:
+    """The degree-q families from d to c as unknowns, with the rows of each of conditions."""
+    sys_ = _BlockSystem(c.bimodule.base)
+    _register_family(sys_, d, c, q)
+    for add in conditions:
+        add(sys_, d, c, q)
+    return sys_
+
+
 @record
 class HomComplex:
     """Families of level maps out of a probe tower, as a chain complex.
@@ -566,33 +586,11 @@ def hom_complex(d: D0Complex, c: D0Complex) -> HomComplex:
                 qs.add(nc - l)
     systems = {}
     for q in sorted(qs):
-        sys_ = _BlockSystem(ring)
-        _register_family(sys_, d, c, q)
-        _compat_conditions(sys_, d, c, q)
-        systems[q] = (sys_, kernel_basis(sys_.matrix()))
-    ranks = {q: k.cols for q, (_, k) in systems.items()}
-    diffs = {}
-    for q in sorted(qs):
-        if q - 1 not in systems:
-            continue
-        sys_q, kq = systems[q]
-        sys_p, kp = systems[q - 1]
-        if kq.cols == 0:
-            continue
-        boundary = _BlockSystem(ring)
-        _register_family(boundary, d, c, q)
-        _leibniz_conditions(boundary, d, c, q)
-        image = boundary.matrix() @ kq
-        if kp.cols == 0:
-            if not image.is_zero():
-                raise AssertionError("boundary left the compatible families")
-            continue
-        sol = solve_linear(kp, image)
-        if sol is None:
-            raise AssertionError("boundary left the compatible families")
-        diffs[q] = sol
-    # d^2 == 0: the Leibniz boundary, solved exactly through injective kp.
-    hom = ChainComplex.build(ring, ranks, diffs, validate=False)
+        sys_ = _family_system(d, c, q, _compat_conditions)
+        systems[q] = (sys_, *_kernel(sys_.matrix()))
+    bases = {q: (k, l) for q, (_, k, l) in systems.items()}
+    boundary = lambda q: _family_system(d, c, q, _leibniz_conditions).matrix()
+    hom = _subcomplex(ring, bases, boundary, "boundary left the compatible families")
     kind, m = detect_probe(d)
     kernel = to_kernel = from_kernel = None
     sub_kernel = ses = connecting = None
@@ -620,31 +618,21 @@ def _climb_column(c: D0Complex, start_level: int, block_degree: int, seed: Matri
     return out
 
 
-def _evaluate_unit_slot(sys_q, kq, kernel, q, m):
-    """Degree-q families kq read at the unit slot ("f", m, 0), in kernel coordinates."""
-    x = solve_linear(kernel.inclusion.block(q), sys_q.slice_rows(kq, ("f", m, 0)))
-    if x is None:
-        raise AssertionError("unit evaluation escaped the descent kernel")
-    return x
-
-
 def _unit_probe_iso(systems, hom, c, m, kernel):
     """Mutually inverse chain maps between the family complex and Ker(alpha_m)."""
     to_blocks, from_blocks = {}, {}
-    for q, (sys_q, kq) in systems.items():
+    for q, (sys_q, kq, lq) in systems.items():
         dim = kq.cols
         kdim = kernel.complex.rank(q)
         if dim != kdim:
             raise AssertionError("family complex rank differs from the kernel rank")
         if dim == 0:
             continue
-        to_blocks[q] = _evaluate_unit_slot(sys_q, kq, kernel, q, m)
+        unit = sys_q.slice_rows(kq, ("f", m, 0))
+        to_blocks[q] = kernel.coordinates(q, unit, "unit evaluation escaped the descent kernel")
         climbed = _climb_column(c, m, q, kernel.inclusion.block(q))
         raw = sys_q.stack({("f", i, 0): mat for i, mat in climbed.items()}, kdim)
-        y = solve_linear(kq, raw)
-        if y is None:
-            raise AssertionError("kernel family failed the compatibility conditions")
-        from_blocks[q] = y
+        from_blocks[q] = _coordinates(kq, lq, raw, "kernel family failed the compatibility conditions")
     to_kernel = GradedMap.build(hom, kernel.complex, 0, to_blocks)
     from_kernel = GradedMap.build(kernel.complex, hom, 0, from_blocks)
     if not to_kernel.is_chain_map() or not from_kernel.is_chain_map():
@@ -660,19 +648,17 @@ def _capped_probe_ses(systems, hom, c, m, kernel, sub_kernel):
     """Short exact sequence around the capped-probe family complex."""
     sub_shift = shift_unsigned(sub_kernel.complex, -1)
     i_blocks, p_blocks = {}, {}
-    for q, (sys_q, kq) in systems.items():
+    for q, (sys_q, kq, lq) in systems.items():
         dim = kq.cols
         if dim:
-            p_blocks[q] = _evaluate_unit_slot(sys_q, kq, kernel, q, m)
+            unit = sys_q.slice_rows(kq, ("f", m, 0))
+            p_blocks[q] = kernel.coordinates(q, unit, "unit evaluation escaped the descent kernel")
         kdim = sub_kernel.complex.rank(q + 1)
         if dim == 0 or kdim == 0:
             continue
         climbed = _climb_column(c, m + 1, q + 1, sub_kernel.inclusion.block(q + 1))
         raw = sys_q.stack({("f", i, 1): mat for i, mat in climbed.items()}, kdim)
-        y = solve_linear(kq, raw)
-        if y is None:
-            raise AssertionError("capped-slot family failed the compatibility conditions")
-        i_blocks[q] = y
+        i_blocks[q] = _coordinates(kq, lq, raw, "capped-slot family failed the compatibility conditions")
     return validate_ses(
         GradedMap.build(sub_shift, hom, 0, i_blocks),
         GradedMap.build(hom, kernel.complex, 0, p_blocks),
@@ -718,11 +704,7 @@ def morphism_space(d: D0Complex, c: D0Complex) -> MorphismSpace:
         raise ShapeMismatch("towers must share the bimodule")
     if d.top_index != c.top_index:
         raise ShapeMismatch("towers must have the same length")
-    ring = d.bimodule.base
-    sys_ = _BlockSystem(ring)
-    _register_family(sys_, d, c, 0)
-    _compat_conditions(sys_, d, c, 0)
-    _leibniz_conditions(sys_, d, c, 0)
+    sys_ = _family_system(d, c, 0, _compat_conditions, _leibniz_conditions)
     k = kernel_basis(sys_.matrix())
     basis = []
     for col in range(k.cols):

@@ -8,7 +8,9 @@ and random_chain_map are built on it.  _BlockSystem, _coeff_left,
 _coeff_right, _chain_conditions, _leibniz_matrix and morphism_space are
 the tower-side assemblers, where _leibniz_matrix places the boundary of
 the family complex with its own grid loop; hom_complex, _unit_probe_iso,
-_stack_into and _capped_probe_ses build the family complex on it.  annihilator_exponent sweeps
+_stack_into and _capped_probe_ses build the family complex on it, and
+solve against each kernel basis, with the descent kernels and their
+induced ascent from kernel_oracle.  annihilator_exponent sweeps
 the divisors of the squared homology exponent, one exact solve per
 candidate, with the helper _homology_exponent that reads a second
 homology table.  The library now assembles every one of these systems with
@@ -47,8 +49,6 @@ from chainbench.ladder import (
     _climb_column,
     _connecting_matches,
     detect_probe,
-    kernel_complex,
-    kernel_lambda,
     reduction_certificates,
 )
 from chainbench.orders import (
@@ -57,6 +57,7 @@ from chainbench.orders import (
     homology_order,
 )
 from construction_oracle import _coeff_tensor_then
+from kernel_oracle import kernel_complex, kernel_lambda
 
 
 def leibniz_system(src: ChainComplex, tgt: ChainComplex, degree: int):

@@ -243,7 +243,13 @@ def test_seeded_fuzz_outputs_pinned(key, monkeypatch):
         kernel, solve = exact_linalg._kernel_diagonal, exact_linalg._solve_diagonal
 
         def lattice_kernel(a):
-            return snf_oracle._kernel_zmod_composite(a) if a.ring.kind == "Zmod" else kernel(a)
+            if a.ring.kind != "Zmod":
+                return kernel(a)
+            # The library reads coordinates through a left inverse of the
+            # basis; any one gives the same, since the basis is injective.
+            k = snf_oracle._kernel_zmod_composite(a)
+            left_t = snf_oracle._solve_zmod_composite(k.transpose(), Matrix.identity(a.ring, k.cols))
+            return k, left_t.transpose()
 
         def lattice_solve(a, b):
             return snf_oracle._solve_zmod_composite(a, b) if a.ring.kind == "Zmod" else solve(a, b)

@@ -69,15 +69,18 @@ def test_leibniz_system_matches_kronecker_strips():
 
 
 def _ladders(seed_base, count=3):
-    for index, ring in enumerate((ZZ, QQ, Zmod(3))):
+    for index, ring in enumerate((ZZ, QQ, Zmod(3), Zmod(4))):
         for seed in range(count):
             yield random_reduced_ladder(random.Random(seed_base + 10 * index + seed), ring).complex
 
 
 def _probes(c):
+    """The probes of c's shape, and one general tower, which no probe
+    recognition reads."""
     s = c.bimodule
     yield from (probe("g_m", m, 3, s) for m in (1, 2, 3))
     yield from (probe("g_m_cone", m, 3, s) for m in (1, 2))
+    yield random_reduced_ladder(random.Random(7900), s.base, s_rank=s.rank).complex
 
 
 def test_family_boundary_matches_grid_oracle():
