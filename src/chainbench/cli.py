@@ -478,7 +478,7 @@ def _cmd_fuzz(args) -> int:
     from .chains import GradedMap, cone, homology, is_contractible
     from .exact_linalg import ZZ, Matrix, smith_normal_form
     from .fuzz import random_complex, random_reduced_ladder
-    from .ladder import check_bn_local, kernel_complex, kernel_lambda
+    from .ladder import check_an_local, check_bn_local, kernel_complex, kernel_lambda
 
     ring = load_ring(args.ring, "--ring")
     rng = random.Random(args.seed)
@@ -513,7 +513,8 @@ def _cmd_fuzz(args) -> int:
 
     n_towers = max(1, count // 5)
     for i in range(n_towers):
-        tower = random_reduced_ladder(rng, ring, n_levels=3).complex
+        made = random_reduced_ladder(rng, ring, n_levels=3)
+        tower, fresh = made.complex, made.fresh_acyclic
         rep = check_bn_local(tower, tower.top_index)
         direct = all(
             is_contractible(tower.level(j)) for j in range(tower.top_index + 1)
@@ -524,6 +525,12 @@ def _cmd_fuzz(args) -> int:
         induced = [kernel_lambda(tower, m, kernels[m - 1], kernels[m]) for m in range(1, tower.top_index)]
         if not all(k.inclusion.is_chain_map() for k in kernels) or not all(f.is_chain_map() for f in induced):
             failures.append(f"tower instance {i}: a descent kernel map is not a chain map")
+            continue
+        # Ascent m is an equivalence iff fresh piece m + 1 and all levels below m are acyclic.
+        an = check_an_local(tower, tower.top_index - 1, "inclusive")
+        for m, kernel_ok, square_ok in an.checked:
+            if not kernel_ok == square_ok == (fresh[m] and all(fresh[: m - 1])):
+                failures.append(f"tower instance {i}: kernel and square verdicts at index {m} disagree with the fresh pieces")
 
     lines = [
         f"smith contract: {count} instances",

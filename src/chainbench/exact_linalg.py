@@ -58,7 +58,8 @@ _is_onto read the pivots of one diagonalization, _diagonalize, the
 same way; cycle_quotient_mod reads homology off two.  _kernel also
 returns a left inverse l of its basis k, the rows of qinv past the
 pivots or over a field the identity's rows at the free columns;
-_coordinates and split_with_complement read through l.  Moduli are
+_coordinates and split_with_complement read through l, and over a
+field _coordinates reads v's rows at l's unit rows.  Moduli are
 at most MAX_MODULUS = 2**64, where Miller-Rabin with fixed bases
 decides primality exactly.
 
@@ -1248,16 +1249,29 @@ def kernel_basis(a: Matrix) -> Matrix:
 
 
 def _kernel(a: Matrix):
-    """(k, l): the basis of kernel_basis and a left inverse, l @ k == 1."""
+    """(k, l): the basis of kernel_basis and a left inverse, l @ k == 1.
+    Over a field l's rows are unit rows at the free columns, where k's
+    rows are the identity's; _coordinates relies on that."""
     if a.ring.is_field():
         return _kernel_field(a)
     return _kernel_diagonal(a)
 
 
+def _rows(a: Matrix, indices) -> Matrix:
+    return Matrix._trusted(a.ring, len(indices), a.cols, tuple(a.entries[i] for i in indices))
+
+
 def _coordinates(k: Matrix, l: Matrix, v: Matrix, what: str) -> Matrix:
     """The only x with k @ x == v, l @ v as l @ k == 1; AssertionError(what)
-    when v leaves the span of k, where solve_linear(k, v) gives None."""
-    x = l @ v
+    when v leaves the span of k, where solve_linear(k, v) gives None.
+    Over a field x is v's rows at the unit rows of l, where k @ x == v
+    holds by construction, so only k's pivot rows are checked."""
+    if k.ring.is_field():
+        free = [row.index(k.ring.one) for row in l.entries]
+        pivots = sorted(set(range(k.rows)).difference(free))
+        k, v, x = _rows(k, pivots), _rows(v, pivots), _rows(v, free)
+    else:
+        x = l @ v
     if k @ x != v:
         raise AssertionError(what)
     return x

@@ -785,33 +785,42 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     """Total complex deciding exactness of the square at index m.
 
     The square has the ascent on top, descents on the sides, and the
-    tensored lower ascent below.  Fold it into a three-term column
-    via the cone: the column is level m, then level m + 1 plus the
-    tensored level m - 1, then tensored level m.  The square is exact,
-    both a homotopy pushout and pullback, exactly when this total
-    complex is acyclic.
+    tensored lower ascent below.  Folded by two cones, it has total_n =
+    L_m,n-2 + L_m+1,n-1 + S(x)L_m-1,n-1 + S(x)L_m,n (L_i level i, S(x)
+    tensor_with_bimodule), and block (i, j) of the boundary maps summand
+    j to summand i: (0,0) d of L_m, (1,0) lambda_m, (2,0) alpha_m, (1,1)
+    -d of L_m+1, (2,2) -d of S(x)L_m-1, (3,1) -alpha_m+1, (3,2)
+    S(x)lambda_m-1, (3,3) d of S(x)L_m.  Each degree is one block_matrix
+    of the tower's stored blocks, the tensored levels being the
+    descents' targets; d^2 == 0 follows from the checked tower's
+    commuting square, unchecked.  The square is exact, both a homotopy
+    pushout and pullback, exactly when this total complex is acyclic.
     """
     if not 1 <= m <= c.top_index - 1:
         raise ValueError(f"no square at index {m}")
-    s = c.bimodule
-    mid = direct_sum(c.level(m + 1), tensor_with_bimodule(c.level(m - 1), s))
-    first = mid.inclusions[0] @ c.lambda_map(m) + mid.inclusions[1] @ c.alpha_map(m)
-    second = (
-        c.alpha_map(m + 1) @ mid.projections[0]
-        - tensor_map_with_bimodule(c.lambda_map(m - 1), s) @ mid.projections[1]
+    alpha, alpha_up = c.alpha_map(m), c.alpha_map(m + 1)
+    parts = (c.level(m), c.level(m + 1), alpha.target, alpha_up.target)
+    shifts = (2, 1, 1, 0)
+    s_lam = tensor_map_with_bimodule(c.lambda_map(m - 1), c.bimodule)
+    # Block (i, j) takes the stored blocks at source degree n - shifts[j], negated or not.
+    pieces = (
+        (0, 0, parts[0]._diff_map, False), (1, 0, c.lambda_map(m)._block_map, False),
+        (2, 0, alpha._block_map, False), (1, 1, parts[1]._diff_map, True),
+        (2, 2, parts[2]._diff_map, True), (3, 1, alpha_up._block_map, True),
+        (3, 2, s_lam._block_map, False), (3, 3, parts[3]._diff_map, False),
     )
-    # first is built from checked tower maps and second kills it by the
-    # commuting square, so both cones are taken unchecked.
-    folded = _cone_complex(first)
-    target = tensor_with_bimodule(c.level(m), s)
-    blocks = {
-        n: block_matrix(
-            s.base, [target.rank(n)], [c.level(m).rank(n - 1), mid.complex.rank(n)],
-            {(0, 1): second.block(n)},
-        )
-        for n in folded.degrees()
-    }
-    return _cone_complex(GradedMap.build(folded, target, 0, blocks))
+
+    def sizes(n):
+        return [p.rank(n - k) for p, k in zip(parts, shifts)]
+
+    def blocks(n):
+        got = ((i, j, stored.get(n - shifts[j]), neg) for i, j, stored, neg in pieces)
+        return {(i, j): -b if neg else b for i, j, b, neg in got if b is not None}
+
+    ring = c.bimodule.base
+    degrees = sorted({n + k for p, k in zip(parts, shifts) for n in p.degrees()})
+    diffs = {n: block_matrix(ring, sizes(n - 1), sizes(n), blocks(n)) for n in degrees}
+    return ChainComplex.build(ring, {n: sum(sizes(n)) for n in degrees}, diffs, validate=False)
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:

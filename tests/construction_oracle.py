@@ -10,10 +10,15 @@ by a reshape and a Kronecker product.  tensor_with_bimodule and
 tensor_map_with_bimodule rebuild the tensored complex and map from
 kron(m, I_s) at every rank s, rank 1 included, as diagrams did before it
 returned its argument for a rank-1 bimodule.
+exact_square_total_by_cones is the route the library took before it
+wrote the square's total complex as one block matrix per degree: a
+direct sum, four composed graded maps and two cones, built with the
+library's own direct_sum, _cone_complex and tensor functions.
 """
 
 from __future__ import annotations
 
+from chainbench import chains, diagrams, exact_linalg
 from chainbench.chains import (
     ChainComplex,
     ConeData,
@@ -393,3 +398,29 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     if not closing.is_chain_map():
         raise AssertionError("folded square map failed to be a chain map")
     return cone(closing).complex
+
+
+def exact_square_total_by_cones(c: D0Complex, m: int) -> ChainComplex:
+    """exact_square_total through the library's direct sum and cones:
+    level m + 1 and the tensored level m - 1 are summed, the maps into
+    and out of the sum are composed from its inclusions and
+    projections, and two unchecked cones fold the square."""
+    if not 1 <= m <= c.top_index - 1:
+        raise ValueError(f"no square at index {m}")
+    s = c.bimodule
+    mid = chains.direct_sum(c.level(m + 1), diagrams.tensor_with_bimodule(c.level(m - 1), s))
+    first = mid.inclusions[0] @ c.lambda_map(m) + mid.inclusions[1] @ c.alpha_map(m)
+    second = (
+        c.alpha_map(m + 1) @ mid.projections[0]
+        - diagrams.tensor_map_with_bimodule(c.lambda_map(m - 1), s) @ mid.projections[1]
+    )
+    folded = chains._cone_complex(first)
+    target = diagrams.tensor_with_bimodule(c.level(m), s)
+    blocks = {
+        n: exact_linalg.block_matrix(
+            s.base, [target.rank(n)], [c.level(m).rank(n - 1), mid.complex.rank(n)],
+            {(0, 1): second.block(n)},
+        )
+        for n in folded.degrees()
+    }
+    return chains._cone_complex(GradedMap.build(folded, target, 0, blocks))

@@ -13,7 +13,10 @@ reads every such coordinate through the left inverse that comes with
 each kernel basis, and takes the projection of split_with_complement
 from it; the tests require the results to agree exactly.  The
 KernelData made here carries no left inverses, so it is the library's
-value class with only its two fields.
+value class with only its two fields.  coordinates is the product
+route of exact_linalg._coordinates over every ring, x = l @ v checked
+by k @ x == v in full, which the library keeps for Z and composite Z/m
+only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ from chainbench.chains import (
 )
 from chainbench.exact_linalg import Matrix, _is_onto, inverse, is_split_injection, kernel_basis, solve_linear
 from chainbench.ladder import D0Complex, KernelData
+
+
+def coordinates(k: Matrix, l: Matrix, v: Matrix, what: str) -> Matrix:
+    """The only x with k @ x == v, l @ v as l @ k == 1; AssertionError(what)
+    when v leaves the span of k, where solve_linear(k, v) gives None."""
+    x = l @ v
+    if k @ x != v:
+        raise AssertionError(what)
+    return x
 
 
 def kernel_complex(c: D0Complex, m: int) -> KernelData:

@@ -4,7 +4,9 @@ construction_oracle keeps the constructions as they were built before
 exact_linalg.block_matrix assembled them.  On seeded fuzz inputs over
 Z, Q, Z/3 and Z/4 the library must return value objects equal to the
 oracle's, and the seeded fuzz generators that assemble blocks must
-reproduce the outputs recorded before the change.
+reproduce the outputs recorded before the change.  exact_square_total
+must also equal, by repr, construction_oracle.exact_square_total_by_cones,
+the direct sum and two cones it replaced.
 
 chains._BlockSystem takes each term of a condition as the factors of
 X -> a @ X @ b and writes them into rows itself; a derandomized
@@ -101,6 +103,33 @@ def test_exact_square_total_matches_oracle():
                     assert exact_square_total(tower, m) == oracle.exact_square_total(tower, m)
                     compared += 1
     assert compared >= 24
+
+
+def test_exact_square_total_matches_the_cone_route():
+    """One block matrix per degree against the direct sum and two cones,
+    by repr, on towers with rank-1 and rank-2 bimodules whose levels
+    spread over one or two degrees; an index without a square raises
+    the same error."""
+    compared = 0
+    for index, ring in enumerate(RINGS + (Zmod(5),)):
+        for seed in range(4):
+            rng = random.Random(8300 + 10 * index + seed)
+            span = 1 + seed % 2
+            towers = (
+                random_reduced_ladder(rng, ring, n_levels=4, s_rank=1 + seed // 2, degree_span=span).complex,
+                random_kernel_tower(rng, ring, n_levels=4, s_rank=1 + seed // 2, degree_span=span).complex,
+            )
+            for tower in towers:
+                for m in range(1, tower.top_index):
+                    got = exact_square_total(tower, m)
+                    assert repr(got) == repr(oracle.exact_square_total_by_cones(tower, m))
+                    compared += 1
+                for m in (0, tower.top_index):
+                    with pytest.raises(ValueError, match=f"^no square at index {m}$"):
+                        exact_square_total(tower, m)
+                    with pytest.raises(ValueError, match=f"^no square at index {m}$"):
+                        oracle.exact_square_total_by_cones(tower, m)
+    assert compared >= 80
 
 
 # Term kinds of a condition: a left factor, a right factor, and

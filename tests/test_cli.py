@@ -308,6 +308,34 @@ def test_fuzz_verb_deterministic(capsys):
     capsys.readouterr()
 
 
+def test_fuzz_checks_the_square_route_against_the_fresh_pieces(monkeypatch, capsys):
+    """The tower section runs check_an_local on each ladder; flipping
+    every square verdict makes it disagree with the kernel route and
+    the fresh pieces, which is reported as a failure per index."""
+    import chainbench.ladder as ladder
+    from chainbench.chains import is_acyclic
+
+    assert main(["fuzz", "--seed", "0", "--n", "5", "--json"]) == 0
+    passing = capsys.readouterr().out
+    square = ladder.exact_square_total
+    acyclic, cyclic = ChainComplex.zero_complex(ZZ), ChainComplex.build(ZZ, {0: 1}, {})
+
+    def flipped(c, m):
+        return cyclic if is_acyclic(square(c, m)) else acyclic
+
+    monkeypatch.setattr(ladder, "exact_square_total", flipped)
+    assert main(["fuzz", "--seed", "0", "--n", "5", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["failures"] == [
+        "tower instance 0: kernel and square verdicts at index 1 disagree with the fresh pieces",
+        "tower instance 0: kernel and square verdicts at index 2 disagree with the fresh pieces",
+    ]
+    monkeypatch.undo()
+    assert main(["fuzz", "--seed", "0", "--n", "5", "--json"]) == 0
+    assert capsys.readouterr().out == passing
+
+
 def test_oversized_complex_exits_2_in_a_subprocess(tmp_path):
     """A declared rank far past the cap must be refused, not computed.
 

@@ -9,7 +9,8 @@ structure map.  Hypothesis (derandomized, no example database) draws a
 ring among Z, Q, Z/3 and Z/4, seeds for the fuzz generators, the kind
 of chain map, the number of summands, and the tower and the index of
 its exact square, and the library must return a value object equal to
-the oracle's.
+the oracle's; exact_square_total must also equal, by repr, the route
+through the library's direct sum and cones that it replaced.
 """
 
 import random
@@ -122,15 +123,18 @@ def short_exact_sequences(draw):
 
 @st.composite
 def exact_squares(draw):
-    """A reduced ladder or a kernel tower of three or four levels and
-    the index of one of its exact squares."""
+    """A reduced ladder or a kernel tower of three or four levels, its
+    levels spread over one or two degrees, and the index of one of its
+    exact squares."""
     rng = random.Random(draw(SEEDS))
     ring = draw(RINGS)
     levels = draw(st.integers(3, 4))
+    span = draw(st.integers(1, 2))
     if draw(st.booleans()):
-        tower = random_reduced_ladder(rng, ring, n_levels=levels).complex
+        tower = random_reduced_ladder(rng, ring, n_levels=levels, degree_span=span).complex
     else:
-        tower = random_kernel_tower(rng, ring, n_levels=levels, s_rank=draw(st.integers(1, 2))).complex
+        s_rank = draw(st.integers(1, 2))
+        tower = random_kernel_tower(rng, ring, n_levels=levels, s_rank=s_rank, degree_span=span).complex
     return tower, draw(st.integers(1, tower.top_index - 1))
 
 
@@ -151,3 +155,10 @@ def test_rotate_ses_matches_oracle(ses):
 def test_exact_square_total_matches_oracle(square):
     tower, m = square
     assert exact_square_total(tower, m) == oracle.exact_square_total(tower, m)
+
+
+@PROPERTY
+@given(exact_squares())
+def test_exact_square_total_matches_the_cone_route(square):
+    tower, m = square
+    assert repr(exact_square_total(tower, m)) == repr(oracle.exact_square_total_by_cones(tower, m))

@@ -4,9 +4,13 @@ exact_linalg._kernel returns each kernel basis k together with a left
 inverse l from the same elimination, and _coordinates reads x = l @ v,
 checked by k @ x == v, where the library used to solve against k.
 Derandomized property tests compare it with solve_linear by repr over
-Z, Q, Z/5 and the composite Z/4, Z/6 and Z/12, empty kernels and empty
-shapes included: v inside the span gives the same x, and v outside it
-raises where the solve returns None.  split_with_complement,
+Z, Q, Z/5, Z/2, Z/18446744073709551557 and the composite Z/4, Z/6 and
+Z/12, empty kernels and empty shapes included: v inside the span gives
+the same x, and v outside it raises where the solve returns None.
+Over a field _coordinates reads x off v's rows at the free columns and
+checks only the pivot rows; it is also compared, by repr and by the
+AssertionError text, with kernel_oracle.coordinates, the product route
+x = l @ v checked in full.  split_with_complement,
 kernel_complex, kernel_lambda, the unit-slot read and
 is_homology_equivalence are compared with the solve routes kept in
 kernel_oracle.
@@ -36,7 +40,7 @@ from chainbench.fuzz import random_chain_map, random_complex, random_matrix, ran
 from chainbench.ladder import KernelData, _compat_conditions, _family_system, kernel_complex, kernel_lambda
 from chainbench.ladder import test_object as probe
 
-RINGS = (ZZ, QQ, Zmod(5), Zmod(4), Zmod(6), Zmod(12))
+RINGS = (ZZ, QQ, Zmod(5), Zmod(4), Zmod(6), Zmod(12), Zmod(2), Zmod(18446744073709551557))
 SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2), (3, 3), (5, 4))
 SEEDS = st.integers(0, 2 ** 32)
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -85,6 +89,36 @@ def test_coordinates_match_the_solve(seed):
                 inside += 1
                 assert repr(_coordinates(k, l, v, "left the span")) == repr(want), (k, v)
     assert inside and outside
+
+
+@PROPERTY
+@given(SEEDS)
+def test_coordinates_match_the_product_route(seed):
+    """Over a field x is read off v's rows at the free columns and only
+    the pivot rows are checked; the result and the AssertionError text
+    must equal kernel_oracle.coordinates, x = l @ v checked in full."""
+    rng = random.Random(seed)
+    fields = {"inside": 0, "outside": 0}
+    for ring, (rows, cols) in itertools.product(RINGS, SHAPES):
+        a = _kernel_input(rng, ring, rows, cols)
+        try:
+            k, l = _kernel(a)
+        except NonFreeKernel:
+            continue
+        width = rng.randint(0, 3)
+        near = k @ random_matrix(rng, ring, k.cols, width)
+        if near.rows and near.cols and rng.random() < 0.5:
+            # Off the span in a single entry, a pivot row or a free one.
+            i, j = rng.randrange(near.rows), rng.randrange(near.cols)
+            grid = [list(r) for r in near.entries]
+            grid[i][j] = ring.normalize(grid[i][j] + 1)
+            near = Matrix.from_rows(ring, grid)
+        for v in (k @ random_matrix(rng, ring, k.cols, width), near, random_matrix(rng, ring, cols, width)):
+            got = _outcome(_coordinates, k, l, v, "left the span")
+            assert got == _outcome(kernel_oracle.coordinates, k, l, v, "left the span"), (k, v)
+            if ring.is_field():
+                fields["outside" if got.startswith("AssertionError") else "inside"] += 1
+    assert min(fields.values()) > 0, fields
 
 
 def _injections(rng, ring):
