@@ -204,11 +204,11 @@ class GradedMap:
     slot n maps source degree n to target degree n + degree.  Zero
     blocks are never stored, and compose, leibniz and + visit only the
     stored blocks and the stored differentials.  build checks the ring
-    and shape of every block it is given; compose, leibniz, + and
-    negation build their results from blocks of known ring and shape
-    with _unchecked, which only drops the zero blocks.  identity hands
-    out the blocks its complex keeps, and compose returns the other
-    factor when one factor is such an identity.
+    and shape of every block it is given; compose, leibniz, +, -, scale
+    and negation build their results from blocks of known ring and
+    shape with _unchecked, which only drops the zero blocks.  identity
+    hands out the blocks its complex keeps, and compose returns the
+    other factor when one factor is such an identity.
     """
 
     source: ChainComplex
@@ -288,7 +288,11 @@ class GradedMap:
         return GradedMap._unchecked(self.source, self.target, self.degree, out)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + (-other)
+        self._require_parallel(other)
+        out = dict(self.blocks)
+        for n, m in other.blocks:
+            out[n] = out[n] - m if n in out else -m
+        return GradedMap._unchecked(self.source, self.target, self.degree, out)
 
     def __neg__(self) -> "GradedMap":
         return GradedMap._unchecked(
@@ -297,7 +301,7 @@ class GradedMap:
         )
 
     def scale(self, c) -> "GradedMap":
-        return GradedMap.build(
+        return GradedMap._unchecked(
             self.source, self.target, self.degree,
             {n: m.scale(c) for n, m in self.blocks},
         )

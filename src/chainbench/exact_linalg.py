@@ -78,12 +78,17 @@ those operations applies itself.  Normalizing their results again would
 return every entry unchanged.  Both ways run the same constructor,
 which writes the four fields and calls __post_init__; _trusted passes
 it the flag _canonical, a constructor parameter that is not a field,
-and __post_init__ returns at once on it.  A product builds each row
-as a sum of whole rows of the right factor, one term per nonzero entry
-of the left row.  Over Q that loop runs on integers: each left row is
-scaled by the lcm of its denominators, the right factor by one common
-denominator, and each nonzero entry of the result is one Fraction.
-QQ.zero and QQ.one are one shared Fraction each.
+and __post_init__ returns at once on it.  A product with a square
+identity factor on the right is a new Matrix on the left factor's
+entries.  Any other product builds each row as a sum of whole rows of
+the right factor, one term per nonzero entry of the left row; a left
+row whose only nonzero entry is a 1 is that row of the right factor,
+taken whole, so a left identity factor multiplies and reduces nothing.
+Over Q a left identity factor is caught first, and otherwise that loop
+runs on integers: each left row is scaled by the lcm of its
+denominators, the right factor by one common denominator, and each
+nonzero entry of the result is one Fraction.  QQ.zero and QQ.one are
+one shared Fraction each.
 """
 
 from __future__ import annotations
@@ -379,7 +384,15 @@ class Matrix:
         return Matrix._trusted(self.ring, self.rows, self.cols, data)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Row i of the product is the sum of a_ik times row k of other."""
+        """Row i of the product is the sum of a_ik times row k of other.
+
+        A right identity factor gives a new Matrix on self's entries.
+        Over Z and Z/m a row of self whose only nonzero entry is a 1 at
+        k is row k of other, taken whole with no % m pass, so a left
+        identity factor gives a new Matrix on other's rows.  Over Q a
+        left identity factor is caught before _rational_product clears
+        any denominators.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ring is not other.ring and self.ring != other.ring:
@@ -388,7 +401,11 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        if _is_identity(other):
+            return Matrix._trusted(self.ring, self.rows, self.cols, self.entries)
         if self.ring.kind == "Q":
+            if _is_identity(self):
+                return Matrix._trusted(self.ring, other.rows, other.cols, other.entries)
             return _rational_product(self, other)
         m = self.ring.modulus
         zero_row = (self.ring.zero,) * other.cols
@@ -398,11 +415,13 @@ class Matrix:
             for aik, brow in zip(arow, other.entries):
                 if aik:
                     if acc is None:
-                        acc = [aik * b for b in brow]
+                        acc = brow if aik == 1 else [aik * b for b in brow]
                     else:
                         acc = [s + aik * b for s, b in zip(acc, brow)]
             if acc is None:
                 data.append(zero_row)
+            elif acc.__class__ is tuple:
+                data.append(acc)
             elif m is None:
                 data.append(tuple(acc))
             else:
@@ -499,13 +518,30 @@ def block_matrix(ring: Ring, heights, widths, blocks) -> Matrix:
     return Matrix._trusted(ring, len(data), offsets[-1], data)
 
 
+def _is_identity(a: Matrix) -> bool:
+    """Whether a is a square identity, read row by row up to the first
+    row that is not an identity row; no identity is built to compare.
+    A row of n entries with a 1 at i and n - 1 zeros is zero off i."""
+    n = a.rows
+    if n != a.cols:
+        return False
+    i = 0
+    for row in a.entries:
+        if row[i] != 1 or row.count(0) != n - 1:
+            return False
+        i += 1
+    return True
+
+
 def _rational_product(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over Q, computed as a product over Z.
 
     Row i of a is scaled by the lcm s_i of its denominators and all of
     b by the lcm t of its denominators; row i of the integer product,
     divided by s_i * t, is row i of a @ b, one Fraction per nonzero
-    entry.
+    entry.  Matrix.__matmul__ calls it only when neither factor is a
+    square identity, so a product with an identity clears no
+    denominators and builds no integer matrices.
     """
     brows, bscales = _cleared_rows(b.entries)
     t = lcm(*bscales)

@@ -23,6 +23,8 @@ and rejected with an error, never repaired.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._record import record
 from .exact_linalg import (
     Matrix,
@@ -341,15 +343,27 @@ def constant_tower(c: ChainComplex, n_levels: int, bimodule: Bimodule) -> D0Comp
 
 def detect_probe(d: D0Complex):
     """Recognize a tower as one of the standard probes, structurally;
-    both probes of index m have exactly m leading zero levels."""
+    both probes of index m have exactly m leading zero levels.
+
+    Each candidate is built and checked by test_object once per (kind,
+    m, levels, bimodule) and kept by _probe, so a repeated call only
+    compares with ==; it does not rebuild the candidate or re-check its
+    maps.
+    """
     m = next((i for i, c in enumerate(d.levels) if c.total_rank), None)
     if m is None:
         return None, None
-    if d == test_object("g_m", m, d.top_index, d.bimodule):
+    if d == _probe("g_m", m, d.top_index, d.bimodule):
         return "g_m", m
-    if m < d.top_index and d == test_object("g_m_cone", m, d.top_index, d.bimodule):
+    if m < d.top_index and d == _probe("g_m_cone", m, d.top_index, d.bimodule):
         return "g_m_cone", m
     return None, None
+
+
+@lru_cache(maxsize=32)
+def _probe(kind: str, m: int, n_levels: int, bimodule: Bimodule) -> D0Complex:
+    """test_object, kept for the last 32 candidates detect_probe asked for."""
+    return test_object(kind, m, n_levels, bimodule)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ exact_square_total_by_cones is the route the library took before it
 wrote the square's total complex as one block matrix per degree: a
 direct sum, four composed graded maps and two cones, built with the
 library's own direct_sum, _cone_complex and tensor functions.
+detect_probe rebuilds each candidate probe through ladder.test_object
+on every call, as the library did before it kept its candidates.
 """
 
 from __future__ import annotations
 
-from chainbench import chains, diagrams, exact_linalg
+from chainbench import chains, diagrams, exact_linalg, ladder
 from chainbench.chains import (
     ChainComplex,
     ConeData,
@@ -424,3 +426,14 @@ def exact_square_total_by_cones(c: D0Complex, m: int) -> ChainComplex:
         for n in folded.degrees()
     }
     return chains._cone_complex(GradedMap.build(folded, target, 0, blocks))
+
+
+def detect_probe(d: D0Complex):
+    m = next((i for i, c in enumerate(d.levels) if c.total_rank), None)
+    if m is None:
+        return None, None
+    if d == ladder.test_object("g_m", m, d.top_index, d.bimodule):
+        return "g_m", m
+    if m < d.top_index and d == ladder.test_object("g_m_cone", m, d.top_index, d.bimodule):
+        return "g_m_cone", m
+    return None, None

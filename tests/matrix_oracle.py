@@ -112,6 +112,19 @@ def map_add(f: GradedMap, g: GradedMap) -> GradedMap:
     return GradedMap.build(f.source, f.target, f.degree, out)
 
 
+def map_sub(f: GradedMap, g: GradedMap) -> GradedMap:
+    f._require_parallel(g)
+    out = {}
+    for n in set(f._block_map) | set(g._block_map):
+        out[n] = sub(f.block(n), g.block(n))
+    return GradedMap.build(f.source, f.target, f.degree, out)
+
+
+def map_scale(f: GradedMap, c) -> GradedMap:
+    out = {n: scale(f.block(n), c) for n in f.source.degrees()}
+    return GradedMap.build(f.source, f.target, f.degree, out)
+
+
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f after g."""
     if g.target != f.source:

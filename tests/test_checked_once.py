@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import construction_oracle
 from chainbench import chains, ladder
 from chainbench.chains import (
     ChainComplex,
@@ -100,6 +101,51 @@ def test_detect_probe_tries_at_most_two_probes(monkeypatch):
         calls.clear()
         assert detect_probe(tower) == want
         assert len(calls) <= 2, (want, calls)
+
+
+def _probe_cases():
+    """The towers of test_detect_probe_tries_at_most_two_probes."""
+    for ring in RINGS:
+        moore = ChainComplex.build(ring, {0: 1, 1: 1}, {1: Matrix.from_rows(ring, [[2]])})
+        for rank in (1, 2):
+            s = Bimodule(ring, rank)
+            for n in range(1, 5):
+                yield from (ladder.test_object("g_m", m, n, s) for m in range(1, n + 1))
+                yield from (ladder.test_object("g_m_cone", m, n, s) for m in range(1, n))
+                yield constant_tower(moore, n, s)
+                yield _zero_tower(ring, n)
+    yield random_reduced_ladder(random.Random(9800), ZZ).complex
+
+
+@pytest.fixture
+def empty_probe_cache():
+    ladder._probe.cache_clear()
+    yield
+    ladder._probe.cache_clear()
+
+
+def test_detect_probe_builds_each_candidate_once(monkeypatch, empty_probe_cache):
+    """Verdicts equal the rebuilding oracle's, and repeated calls on one
+    tower, or on an equal copy over an equal bimodule, build each
+    candidate once."""
+    towers = list(_probe_cases())
+    wanted = [construction_oracle.detect_probe(t) for t in towers]
+    calls = []
+    original = ladder.test_object
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ladder, "test_object", counted)
+    for tower, want in zip(towers, wanted):
+        ladder._probe.cache_clear()
+        calls.clear()
+        s = Bimodule(tower.bimodule.base, tower.bimodule.rank)
+        twin = D0Complex.build(s, tower.levels, tower.ascents, tower.descents, tower.stabilization)
+        for d in (tower, tower, twin, tower):
+            assert detect_probe(d) == want
+        assert len(calls) == len(set(calls)) <= 2, (want, calls)
 
 
 def _moore():

@@ -24,6 +24,7 @@ from chainbench.exact_linalg import (
     Matrix,
     ShapeMismatch,
     Zmod,
+    _is_identity,
     block_matrix,
     kron,
     smith_normal_form,
@@ -187,11 +188,78 @@ def test_graded_map_methods_match_oracle():
                 assert_same_map(f.leibniz(), oracle.leibniz(f))
                 assert_same_map(f + f2, oracle.map_add(f, f2))
                 assert_same_map(f + GradedMap.zero(a, b, degree), oracle.map_add(f, GradedMap.zero(a, b, degree)))
+                zero = GradedMap.zero(a, b, degree)
+                for x, y in ((f, f2), (f, f), (f, zero), (zero, f)):
+                    assert_same_map(x - y, oracle.map_sub(x, y))
+                for s in scalars(ring):
+                    assert_same_map(f.scale(s), oracle.map_scale(f, s))
+                if ring == Zmod(4):
+                    # 2 is a zero divisor: twice 2 kills every block, and
+                    # the killed blocks are dropped, not kept as zeros.
+                    assert f.scale(2).scale(2).blocks == ()
                 assert_same_map(g @ f, oracle.compose(g, f))
                 assert_same_map(g.compose(f), oracle.compose(g, f))
             if ring.kind == "Z" or ring.is_field():
                 h = random_chain_map(rng, a, b)
                 assert h.is_chain_map() and oracle.leibniz(h).is_zero()
+
+
+IDENTITY_RINGS = (ZZ, QQ, Zmod(2), Zmod(4), Zmod(6), Zmod(18446744073709551557))
+
+
+def _near_identities(ring, n):
+    """Square matrices one step away from the n x n identity: an
+    off-diagonal entry or a 2 in the last row, so every row above it is
+    an identity row, and the cyclic shift of the rows."""
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = []
+    edits = [(n - 1, n - 1, 2)] if n else []
+    if n >= 2:
+        edits.append((n - 1, 0, 1))
+        out.append(Matrix(ring, n, n, tuple(map(tuple, eye[1:] + eye[:1]))))
+    for i, j, x in edits:
+        rows = [list(row) for row in eye]
+        rows[i][j] = x
+        out.append(Matrix(ring, n, n, tuple(map(tuple, rows))))
+    return out
+
+
+def test_identity_factors_match_oracle(monkeypatch):
+    """A product with a square identity factor is one new Matrix on the
+    other factor's entries; near-identities, whose rows may still be
+    taken whole, give the oracle's product."""
+    made = []
+    original = Matrix.__post_init__
+
+    def counted(self, canonical):
+        made.append(canonical)
+        original(self, canonical)
+
+    for index, ring in enumerate(IDENTITY_RINGS):
+        rng = random.Random(7500 + index)
+        for n in range(5):
+            eye = Matrix.identity(ring, n)
+            assert _is_identity(eye)
+            for _ in range(4):
+                k = rng.randrange(0, 4)
+                a, b = sparse_matrix(rng, ring, k, n), sparse_matrix(rng, ring, n, k)
+                monkeypatch.setattr(Matrix, "__post_init__", counted)
+                made.clear()
+                left, right, both = eye @ b, a @ eye, eye @ eye
+                monkeypatch.undo()
+                assert made == [True] * 3
+                assert_same(left, oracle.matmul(eye, b))
+                assert_same(right, oracle.matmul(a, eye))
+                assert_same(both, oracle.matmul(eye, eye))
+                for near in _near_identities(ring, n):
+                    assert not _is_identity(near)
+                    assert_same(near @ b, oracle.matmul(near, b))
+                    assert_same(a @ near, oracle.matmul(a, near))
+                if n:
+                    tall = eye.vstack(Matrix.zero(ring, 1, n))
+                    assert not _is_identity(tall) and not _is_identity(tall.transpose())
+                    assert_same(tall @ b, oracle.matmul(tall, b))
+                    assert_same(b.transpose() @ tall.transpose(), oracle.matmul(b.transpose(), tall.transpose()))
 
 
 def test_validate_still_rejects_a_boundary_that_does_not_square_to_zero():
