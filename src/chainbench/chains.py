@@ -17,10 +17,15 @@ On top of the two core types this module provides homology with exact
 torsion data, a null-homotopy solver, mapping cones and cylinders,
 suspensions, direct sums, pushouts along levelwise split injections,
 short exact sequence handling with rotation, and an independent
-homology-equivalence test that never builds a cone.  Every block
-matrix of these constructions is assembled by
-exact_linalg.block_matrix from its nonzero blocks alone: the blocks
-not given are zero, so nothing here pads with zero matrices.
+homology-equivalence test that never builds a cone.  Every
+sum-shaped complex (direct sums, cones, cylinders, pushouts, the
+rotated middle, the exact-square total of the ladder module and the
+fuzzers' extensions) has one layout, _block_sum: each part sits in a
+slot at a degree shift and the boundary is given by its nonzero
+blocks; _slot gives a slot's inclusion and projection.  Every block
+matrix is assembled by exact_linalg.block_matrix from its nonzero
+blocks alone: the blocks not given are zero, so nothing here pads
+with zero matrices.
 
 Homology costs one elimination per stored differential and reads
 only what that elimination leaves: over Z the Smith diagonal, built
@@ -700,37 +705,53 @@ class DirectSumData:
     projections: tuple
 
 
+def _block_sum(ring: Ring, parts, pieces):
+    """The one layout of a sum-shaped complex: (complex, sizes).
+
+    parts lists (complex, shift) pairs; slot j holds its complex in
+    degree n - shift_j, so sizes(n) lists the slot ranks in degree n.
+    pieces lists (i, j, blocks, negate): block (i, j) of the boundary
+    out of degree n, which maps slot j to slot i, is blocks[n - shift_j]
+    (blocks keyed by the source degree of slot j's complex), negated if
+    asked; a block not given is zero.  The complex is not validated.
+    """
+
+    def sizes(n):
+        return [c.rank(n - k) for c, k in parts]
+
+    degrees = sorted({n + k for c, k in parts for n in c.degrees()})
+    diffs = {}
+    for n in degrees:
+        got = ((i, j, stored.get(n - parts[j][1]), neg) for i, j, stored, neg in pieces)
+        blocks = {(i, j): -b if neg else b for i, j, b, neg in got if b is not None}
+        if blocks:
+            diffs[n] = block_matrix(ring, sizes(n - 1), sizes(n), blocks)
+    return ChainComplex.build(ring, {n: sum(sizes(n)) for n in degrees}, diffs, validate=False), sizes
+
+
+def _slot(total: ChainComplex, sizes, parts, j: int):
+    """Slot j's inclusion into total, of degree +shift_j, and its
+    projection out of total, of degree -shift_j, for the layout that
+    _block_sum returned as (total, sizes)."""
+    c, k = parts[j]
+    ring = c.ring
+    inc, prj = {}, {}
+    for n, eye in c._identity_blocks:
+        inc[n] = block_matrix(ring, sizes(n + k), [eye.rows], {(j, 0): eye})
+        prj[n + k] = block_matrix(ring, [eye.rows], sizes(n + k), {(0, j): eye})
+    return GradedMap.build(c, total, k, inc), GradedMap.build(total, c, -k, prj)
+
+
 def direct_sum(*parts: ChainComplex) -> DirectSumData:
     if not parts:
         raise ValueError("direct_sum needs at least one summand")
     ring = parts[0].ring
     if any(p.ring != ring for p in parts):
         raise ShapeMismatch("summands live over different rings")
-    degrees = sorted({n for p in parts for n in p.degrees()})
-
-    def sizes(n):
-        return [p.rank(n) for p in parts]
-
-    ranks = {n: sum(sizes(n)) for n in degrees}
-    diffs = {
-        n: block_matrix(ring, sizes(n - 1), sizes(n), {(i, i): p.diff(n) for i, p in enumerate(parts)})
-        for n in degrees
-    }
-    total = ChainComplex.build(ring, ranks, diffs, validate=False)
-    inclusions = []
-    projections = []
-    for i, p in enumerate(parts):
-        inc = {
-            n: block_matrix(ring, sizes(n), [p.rank(n)], {(i, 0): Matrix.identity(ring, p.rank(n))})
-            for n in p.degrees()
-        }
-        prj = {
-            n: block_matrix(ring, [p.rank(n)], sizes(n), {(0, i): Matrix.identity(ring, p.rank(n))})
-            for n in total.degrees()
-        }
-        inclusions.append(GradedMap.build(p, total, 0, inc))
-        projections.append(GradedMap.build(total, p, 0, prj))
-    return DirectSumData(total, tuple(inclusions), tuple(projections))
+    layout = tuple((p, 0) for p in parts)
+    total, sizes = _block_sum(ring, layout, tuple((i, i, p._diff_map, False) for i, p in enumerate(parts)))
+    inclusions, projections = zip(*(_slot(total, sizes, layout, i) for i in range(len(parts))))
+    return DirectSumData(total, inclusions, projections)
 
 
 @record
@@ -752,49 +773,27 @@ def cone(f: GradedMap) -> ConeData:
     return _cone(f)
 
 
+def _cone_layout(f: GradedMap):
+    """The parts and pieces of the cone of f: A shifted up by one, then
+    B, with boundary [[-dA, 0], [-f, dB]]."""
+    a, b = f.source, f.target
+    return ((a, 1), (b, 0)), ((0, 0, a._diff_map, True), (1, 0, f._block_map, True), (1, 1, b._diff_map, False))
+
+
 def _cone_complex(f: GradedMap) -> ChainComplex:
     """The complex of the cone of f, without its structure maps, for a
     caller that has checked f is a degree-0 chain map and reads only
     the complex; d^2 == 0 follows from that, unchecked."""
-    a, b = f.source, f.target
-    ring = a.ring
-    degrees = sorted({n for n in b.degrees()} | {n + 1 for n in a.degrees()})
-    ranks = {n: a.rank(n - 1) + b.rank(n) for n in degrees}
-
-    def sizes(n):
-        return [a.rank(n - 1), b.rank(n)]
-
-    diffs = {
-        n: block_matrix(
-            ring, sizes(n - 1), sizes(n),
-            {(0, 0): -a.diff(n - 1), (1, 0): -f.block(n - 1), (1, 1): b.diff(n)},
-        )
-        for n in degrees
-    }
-    return ChainComplex.build(ring, ranks, diffs, validate=False)
+    return _block_sum(f.source.ring, *_cone_layout(f))[0]
 
 
 def _cone(f: GradedMap) -> ConeData:
     """The cone of f with its structure maps, for a caller that has
-    checked f is a degree-0 chain map; the complex is _cone_complex(f),
-    and the inclusion and projection are chain maps by their block
-    form, unchecked."""
-    a, b = f.source, f.target
-    ring = a.ring
-    cx = _cone_complex(f)
-
-    def sizes(n):
-        return [a.rank(n - 1), b.rank(n)]
-
-    incl = {
-        n: block_matrix(ring, sizes(n), [b.rank(n)], {(1, 0): Matrix.identity(ring, b.rank(n))})
-        for n in b.degrees()
-    }
-    proj = {
-        n: block_matrix(ring, [a.rank(n - 1)], sizes(n), {(0, 0): Matrix.identity(ring, a.rank(n - 1))})
-        for n in cx.degrees()
-    }
-    return ConeData(cx, GradedMap.build(b, cx, 0, incl), GradedMap.build(cx, a, -1, proj))
+    checked f is a degree-0 chain map; the inclusion of B and the
+    projection onto A are chain maps by their block form, unchecked."""
+    parts, pieces = _cone_layout(f)
+    cx, sizes = _block_sum(f.source.ring, parts, pieces)
+    return ConeData(cx, _slot(cx, sizes, parts, 1)[0], _slot(cx, sizes, parts, 0)[1])
 
 
 @record
@@ -822,33 +821,18 @@ def cylinder(f: GradedMap) -> CylinderData:
     a, b = f.source, f.target
     ring = a.ring
     cn = _cone(f)
-    degrees = sorted(
-        {n for n in a.degrees()} | {n + 1 for n in a.degrees()} | set(b.degrees())
-    )
-
-    def sizes(n):
-        return [a.rank(n), a.rank(n - 1), b.rank(n)]
 
     def eye(n):
         return Matrix.identity(ring, n)
 
-    ranks = {n: sum(sizes(n)) for n in degrees}
-    diffs = {
-        n: block_matrix(
-            ring, sizes(n - 1), sizes(n),
-            {
-                (0, 0): a.diff(n), (0, 1): eye(a.rank(n - 1)),
-                (1, 1): -a.diff(n - 1),
-                (2, 1): -f.block(n - 1), (2, 2): b.diff(n),
-            },
-        )
-        for n in degrees
-    }
+    parts = ((a, 0), (a, 1), (b, 0))
+    pieces = (
+        (0, 0, a._diff_map, False), (0, 1, dict(a._identity_blocks), False), (1, 1, a._diff_map, True),
+        (2, 1, f._block_map, True), (2, 2, b._diff_map, False),
+    )
     # f is checked, so d^2 == 0 and the structure maps are chain maps by
     # their block forms; only the deformation homotopy is checked below.
-    cx = ChainComplex.build(ring, ranks, diffs, validate=False)
-    j1 = {n: block_matrix(ring, sizes(n), [a.rank(n)], {(0, 0): eye(a.rank(n))}) for n in a.degrees()}
-    j2 = {n: block_matrix(ring, sizes(n), [b.rank(n)], {(2, 0): eye(b.rank(n))}) for n in b.degrees()}
+    cx, sizes = _block_sum(ring, parts, pieces)
     pr, qt, ht = {}, {}, {}
     for n in cx.degrees():
         pr[n] = block_matrix(ring, [b.rank(n)], sizes(n), {(0, 0): f.block(n), (0, 2): eye(b.rank(n))})
@@ -856,8 +840,8 @@ def cylinder(f: GradedMap) -> CylinderData:
             ring, sizes(n)[1:], sizes(n), {(0, 1): eye(a.rank(n - 1)), (1, 2): eye(b.rank(n))}
         )
         ht[n] = block_matrix(ring, sizes(n + 1), sizes(n), {(1, 0): eye(a.rank(n))})
-    incl_source = GradedMap.build(a, cx, 0, j1)
-    incl_target = GradedMap.build(b, cx, 0, j2)
+    incl_source = _slot(cx, sizes, parts, 0)[0]
+    incl_target = _slot(cx, sizes, parts, 2)[0]
     proj = GradedMap.build(cx, b, 0, pr)
     quotient = GradedMap.build(cx, cn.complex, 0, qt)
     homotopy = GradedMap.build(cx, cx, 1, ht)
@@ -907,34 +891,24 @@ def pushout_along_cofibration(f: GradedMap, g: GradedMap) -> PushoutData:
         if got is None:
             raise ValueError(f"map is not a split injection in degree {n}")
         splits[n] = got
-    degrees = sorted(set(y.degrees()) | set(z.degrees()))
-    kcols = {}
-    for n in degrees:
-        kcols[n] = splits[n][1].cols if n in splits else 0
-    ranks = {n: z.rank(n) + kcols[n] for n in degrees}
-
-    def sizes(n):
-        return [z.rank(n), kcols.get(n, 0)]
-
-    diffs = {}
-    for n in degrees:
-        blocks = {(0, 0): z.diff(n)}
-        if n in splits and n - 1 in splits:
+    # The complement slot: the complement columns of each splitting,
+    # with the boundary of y read through them in the pieces below.
+    comp = ChainComplex.build(ring, {n: s[1].cols for n, s in splits.items()})
+    to_z, to_comp = {}, {}
+    for n in splits:
+        if n - 1 in splits:
             # y.diff(n) is zero unless y has both degrees, hence both splittings.
             (ra, _, pk), kk = splits[n - 1], splits[n][1]
-            blocks[(0, 1)] = g.block(n - 1) @ ra @ y.diff(n) @ kk
-            blocks[(1, 1)] = pk @ y.diff(n) @ kk
-        diffs[n] = block_matrix(ring, sizes(n - 1), sizes(n), blocks)
-    w = ChainComplex.build(ring, ranks, diffs, validate=True)
-    inc_z = {
-        n: block_matrix(ring, sizes(n), [z.rank(n)], {(0, 0): Matrix.identity(ring, z.rank(n))})
-        for n in z.degrees()
-    }
+            to_z[n] = g.block(n - 1) @ ra @ y.diff(n) @ kk
+            to_comp[n] = pk @ y.diff(n) @ kk
+    parts = ((z, 0), (comp, 0))
+    w, sizes = _block_sum(ring, parts, ((0, 0, z._diff_map, False), (0, 1, to_z, False), (1, 1, to_comp, False)))
+    w.validate()
     inc_y = {
         n: block_matrix(ring, sizes(n), [y.rank(n)], {(0, 0): g.block(n) @ splits[n][0], (1, 0): splits[n][2]})
         for n in y.degrees()
     }
-    from_other = GradedMap.build(z, w, 0, inc_z)
+    from_other = _slot(w, sizes, parts, 0)[0]
     from_target = GradedMap.build(y, w, 0, inc_y)
     if not from_other.is_chain_map() or not from_target.is_chain_map():
         raise AssertionError("pushout structure maps failed to be chain maps")
@@ -1074,24 +1048,25 @@ def rotate_ses(data: SESData) -> RotatedSES:
     gamma = GradedMap.build(down, x, 0, {n - 1: m for n, m in gamma_blocks.items()})
     if not gamma.is_chain_map():
         raise AssertionError("connecting map failed to be a chain map")
-    pad = _cone_complex(GradedMap.identity(down))
-    summed = direct_sum(x, pad)
-
-    def sizes(n):
-        # x, then the padding cone: z in degree n, then down in degree n (z in degree n + 1).
-        return [x.rank(n), z.rank(n), down.rank(n)]
-
+    ident = GradedMap.identity(down)
+    pad_parts, pad_pieces = _cone_layout(ident)
+    pad = _block_sum(ring, pad_parts, pad_pieces)[0]
+    # The new middle is x, then the padding cone's two slots: down
+    # shifted up by one (z in degree n), then down.
+    summed, sizes = _block_sum(
+        ring, ((x, 0),) + pad_parts,
+        ((0, 0, x._diff_map, False),) + tuple((i + 1, j + 1, b, neg) for i, j, b, neg in pad_pieces),
+    )
     new_incl_blocks, new_proj_blocks = {}, {}
-    for n in down.degrees():
-        eye = Matrix.identity(ring, down.rank(n))
-        new_incl_blocks[n] = block_matrix(ring, sizes(n), [down.rank(n)], {(0, 0): gamma.block(n), (2, 0): eye})
-    for n in summed.complex.degrees():
+    for n, eye in ident.blocks:
+        new_incl_blocks[n] = block_matrix(ring, sizes(n), [eye.rows], {(0, 0): gamma.block(n), (2, 0): eye})
+    for n in summed.degrees():
         i_n = data.incl.block(n)
         new_proj_blocks[n] = block_matrix(
             ring, [y.rank(n)], sizes(n), {(0, 0): i_n, (0, 1): t.block(n), (0, 2): -(i_n @ gamma.block(n))}
         )
-    new_incl = GradedMap.build(down, summed.complex, 0, new_incl_blocks)
-    new_proj = GradedMap.build(summed.complex, y, 0, new_proj_blocks)
+    new_incl = GradedMap.build(down, summed, 0, new_incl_blocks)
+    new_proj = GradedMap.build(summed, y, 0, new_proj_blocks)
     rotated = validate_ses(new_incl, new_proj)
     return RotatedSES(rotated, gamma, pad)
 

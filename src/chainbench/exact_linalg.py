@@ -407,26 +407,8 @@ class Matrix:
             if _is_identity(self):
                 return Matrix._trusted(self.ring, other.rows, other.cols, other.entries)
             return _rational_product(self, other)
-        m = self.ring.modulus
-        zero_row = (self.ring.zero,) * other.cols
-        data = []
-        for arow in self.entries:
-            acc = None
-            for aik, brow in zip(arow, other.entries):
-                if aik:
-                    if acc is None:
-                        acc = brow if aik == 1 else [aik * b for b in brow]
-                    else:
-                        acc = [s + aik * b for s, b in zip(acc, brow)]
-            if acc is None:
-                data.append(zero_row)
-            elif acc.__class__ is tuple:
-                data.append(acc)
-            elif m is None:
-                data.append(tuple(acc))
-            else:
-                data.append(tuple(s % m for s in acc))
-        return Matrix._trusted(self.ring, self.rows, other.cols, tuple(data))
+        data = _product_rows(self.entries, other.entries, (self.ring.zero,) * other.cols, self.ring.modulus)
+        return Matrix._trusted(self.ring, self.rows, other.cols, data)
 
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -533,24 +515,48 @@ def _is_identity(a: Matrix) -> bool:
     return True
 
 
+def _product_rows(arows, brows, zero_row, m) -> tuple:
+    """The rows of a product over Z (m None) or Z/m: row i is the sum
+    of a_ik times row k of brows, reduced % m.  A row of arows whose
+    only nonzero entry is a 1 at k is brows[k], taken whole."""
+    data = []
+    for arow in arows:
+        acc = None
+        for aik, brow in zip(arow, brows):
+            if aik:
+                if acc is None:
+                    acc = brow if aik == 1 else [aik * b for b in brow]
+                else:
+                    acc = [s + aik * b for s, b in zip(acc, brow)]
+        if acc is None:
+            data.append(zero_row)
+        elif acc.__class__ is tuple:
+            data.append(acc)
+        elif m is None:
+            data.append(tuple(acc))
+        else:
+            data.append(tuple(s % m for s in acc))
+    return tuple(data)
+
+
 def _rational_product(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over Q, computed as a product over Z.
 
     Row i of a is scaled by the lcm s_i of its denominators and all of
     b by the lcm t of its denominators; row i of the integer product,
     divided by s_i * t, is row i of a @ b, one Fraction per nonzero
-    entry.  Matrix.__matmul__ calls it only when neither factor is a
-    square identity, so a product with an identity clears no
-    denominators and builds no integer matrices.
+    entry.  The integer rows are multiplied by _product_rows, so the
+    result is the only Matrix built.  Matrix.__matmul__ calls it only
+    when neither factor is a square identity, so a product with an
+    identity clears no denominators.
     """
     brows, bscales = _cleared_rows(b.entries)
     t = lcm(*bscales)
     if t != 1:
-        brows = [tuple([x * (t // u) for x in row]) for row, u in zip(brows, bscales)]
+        brows = tuple([tuple([x * (t // u) for x in row]) for row, u in zip(brows, bscales)])
     arows, ascales = _cleared_rows(a.entries)
-    ints = Matrix._trusted(ZZ, a.rows, a.cols, arows) @ Matrix._trusted(ZZ, b.rows, b.cols, tuple(brows))
     data = []
-    for s, row in zip(ascales, ints.entries):
+    for s, row in zip(ascales, _product_rows(arows, brows, (0,) * b.cols, None)):
         den = s * t
         if den == 1:
             data.append(tuple([Fraction(x) if x else _Q_ZERO for x in row]))

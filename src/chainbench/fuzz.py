@@ -16,11 +16,13 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, block_matrix, inverse, kernel_basis
+from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, inverse, kernel_basis
 from .chains import (
     ChainComplex,
     GradedMap,
     HomologySummary,
+    _block_sum,
+    _slot,
     leibniz_system,
 )
 
@@ -220,33 +222,15 @@ def random_extension(rng: random.Random, sub: ChainComplex, quotient: ChainCompl
     square of the boundary zero and makes the extension conjugate to
     the untwisted sum by an upper-triangular change of basis.
     """
-    ring = sub.ring
     w = random_graded_map(rng, quotient, sub, 0, bound)
-    v = w.leibniz()
-    degrees = sorted(set(sub.degrees()) | set(quotient.degrees()))
-    ranks = {n: sub.rank(n) + quotient.rank(n) for n in degrees}
-
-    def sizes(n):
-        return [sub.rank(n), quotient.rank(n)]
-
-    diffs = {
-        n: block_matrix(
-            ring, sizes(n - 1), sizes(n),
-            {(0, 0): sub.diff(n), (0, 1): v.block(n), (1, 1): quotient.diff(n)},
-        )
-        for n in degrees
-    }
-    mixed, basis, inverses = _conjugated(rng, ChainComplex.build(ring, ranks, diffs))
-    incl_blocks = {}
-    proj_blocks = {}
-    for n in degrees:
-        sn, qn = sizes(n)
-        incl_plain = block_matrix(ring, [sn, qn], [sn], {(0, 0): Matrix.identity(ring, sn)})
-        proj_plain = block_matrix(ring, [qn], [sn, qn], {(0, 1): Matrix.identity(ring, qn)})
-        incl_blocks[n] = basis[n] @ incl_plain
-        proj_blocks[n] = proj_plain @ inverses[n]
-    incl = GradedMap.build(sub, mixed, 0, incl_blocks)
-    proj = GradedMap.build(mixed, quotient, 0, proj_blocks)
+    parts = ((sub, 0), (quotient, 0))
+    pieces = ((0, 0, sub._diff_map, False), (0, 1, w.leibniz()._block_map, False), (1, 1, quotient._diff_map, False))
+    plain, sizes = _block_sum(sub.ring, parts, pieces)
+    plain.validate()
+    mixed, basis, inverses = _conjugated(rng, plain)
+    incl_plain, proj_plain = _slot(plain, sizes, parts, 0)[0], _slot(plain, sizes, parts, 1)[1]
+    incl = GradedMap.build(sub, mixed, 0, {n: basis[n] @ m for n, m in incl_plain.blocks})
+    proj = GradedMap.build(mixed, quotient, 0, {n: m @ inverses[n] for n, m in proj_plain.blocks})
     return RandomExtension(incl, proj, sub, quotient, mixed)
 
 
@@ -438,7 +422,6 @@ def random_kernel_tower(
     an exact boundary, which leaves all homology alone but makes the
     defects nonzero.  scramble hides the block structure afterwards.
     """
-    from .chains import direct_sum
     from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
     from .ladder import D0Complex
 
@@ -463,27 +446,12 @@ def random_kernel_tower(
             v_i = random_graded_map(rng, bs, kernel, 0, bound)
         else:
             v_i = GradedMap.zero(bs, kernel, 0)
-        w_i = v_i.leibniz()
-        ranks = {deg: kernel.rank(deg) + bs.rank(deg) for deg in set(kernel.degrees()) | set(bs.degrees())}
-        diffs = {
-            deg: block_matrix(
-                ring, [kernel.rank(deg - 1), bs.rank(deg - 1)], [kernel.rank(deg), bs.rank(deg)],
-                {(0, 0): kernel.diff(deg), (0, 1): w_i.block(deg), (1, 1): bs.diff(deg)},
-            )
-            for deg in ranks
-        }
-        level_next = ChainComplex.build(ring, ranks, diffs, validate=True)
-        inc_blocks, beta_blocks, theta_blocks = {}, {}, {}
-        for deg in ranks:
-            total = ranks[deg]
-            kr = kernel.rank(deg)
-            ident = Matrix.identity(ring, total)
-            inc_blocks[deg] = ident.cols_slice(0, kr)
-            beta_blocks[deg] = ident.rows_slice(kr, total)
-            theta_blocks[deg] = ident.rows_slice(0, kr)
-        inc_k = GradedMap.build(kernel, level_next, 0, inc_blocks)
-        beta_next = GradedMap.build(level_next, bs, 0, beta_blocks)
-        theta_slot = GradedMap.build(level_next, kernel, 0, theta_blocks)
+        parts = ((kernel, 0), (bs, 0))
+        pieces = ((0, 0, kernel._diff_map, False), (0, 1, v_i.leibniz()._block_map, False), (1, 1, bs._diff_map, False))
+        level_next, sizes = _block_sum(ring, parts, pieces)
+        level_next.validate()
+        inc_k, theta_slot = _slot(level_next, sizes, parts, 0)
+        beta_next = _slot(level_next, sizes, parts, 1)[1]
         q_i = tensor_map_with_bimodule(mus[-1], s) @ betas[-1]
         if i == 1:
             n_i = GradedMap.identity(kernel)

@@ -32,7 +32,6 @@ from .exact_linalg import (
     _coordinates,
     _is_onto,
     _kernel,
-    block_matrix,
     is_split_surjection,
     kernel_basis,
     solve_linear,
@@ -43,6 +42,7 @@ from .chains import (
     GradedMap,
     SESData,
     _BlockSystem,
+    _block_sum,
     _cone_complex,
     _leibniz_rows,
     cone,
@@ -804,8 +804,8 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     tensor_with_bimodule), and block (i, j) of the boundary maps summand
     j to summand i: (0,0) d of L_m, (1,0) lambda_m, (2,0) alpha_m, (1,1)
     -d of L_m+1, (2,2) -d of S(x)L_m-1, (3,1) -alpha_m+1, (3,2)
-    S(x)lambda_m-1, (3,3) d of S(x)L_m.  Each degree is one block_matrix
-    of the tower's stored blocks, the tensored levels being the
+    S(x)lambda_m-1, (3,3) d of S(x)L_m.  chains._block_sum lays it out
+    from the tower's stored blocks, the tensored levels being the
     descents' targets; d^2 == 0 follows from the checked tower's
     commuting square, unchecked.  The square is exact, both a homotopy
     pushout and pullback, exactly when this total complex is acyclic.
@@ -813,28 +813,15 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
     if not 1 <= m <= c.top_index - 1:
         raise ValueError(f"no square at index {m}")
     alpha, alpha_up = c.alpha_map(m), c.alpha_map(m + 1)
-    parts = (c.level(m), c.level(m + 1), alpha.target, alpha_up.target)
-    shifts = (2, 1, 1, 0)
+    low, high, s_low, s_high = c.level(m), c.level(m + 1), alpha.target, alpha_up.target
     s_lam = tensor_map_with_bimodule(c.lambda_map(m - 1), c.bimodule)
-    # Block (i, j) takes the stored blocks at source degree n - shifts[j], negated or not.
     pieces = (
-        (0, 0, parts[0]._diff_map, False), (1, 0, c.lambda_map(m)._block_map, False),
-        (2, 0, alpha._block_map, False), (1, 1, parts[1]._diff_map, True),
-        (2, 2, parts[2]._diff_map, True), (3, 1, alpha_up._block_map, True),
-        (3, 2, s_lam._block_map, False), (3, 3, parts[3]._diff_map, False),
+        (0, 0, low._diff_map, False), (1, 0, c.lambda_map(m)._block_map, False),
+        (2, 0, alpha._block_map, False), (1, 1, high._diff_map, True),
+        (2, 2, s_low._diff_map, True), (3, 1, alpha_up._block_map, True),
+        (3, 2, s_lam._block_map, False), (3, 3, s_high._diff_map, False),
     )
-
-    def sizes(n):
-        return [p.rank(n - k) for p, k in zip(parts, shifts)]
-
-    def blocks(n):
-        got = ((i, j, stored.get(n - shifts[j]), neg) for i, j, stored, neg in pieces)
-        return {(i, j): -b if neg else b for i, j, b, neg in got if b is not None}
-
-    ring = c.bimodule.base
-    degrees = sorted({n + k for p, k in zip(parts, shifts) for n in p.degrees()})
-    diffs = {n: block_matrix(ring, sizes(n - 1), sizes(n), blocks(n)) for n in degrees}
-    return ChainComplex.build(ring, {n: sum(sizes(n)) for n in degrees}, diffs, validate=False)
+    return _block_sum(c.bimodule.base, ((low, 2), (high, 1), (s_low, 1), (s_high, 0)), pieces)[0]
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:

@@ -30,7 +30,7 @@ from itertools import product
 
 from ._record import record
 from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse
-from .chains import ChainComplex, GradedMap, find_contraction
+from .chains import ChainComplex, GradedMap, _block_sum, _slot, find_contraction
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
 from .ladder import D0Complex, reduction_certificates
 
@@ -274,36 +274,31 @@ def _assemble_total(a: D0Complex, quotients, vs):
             else vs[k - 1]
         )
         columns.append(chains_up[k - 1] @ v_k)
-    degrees = sorted(
-        set(top_level.degrees())
-        | {d for col in columns for d in col.source.degrees()}
-    )
-    widths = {deg: [col.source.rank(deg) for col in columns] for deg in degrees}
-    ranks = {deg: sum(widths[deg]) for deg in degrees}
+    # The quotients' own boundaries are not pieces: the total's boundary
+    # is the top level's, transported through the assembly below.
+    parts = tuple((col.source, 0) for col in columns)
+    stacked, sizes = _block_sum(ring, parts, ())
+    degrees = sorted(set(top_level.degrees()) | set(stacked.degrees()))
     phi_blocks = {
         deg: block_matrix(
-            ring, [top_level.rank(deg)], widths[deg],
+            ring, [top_level.rank(deg)], sizes(deg),
             {(0, k): col.block(deg) for k, col in enumerate(columns)},
         )
         for deg in degrees
     }
     phi_inv = {}
     for deg in degrees:
-        if ranks[deg] != top_level.rank(deg):
+        if stacked.rank(deg) != top_level.rank(deg):
             raise AssertionError("stacked quotients do not fill the top level")
-        if ranks[deg] == 0:
-            continue
         inv = inverse(phi_blocks[deg])
         if inv is None:
             raise AssertionError("quotient assembly is not invertible")
         phi_inv[deg] = inv
     diffs = {}
     for deg in degrees:
-        rows = ranks.get(deg - 1, 0)
-        cols = ranks.get(deg, 0)
-        if rows and cols:
+        if deg - 1 in phi_inv:
             diffs[deg] = phi_inv[deg - 1] @ top_level.diff(deg) @ phi_blocks[deg]
-    total = ChainComplex.build(ring, ranks, diffs, validate=True)
+    total = ChainComplex.build(ring, stacked.ranks, diffs, validate=True)
     assembly = GradedMap.build(total, top_level, 0, phi_blocks)
     if not assembly.is_chain_map():
         raise AssertionError("assembly failed to be a chain map")
@@ -312,7 +307,7 @@ def _assemble_total(a: D0Complex, quotients, vs):
         blocks = {
             deg: phi_inv[deg] @ chains_up[k - 1].block(deg)
             for deg in a.level(k).degrees()
-            if ranks.get(deg, 0)
+            if deg in phi_inv
         }
         f = GradedMap.build(a.level(k), total, 0, blocks)
         if not f.is_chain_map():
@@ -344,15 +339,7 @@ def _assemble_total(a: D0Complex, quotients, vs):
             raise AssertionError("transported descent is not nilpotent within the bound")
         acc = tensor_power_map(alpha_total, s, len(powers)) @ acc
     nilpotency = len(powers) + 1
-    inclusions, projections = [], []
-    for k, col in enumerate(columns):
-        quot = col.source
-        inc = {}
-        for deg in degrees:
-            eye = Matrix.identity(ring, quot.rank(deg))
-            inc[deg] = block_matrix(ring, widths[deg], [quot.rank(deg)], {(k, 0): eye})
-        inclusions.append(GradedMap.build(quot, total, 0, inc))
-        projections.append(GradedMap.build(total, quot, 0, {deg: m.transpose() for deg, m in inc.items()}))
+    slots = [_slot(total, sizes, parts, k) for k in range(len(parts))]
     return TotalSpace(
         total,
         assembly,
@@ -361,8 +348,8 @@ def _assemble_total(a: D0Complex, quotients, vs):
         tuple(powers),
         nilpotency,
         find_contraction(total),
-        tuple(inclusions),
-        tuple(projections),
+        tuple(inc for inc, _ in slots),
+        tuple(prj for _, prj in slots),
     )
 
 

@@ -4,7 +4,11 @@ construction_oracle keeps the constructions as they were built before
 exact_linalg.block_matrix assembled them.  On seeded fuzz inputs over
 Z, Q, Z/3 and Z/4 the library must return value objects equal to the
 oracle's, and the seeded fuzz generators that assemble blocks must
-reproduce the outputs recorded before the change.  exact_square_total
+reproduce the outputs recorded before the change.  A sha256 over the
+reprs of 540 seeded cones, cylinders, direct sums, rotations,
+pushouts, exact-square totals and check_an_local reports pins every
+sum-shaped construction as it was before chains._block_sum laid them
+out.  exact_square_total
 must also equal, by repr, construction_oracle.exact_square_total_by_cones,
 the direct sum and two cones it replaced.
 
@@ -29,6 +33,7 @@ from chainbench.chains import (
     ChainComplex,
     GradedMap,
     _BlockSystem,
+    _cone_complex,
     cone,
     cylinder,
     direct_sum,
@@ -46,7 +51,7 @@ from chainbench.fuzz import (
     random_null_homotopic,
     random_reduced_ladder,
 )
-from chainbench.ladder import exact_square_total
+from chainbench.ladder import check_an_local, exact_square_total
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(4))
 
@@ -290,3 +295,30 @@ def test_seeded_fuzz_outputs_pinned(key, monkeypatch):
     for seed in range(4):
         digest.update(repr(GENERATORS[name](random.Random(9100 + seed), ring)).encode())
     assert digest.hexdigest() == PINNED[key]
+
+
+# sha256 of the reprs of 540 seeded constructions, nine per ring and
+# seed, recorded before chains._block_sum laid out every sum-shaped
+# complex.
+CONSTRUCTIONS_PINNED = "8fdfac60dc8a27ceef68e15691fda35e51fdf1be62f9f78f04da049cd102d689"
+
+
+def test_seeded_constructions_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for ring in (ZZ, QQ, Zmod(3), Zmod(4), Zmod(5)):
+        for seed in range(12):
+            rng = random.Random(seed)
+            a = random_complex(rng, ring, max_atoms=4).complex
+            b = random_complex(rng, ring, max_atoms=4).complex
+            f = random_null_homotopic(rng, a, b, 0)[0]
+            outs = [cone(f), cylinder(f), direct_sum(a, b), _cone_complex(f), direct_sum(a, b, a)]
+            ext = random_extension(rng, a, b)
+            outs += [rotate_ses(validate_ses(ext.incl, ext.proj)), pushout_along_cofibration(ext.incl, f)]
+            tower = random_reduced_ladder(rng, ring, n_levels=3).complex
+            outs += [exact_square_total(tower, 1), check_an_local(tower, 1)]
+            for out in outs:
+                digest.update(repr(out).encode())
+                count += 1
+    assert count == 540
+    assert digest.hexdigest() == CONSTRUCTIONS_PINNED

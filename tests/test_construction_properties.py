@@ -9,8 +9,9 @@ structure map.  Hypothesis (derandomized, no example database) draws a
 ring among Z, Q, Z/3 and Z/4, seeds for the fuzz generators, the kind
 of chain map, the number of summands, and the tower and the index of
 its exact square, and the library must return a value object equal to
-the oracle's; exact_square_total must also equal, by repr, the route
-through the library's direct sum and cones that it replaced.
+the oracle's, by == and by repr; exact_square_total must also equal,
+by repr, the route through the library's direct sum and cones that it
+replaced.
 """
 
 import random
@@ -44,6 +45,12 @@ PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=T
 RINGS = st.sampled_from((ZZ, QQ, Zmod(3), Zmod(4)))
 SEEDS = st.integers(0, 2**32 - 1)
 MAP_KINDS = st.sampled_from(("identity", "sub inclusion", "quotient projection", "null-homotopic", "chain map"))
+
+
+def _same(got, want):
+    """Equal by == and by repr, which also tells an int from a bool."""
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def _small(rng, ring):
@@ -85,20 +92,20 @@ def pushout_legs(draw):
 @PROPERTY
 @given(chain_maps())
 def test_cone_matches_oracle(f):
-    assert cone(f) == oracle.cone(f)
+    _same(cone(f), oracle.cone(f))
 
 
 @PROPERTY
 @given(chain_maps())
 def test_cylinder_matches_oracle(f):
-    assert cylinder(f) == oracle.cylinder(f)
+    _same(cylinder(f), oracle.cylinder(f))
 
 
 @PROPERTY
 @given(pushout_legs())
 def test_pushout_matches_oracle(legs):
     f, g = legs
-    assert pushout_along_cofibration(f, g) == oracle.pushout_along_cofibration(f, g)
+    _same(pushout_along_cofibration(f, g), oracle.pushout_along_cofibration(f, g))
 
 
 @st.composite
@@ -141,20 +148,20 @@ def exact_squares(draw):
 @PROPERTY
 @given(summands())
 def test_direct_sum_matches_oracle(parts):
-    assert direct_sum(*parts) == oracle.direct_sum(*parts)
+    _same(direct_sum(*parts), oracle.direct_sum(*parts))
 
 
 @PROPERTY
 @given(short_exact_sequences())
 def test_rotate_ses_matches_oracle(ses):
-    assert rotate_ses(ses) == oracle.rotate_ses(ses)
+    _same(rotate_ses(ses), oracle.rotate_ses(ses))
 
 
 @PROPERTY
 @given(exact_squares())
 def test_exact_square_total_matches_oracle(square):
     tower, m = square
-    assert exact_square_total(tower, m) == oracle.exact_square_total(tower, m)
+    _same(exact_square_total(tower, m), oracle.exact_square_total(tower, m))
 
 
 @PROPERTY

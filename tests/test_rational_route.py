@@ -117,3 +117,23 @@ def test_edge_shapes_match_oracle():
 def test_rational_constants_are_shared():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
     assert repr((QQ.zero, QQ.one)) == repr((Fraction(0), Fraction(1)))
+
+
+def test_rational_product_builds_one_matrix(monkeypatch):
+    """A product over Q that is by no identity makes one Matrix, its
+    result; the cleared integer rows are multiplied without wrapping
+    them, so the count is the one a product over Z makes."""
+    made = []
+    original = Matrix.__post_init__
+
+    def counted(self, canonical):
+        made.append(canonical)
+        original(self, canonical)
+
+    a = Matrix.from_rows(QQ, [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
+    b = Matrix.from_rows(QQ, [[Fraction(5, 4), 0], [1, Fraction(1, 6)]])
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    product = a @ b
+    monkeypatch.undo()
+    assert made == [True]
+    assert repr(product) == repr(matrix_oracle.matmul(a, b))
