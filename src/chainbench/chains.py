@@ -11,7 +11,10 @@ differential follows the commutator convention
 
 so chain maps are exactly the maps with df == 0, null-homotopies of f
 are maps H with dH == f, and d(g after f) == dg after f + (-1)^deg(g)
-g after df.
+g after df.  GradedMap.leibniz computes each block as one product,
+[boundary(n + d) | f_(n-1)] @ [f_n ; -(-1)^d boundary(n)], and each
+complex keeps its negated differentials once, for the maps of even
+degree, so no block is negated, added or subtracted.
 
 On top of the two core types this module provides homology with exact
 torsion data, a null-homotopy solver, mapping cones and cylinders,
@@ -50,7 +53,9 @@ it.  A general null-homotopy solves that system for every block of the
 unknown map at once.  A contraction, a null-homotopy of the identity,
 is cheaper: it is built one degree at a time from the bottom up,
 solving d_(n+1) k_n == 1 - k_(n-1) d_n with one small solve per
-degree.  The right-hand side is always a cycle, so a degree where it
+degree, on the right-hand side [1 | k_(n-1)] @ [1 ; -d_n], one
+product of the identity blocks and negated differentials the complex
+keeps.  The right-hand side is always a cycle, so a degree where it
 is not a boundary proves H_n != 0, and hence that no contraction
 exists.
 """
@@ -164,6 +169,17 @@ class ChainComplex:
         """
         return tuple((n, Matrix.identity(self.ring, r)) for n, r in self.ranks)
 
+    @cached_property
+    def _negated_diffs(self):
+        """-d_n for every stored d_n, by degree, made once per complex.
+
+        The graded differential of an even-degree map and the right-hand
+        side of find_contraction read them, so no map negates a
+        differential per call.  Like _identity_blocks, they hold no
+        reference back to self.
+        """
+        return {n: -d for n, d in self.diffs}
+
     def rank(self, n: int) -> int:
         return self._rank_map.get(n, 0)
 
@@ -213,7 +229,9 @@ class GradedMap:
     and negation build their results from blocks of known ring and
     shape with _unchecked, which only drops the zero blocks.  identity
     hands out the blocks its complex keeps, and compose returns the
-    other factor when one factor is such an identity.
+    other factor when one factor is such an identity.  leibniz takes
+    one product per block of df, on the source's negated differentials
+    when the degree is even.
     """
 
     source: ChainComplex
@@ -335,24 +353,39 @@ class GradedMap:
         return self.compose(other)
 
     def leibniz(self) -> "GradedMap":
-        """Graded differential df; chain maps are the maps with df == 0."""
-        odd = self.degree % 2 == 1
-        d_tgt, d_src = self.target._diff_map, self.source._diff_map
+        """Graded differential df; chain maps are the maps with df == 0.
+
+        Each block is one product,
+
+            (df)_n = [d_tgt(n + deg) | f_(n-1)] @ [f_n ; -(-1)^deg d_src(n)],
+
+        and a degree where only one of the two terms exists is that
+        term's product alone.  An odd-degree map reads the source's
+        stored differentials and an even-degree map the negated ones
+        the source keeps, so nothing is negated, added or subtracted
+        here; over Q the sum is taken inside one integer product.
+        """
+        deg = self.degree
+        d_tgt = self.target._diff_map
+        d_src = self.source._diff_map if deg % 2 else self.source._negated_diffs
+        mine = self._block_map
         out = {}
         for n, f in self.blocks:
-            d = d_tgt.get(n + self.degree)
-            if d is not None:
-                out[n] = d @ f
-        for n, f in self.blocks:
-            d = d_src.get(n + 1)
-            if d is not None:
-                # Subtract (-1)^degree f_n d_(n+1) from the block in degree n + 1.
-                corr = f @ d
-                if n + 1 in out:
-                    out[n + 1] = out[n + 1] + corr if odd else out[n + 1] - corr
-                else:
-                    out[n + 1] = corr if odd else -corr
-        return GradedMap._unchecked(self.source, self.target, self.degree - 1, out)
+            d = d_tgt.get(n + deg)
+            below = mine.get(n - 1)
+            e = None if below is None else d_src.get(n)
+            if e is None:
+                if d is not None:
+                    out[n] = d @ f
+            elif d is None:
+                out[n] = below @ e
+            else:
+                out[n] = d.hstack(below) @ f.vstack(e)
+            if n + 1 not in mine:
+                e = d_src.get(n + 1)
+                if e is not None:
+                    out[n + 1] = f @ e
+        return GradedMap._unchecked(self.source, self.target, deg - 1, out)
 
     def is_chain_map(self) -> bool:
         return self.leibniz().is_zero()
@@ -570,14 +603,20 @@ def _leibniz_rows(system: _BlockSystem, src: ChainComplex, tgt: ChainComplex, de
     The block of f at source degree n is the unknown key(n).  For each
     source degree n in increasing order, one row group holds
     vec((df)_n) = vec(d f_n - (-1)^degree f_(n-1) d), so the rows are
-    laid out like the unknowns of a degree-(degree - 1) map.
+    laid out like the unknowns of a degree-(degree - 1) map.  Like
+    GradedMap.leibniz, an even degree reads the negated differentials
+    that src keeps; a zero differential gives no term.
     """
+    signed = src._diff_map if degree % 2 else src._negated_diffs
     for n, t in src.ranks:
         p = tgt.rank(n + degree - 1)
         if p == 0:
             continue
-        d = src.diff(n)
-        system.condition(p * t, [(key(n), tgt.diff(n + degree), None), (key(n - 1), None, d if degree % 2 else -d)])
+        terms = [(key(n), tgt.diff(n + degree), None)]
+        d = signed.get(n)
+        if d is not None:
+            terms.append((key(n - 1), None, d))
+        system.condition(p * t, terms)
 
 
 def _map_system(src: ChainComplex, tgt: ChainComplex, degree: int) -> _BlockSystem:
@@ -638,20 +677,21 @@ def find_contraction(c: ChainComplex):
     k is built one degree at a time from the bottom up: at degree n it
     solves d_(n+1) k_n == 1 - k_(n-1) d_n with a single solve_linear
     call, taking k_(n-1) == 0 below the bottom degree and across any
-    degree of rank 0.  The right-hand side is always a cycle, since
+    degree of rank 0.  The right-hand side is one product,
+    [1 | k_(n-1)] @ [1 ; -d_n], on the identity blocks and the negated
+    differentials that c keeps, or the identity block alone when
+    k_(n-1) or d_n is zero.  The right-hand side is always a cycle, since
     d_n (1 - k_(n-1) d_n) == k_(n-2) d_(n-1) d_n == 0 by induction.
     When c is contractible its cycles are boundaries and every step
     solves, because the source is free.  When a step has no solution,
     one of its columns is a cycle that is not a boundary, so H_n is
     nonzero and no contraction exists; this holds over Z, Q and Z/m.
     """
-    ring = c.ring
+    negated = c._negated_diffs
     blocks = {}
-    for n in c.degrees():
-        rhs = Matrix.identity(ring, c.rank(n))
-        below = blocks.get(n - 1)
-        if below is not None:
-            rhs = rhs - below @ c.diff(n)
+    for n, eye in c._identity_blocks:
+        below, d = blocks.get(n - 1), negated.get(n)
+        rhs = eye if below is None or d is None else eye.hstack(below) @ eye.vstack(d)
         k_n = solve_linear(c.diff(n + 1), rhs)
         if k_n is None:
             return None

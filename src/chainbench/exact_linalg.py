@@ -17,7 +17,12 @@ normal form data deterministic across runs and platforms.  Over Z and
 Z/p no nonzero entry is smaller than 1, so the row-major scan stops at
 the first entry of absolute value 1; over Q it always scans the whole
 block.  The divisibility check that follows each pivot is skipped when
-the pivot is 1.
+the pivot is 1.  At one position the pivot key never rises from one
+pass to the next, and it stays the same for at most two passes in a
+row: the divisibility step costs one pass at an unchanged key, and the
+column sweep then leaves a smaller remainder.  Over a field each
+position takes one pass.  _smith raises AssertionError on a pass that
+breaks this, so a wrong step fails at once instead of spinning.
 
 All elimination works on raw entries: integer and rational
 arithmetic is closed and canonical, so the only reduction is % m over
@@ -415,13 +420,13 @@ class Matrix:
         return Matrix._trusted(self.ring, self.cols, self.rows, data)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.rows != other.rows:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.rows != other.rows:
             raise ShapeMismatch("hstack needs equal row counts and rings")
         data = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
         return Matrix._trusted(self.ring, self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.cols != other.cols:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.cols != other.cols:
             raise ShapeMismatch("vstack needs equal column counts and rings")
         return Matrix._trusted(
             self.ring, self.rows + other.rows, self.cols,
@@ -884,6 +889,9 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
     d = w.rows
     t = 0
     limit = min(w.r, w.c)
+    # The key of the last pass at position t, None when t has just
+    # been reached, and how many passes in a row have had it.
+    last, repeats = None, 0
     while t < limit:
         best = None
         bi = bj = -1
@@ -901,6 +909,14 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
                 break
         if best is None:
             break
+        # A pass that repeats position t follows a sweep that left a
+        # remainder, so the key falls, or the divisibility step, after
+        # which the key stays once and the column sweep leaves a
+        # remainder.  Over a field no pass repeats.
+        if last is not None and (field or best > last or (best == last and repeats == 2)):
+            raise AssertionError(f"the Smith pivot key at position {t} went {last} -> {best}")
+        repeats = repeats + 1 if best == last else 1
+        last = best
         w.swap_rows(t, bi)
         w.swap_cols(t, bj)
         if field:
@@ -944,6 +960,7 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
                 w.add_row(t, bad_row, 1)
                 continue
         t += 1
+        last = None
     return w
 
 

@@ -5,7 +5,9 @@ they were when every result went through the normalizing constructor.
 On seeded fuzz inputs over Z, Q, Z/4 and Z/5, with empty shapes and
 maps with unstored blocks among them, the library must return equal
 values whose entries are canonical: field equality alone would not
-notice an int over Q, since Fraction(2) == 2.
+notice an int over Q, since Fraction(2) == 2.  compose_oracle keeps
+the two-product GradedMap.leibniz; the library's one product per
+block must give the same maps by repr.
 """
 
 import random
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import chainbench
+import compose_oracle
 import matrix_oracle as oracle
 from chainbench.chains import ChainComplex, GradedMap
 from chainbench.exact_linalg import (
@@ -260,6 +263,62 @@ def test_identity_factors_match_oracle(monkeypatch):
                     assert not _is_identity(tall) and not _is_identity(tall.transpose())
                     assert_same(tall @ b, oracle.matmul(tall, b))
                     assert_same(b.transpose() @ tall.transpose(), oracle.matmul(b.transpose(), tall.transpose()))
+
+
+def _leibniz_terms(f):
+    """Per degree n of df, which of d f_n and f_(n-1) d exist."""
+    mine, d_tgt, d_src = f._block_map, f.target._diff_map, f.source._diff_map
+    terms = {}
+    for n in set(mine) | {n + 1 for n in mine}:
+        left = n in mine and n + f.degree in d_tgt
+        right = n - 1 in mine and n in d_src
+        if left or right:
+            terms[n] = (left, right)
+    return terms
+
+
+def test_leibniz_takes_one_product_per_block_and_matches_the_two_product_route(monkeypatch):
+    """GradedMap.leibniz against compose_oracle.leibniz, which took two
+    products per degree and added or subtracted them, by repr.  Maps of
+    degree -1 to 2 (both parities) between random and zero complexes,
+    with some blocks not stored, so that degrees with both terms and
+    with only one of them all occur.  Each block of df is one product,
+    and no matrix is added, subtracted or negated once the source's
+    negated differentials are cached."""
+    counts = {"product": 0, "sum": 0}
+
+    def counting(name, kind):
+        original = getattr(Matrix, name)
+
+        def counted(self, *args):
+            counts[kind] += 1
+            return original(self, *args)
+        monkeypatch.setattr(Matrix, name, counted)
+
+    seen = set()
+    for index, ring in enumerate(IDENTITY_RINGS):
+        rng = random.Random(7600 + index)
+        zero = ChainComplex.zero_complex(ring)
+        for _ in range(5):
+            a, b = (random_complex(rng, ring, max_atoms=3, degree_span=3).complex for _ in range(2))
+            for src, tgt in ((a, b), (a, a), (a, zero), (zero, b), (zero, zero)):
+                for degree in range(-1, 3):
+                    for f in (_sparse_map(rng, src, tgt, degree), random_graded_map(rng, src, tgt, degree)):
+                        want = compose_oracle.leibniz(f)
+                        terms = _leibniz_terms(f)
+                        seen.update((degree % 2, both) for both in terms.values())
+                        src._negated_diffs  # made once per complex, outside the count
+                        counting("__matmul__", "product")
+                        for name in ("__add__", "__sub__", "__neg__"):
+                            counting(name, "sum")
+                        counts.update(product=0, sum=0)
+                        got = f.leibniz()
+                        monkeypatch.undo()
+                        assert counts == {"product": len(terms), "sum": 0}
+                        assert repr(got) == repr(want)
+                        for _, m in got.blocks:
+                            assert_canonical(m)
+    assert seen == {(p, t) for p in (0, 1) for t in ((True, False), (False, True), (True, True))}
 
 
 def test_validate_still_rejects_a_boundary_that_does_not_square_to_zero():

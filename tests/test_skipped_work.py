@@ -8,9 +8,10 @@ is_reduced decides reducedness without solving for the sections that
 reduction_certificates returns.  Hypothesis (derandomized, no example
 database) draws the inputs over Z, Q, Z/3, Z/4 and Z/6, and every
 result must equal the old route's by repr.  Caching the identity
-blocks must leave a complex's repr, == and hash alone and form no
-reference cycle, and the cone verb must reject what cone() rejects,
-with the same message.
+blocks, or the negated differentials that even-degree graded
+differentials and contractions read, must leave a complex's repr, ==
+and hash alone and form no reference cycle, and the cone verb must
+reject what cone() rejects, with the same message.
 """
 
 import gc
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import compose_oracle
 import construction_oracle
-from chainbench.chains import ChainComplex, GradedMap, _cone, _cone_complex, cone
+from chainbench.chains import ChainComplex, GradedMap, _cone, _cone_complex, cone, find_contraction
 from chainbench.cli import main
 from chainbench.exact_linalg import QQ, ZZ, Matrix, Zmod
 from chainbench.fuzz import (
@@ -103,6 +104,34 @@ def test_cached_identity_blocks_form_no_reference_cycle():
     try:
         c = random_complex(random.Random(7), ZZ, max_atoms=2, degree_span=2).complex
         GradedMap.identity(c) @ GradedMap.identity(c)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_caching_negated_differentials_leaves_repr_eq_and_hash_alone():
+    for ring in RING_LIST:
+        for zero in (True, False):
+            c = _complex(random.Random(41), ring, zero)
+            twin = ChainComplex.build(ring, c.ranks, c.diffs, validate=False)
+            before = (repr(c), hash(c))
+            GradedMap.identity(c).leibniz()
+            assert "_negated_diffs" in c.__dict__ and "_negated_diffs" not in twin.__dict__
+            assert c._negated_diffs == {n: -d for n, d in c.diffs}
+            assert (repr(c), hash(c)) == before
+            assert c == twin and twin == c and hash(twin) == hash(c)
+            assert {twin: "found"}[c] == "found"
+            assert GradedMap.identity(c).leibniz() == GradedMap.identity(twin).leibniz()
+
+
+def test_cached_negated_differentials_form_no_reference_cycle():
+    gc.disable()
+    try:
+        c = random_complex(random.Random(7), ZZ, max_atoms=2, degree_span=2, force_acyclic=True).complex
+        find_contraction(c)
+        assert "_negated_diffs" in c.__dict__
         ref = weakref.ref(c)
         del c
         assert ref() is None

@@ -9,7 +9,10 @@ bit, with one elimination per call.  A solve over Z or composite Z/m
 carries the rows of b through the row steps instead of keeping p and
 multiplying p @ b at the end; snf_oracle keeps that route, and the
 two must return the same solution or None.  repr keeps 1 and
-Fraction(1) apart, so every comparison below is bit for bit.
+Fraction(1) apart, so every comparison below is bit for bit.  A step
+lost from the row sweep, the column sweep or the divisibility step
+must make _smith raise AssertionError instead of repeating its passes
+without end.
 """
 
 import random
@@ -147,3 +150,34 @@ def test_solve_carrying_b_matches_solve_via_p(label, data):
     assert repr(x) == repr(via_p(a, b)), (a, b)
     if x is not None:
         assert a @ x == b
+
+
+# At one pivot position the pivot key |d[t][t]| never rises from one
+# pass to the next and stays the same for at most two passes in a row;
+# over a field there is one pass per position.  A lost step breaks
+# this, and _smith raises AssertionError where it would spin.
+LOST_STEPS = {
+    # The row sweep adds a multiple of the pivot row to a row below it.
+    "row sweep": ("add_row", lambda i, j: i > j, ((2, 1), (4, 3))),
+    # The column sweep adds a multiple of the pivot column to a later one.
+    "column sweep": ("add_col", lambda j, i: True, ((1, 3), (0, 1))),
+    # The divisibility step adds a row below to the pivot row.
+    "divisibility step": ("add_row", lambda i, j: i < j, ((2, 0), (0, 3))),
+}
+
+
+@pytest.mark.parametrize("lost", sorted(LOST_STEPS))
+def test_smith_raises_instead_of_spinning_when_a_step_is_lost(lost, monkeypatch):
+    name, skipped, rows = LOST_STEPS[lost]
+    original = getattr(exact_linalg._SnfWorker, name)
+
+    def lossy(self, x, y, c):
+        if not skipped(x, y):
+            original(self, x, y, c)
+
+    monkeypatch.setattr(exact_linalg._SnfWorker, name, lossy)
+    rings = (ZZ,) if lost == "divisibility step" else (ZZ, QQ, Zmod(5))
+    for ring in rings:
+        with pytest.raises(AssertionError, match="pivot key"):
+            exact_linalg._smith(Matrix.from_rows(ring, rows))
+
