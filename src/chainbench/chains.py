@@ -21,13 +21,13 @@ torsion data, a null-homotopy solver, mapping cones and cylinders,
 suspensions, direct sums, pushouts along levelwise split injections,
 short exact sequence handling with rotation, and an independent
 homology-equivalence test that never builds a cone.  Every
-sum-shaped complex (direct sums, cones, cylinders, pushouts, the
-rotated middle, the exact-square total of the ladder module and the
-fuzzers' extensions) has one layout, _block_sum: each part sits in a
-slot at a degree shift and the boundary is given by its nonzero
-blocks; _slot gives a slot's inclusion and projection.  Every block
-matrix is assembled by exact_linalg.block_matrix from its nonzero
-blocks alone: the blocks not given are zero, so nothing here pads
+sum-shaped complex and every map into or out of one has one layout:
+each part sits in a slot at a degree shift, and _block_map places a
+map's nonzero blocks between the slots of its source and target.  The
+boundary of _block_sum is such a map of degree -1, and _slot and
+_diagonal_map give slot and block-diagonal maps, so no map of a sum is
+composed from inclusions and projections.  block_matrix assembles
+every block matrix from its nonzero blocks alone, so nothing here pads
 with zero matrices.
 
 Homology costs one elimination per stored differential and reads
@@ -745,41 +745,56 @@ class DirectSumData:
     projections: tuple
 
 
-def _block_sum(ring: Ring, parts, pieces):
-    """The one layout of a sum-shaped complex: (complex, sizes).
+def _sizes(parts, n: int) -> list:
+    """The slot ranks of a layout in degree n."""
+    return [c.rank(n - k) for c, k in parts]
 
-    parts lists (complex, shift) pairs; slot j holds its complex in
-    degree n - shift_j, so sizes(n) lists the slot ranks in degree n.
-    pieces lists (i, j, blocks, negate): block (i, j) of the boundary
-    out of degree n, which maps slot j to slot i, is blocks[n - shift_j]
-    (blocks keyed by the source degree of slot j's complex), negated if
-    asked; a block not given is zero.  The complex is not validated.
+
+def _block_map(source: ChainComplex, src_parts, target: ChainComplex, tgt_parts, degree: int, pieces) -> GradedMap:
+    """The one layout of a map between sum-shaped complexes.
+
+    A layout lists (complex, shift) parts: slot j holds its complex in
+    degree n - shift_j, and a plain complex c is the layout ((c, 0),).
+    pieces lists (i, j, blocks, negate): block (i, j) out of source
+    degree n, from source slot j to target slot i, is blocks[n - shift_j],
+    negated if asked; a block not given is zero.  GradedMap.build checks
+    that the slot ranks add up to the ranks of source and target.
     """
+    src_parts, tgt_parts = (((p, 0),) if isinstance(p, ChainComplex) else p for p in (src_parts, tgt_parts))
+    placed = {}
+    for i, j, stored, neg in pieces:
+        for m, b in stored.items():
+            placed.setdefault(m + src_parts[j][1], {})[i, j] = -b if neg else b
+    out = {
+        n: block_matrix(source.ring, _sizes(tgt_parts, n + degree), _sizes(src_parts, n), blocks)
+        for n, blocks in placed.items()
+    }
+    return GradedMap.build(source, target, degree, out)
 
-    def sizes(n):
-        return [c.rank(n - k) for c, k in parts]
 
+def _block_sum(ring: Ring, parts, pieces) -> ChainComplex:
+    """The one layout of a sum-shaped complex, unvalidated: its boundary
+    is the degree -1 _block_map of pieces from parts to parts."""
     degrees = sorted({n + k for c, k in parts for n in c.degrees()})
-    diffs = {}
-    for n in degrees:
-        got = ((i, j, stored.get(n - parts[j][1]), neg) for i, j, stored, neg in pieces)
-        blocks = {(i, j): -b if neg else b for i, j, b, neg in got if b is not None}
-        if blocks:
-            diffs[n] = block_matrix(ring, sizes(n - 1), sizes(n), blocks)
-    return ChainComplex.build(ring, {n: sum(sizes(n)) for n in degrees}, diffs, validate=False), sizes
+    bare = ChainComplex(ring, tuple((n, sum(_sizes(parts, n))) for n in degrees), ())
+    return ChainComplex(ring, bare.ranks, _block_map(bare, parts, bare, parts, -1, pieces).blocks)
 
 
-def _slot(total: ChainComplex, sizes, parts, j: int):
+def _slot(total: ChainComplex, parts, j: int):
     """Slot j's inclusion into total, of degree +shift_j, and its
-    projection out of total, of degree -shift_j, for the layout that
-    _block_sum returned as (total, sizes)."""
+    projection out of total, of degree -shift_j."""
     c, k = parts[j]
-    ring = c.ring
-    inc, prj = {}, {}
-    for n, eye in c._identity_blocks:
-        inc[n] = block_matrix(ring, sizes(n + k), [eye.rows], {(j, 0): eye})
-        prj[n + k] = block_matrix(ring, [eye.rows], sizes(n + k), {(0, j): eye})
-    return GradedMap.build(c, total, k, inc), GradedMap.build(total, c, -k, prj)
+    eye = dict(c._identity_blocks)
+    inc = _block_map(c, c, total, parts, k, ((j, 0, eye, False),))
+    return inc, _block_map(total, parts, c, c, -k, ((0, j, eye, False),))
+
+
+def _diagonal_map(source: ChainComplex, target: ChainComplex, *maps: GradedMap) -> GradedMap:
+    """The block-diagonal map of maps, from the direct sum of their
+    sources to the direct sum of their targets."""
+    src, tgt = tuple((f.source, 0) for f in maps), tuple((f.target, 0) for f in maps)
+    pieces = tuple((i, i, f._block_map, False) for i, f in enumerate(maps))
+    return _block_map(source, src, target, tgt, maps[0].degree, pieces)
 
 
 def direct_sum(*parts: ChainComplex) -> DirectSumData:
@@ -789,8 +804,8 @@ def direct_sum(*parts: ChainComplex) -> DirectSumData:
     if any(p.ring != ring for p in parts):
         raise ShapeMismatch("summands live over different rings")
     layout = tuple((p, 0) for p in parts)
-    total, sizes = _block_sum(ring, layout, tuple((i, i, p._diff_map, False) for i, p in enumerate(parts)))
-    inclusions, projections = zip(*(_slot(total, sizes, layout, i) for i in range(len(parts))))
+    total = _block_sum(ring, layout, tuple((i, i, p._diff_map, False) for i, p in enumerate(parts)))
+    inclusions, projections = zip(*(_slot(total, layout, i) for i in range(len(parts))))
     return DirectSumData(total, inclusions, projections)
 
 
@@ -824,7 +839,7 @@ def _cone_complex(f: GradedMap) -> ChainComplex:
     """The complex of the cone of f, without its structure maps, for a
     caller that has checked f is a degree-0 chain map and reads only
     the complex; d^2 == 0 follows from that, unchecked."""
-    return _block_sum(f.source.ring, *_cone_layout(f))[0]
+    return _block_sum(f.source.ring, *_cone_layout(f))
 
 
 def _cone(f: GradedMap) -> ConeData:
@@ -832,8 +847,8 @@ def _cone(f: GradedMap) -> ConeData:
     checked f is a degree-0 chain map; the inclusion of B and the
     projection onto A are chain maps by their block form, unchecked."""
     parts, pieces = _cone_layout(f)
-    cx, sizes = _block_sum(f.source.ring, parts, pieces)
-    return ConeData(cx, _slot(cx, sizes, parts, 1)[0], _slot(cx, sizes, parts, 0)[1])
+    cx = _block_sum(f.source.ring, parts, pieces)
+    return ConeData(cx, _slot(cx, parts, 1)[0], _slot(cx, parts, 0)[1])
 
 
 @record
@@ -859,32 +874,22 @@ class CylinderData:
 def cylinder(f: GradedMap) -> CylinderData:
     _require_chain_map(f, degree=0, what="cylinder input")
     a, b = f.source, f.target
-    ring = a.ring
     cn = _cone(f)
-
-    def eye(n):
-        return Matrix.identity(ring, n)
-
+    eye_a, eye_b = dict(a._identity_blocks), dict(b._identity_blocks)
     parts = ((a, 0), (a, 1), (b, 0))
     pieces = (
-        (0, 0, a._diff_map, False), (0, 1, dict(a._identity_blocks), False), (1, 1, a._diff_map, True),
+        (0, 0, a._diff_map, False), (0, 1, eye_a, False), (1, 1, a._diff_map, True),
         (2, 1, f._block_map, True), (2, 2, b._diff_map, False),
     )
     # f is checked, so d^2 == 0 and the structure maps are chain maps by
     # their block forms; only the deformation homotopy is checked below.
-    cx, sizes = _block_sum(ring, parts, pieces)
-    pr, qt, ht = {}, {}, {}
-    for n in cx.degrees():
-        pr[n] = block_matrix(ring, [b.rank(n)], sizes(n), {(0, 0): f.block(n), (0, 2): eye(b.rank(n))})
-        qt[n] = block_matrix(
-            ring, sizes(n)[1:], sizes(n), {(0, 1): eye(a.rank(n - 1)), (1, 2): eye(b.rank(n))}
-        )
-        ht[n] = block_matrix(ring, sizes(n + 1), sizes(n), {(1, 0): eye(a.rank(n))})
-    incl_source = _slot(cx, sizes, parts, 0)[0]
-    incl_target = _slot(cx, sizes, parts, 2)[0]
-    proj = GradedMap.build(cx, b, 0, pr)
-    quotient = GradedMap.build(cx, cn.complex, 0, qt)
-    homotopy = GradedMap.build(cx, cx, 1, ht)
+    # The cone's layout is the cylinder's without its first slot.
+    cx = _block_sum(a.ring, parts, pieces)
+    incl_source = _slot(cx, parts, 0)[0]
+    incl_target = _slot(cx, parts, 2)[0]
+    proj = _block_map(cx, parts, b, b, 0, ((0, 0, f._block_map, False), (0, 2, eye_b, False)))
+    quotient = _block_map(cx, parts, cn.complex, parts[1:], 0, ((0, 1, eye_a, False), (1, 2, eye_b, False)))
+    homotopy = _block_map(cx, parts, cx, parts, 1, ((1, 0, eye_a, False),))
     want = GradedMap.identity(cx) - incl_target @ proj
     if homotopy.leibniz() != want:
         raise AssertionError("cylinder homotopy does not witness the deformation")
@@ -942,14 +947,14 @@ def pushout_along_cofibration(f: GradedMap, g: GradedMap) -> PushoutData:
             to_z[n] = g.block(n - 1) @ ra @ y.diff(n) @ kk
             to_comp[n] = pk @ y.diff(n) @ kk
     parts = ((z, 0), (comp, 0))
-    w, sizes = _block_sum(ring, parts, ((0, 0, z._diff_map, False), (0, 1, to_z, False), (1, 1, to_comp, False)))
+    w = _block_sum(ring, parts, ((0, 0, z._diff_map, False), (0, 1, to_z, False), (1, 1, to_comp, False)))
     w.validate()
-    inc_y = {
-        n: block_matrix(ring, sizes(n), [y.rank(n)], {(0, 0): g.block(n) @ splits[n][0], (1, 0): splits[n][2]})
-        for n in y.degrees()
-    }
-    from_other = _slot(w, sizes, parts, 0)[0]
-    from_target = GradedMap.build(y, w, 0, inc_y)
+    from_y = (
+        (0, 0, {n: g.block(n) @ sp[0] for n, sp in splits.items()}, False),
+        (1, 0, {n: sp[2] for n, sp in splits.items()}, False),
+    )
+    from_other = _slot(w, parts, 0)[0]
+    from_target = _block_map(y, y, w, parts, 0, from_y)
     if not from_other.is_chain_map() or not from_target.is_chain_map():
         raise AssertionError("pushout structure maps failed to be chain maps")
     if from_target @ f != from_other @ g:
@@ -1074,7 +1079,7 @@ class RotatedSES:
 def rotate_ses(data: SESData) -> RotatedSES:
     x, y, z = data.sub, data.middle, data.quotient
     ring = y.ring
-    t, rho = data.section, data.retraction
+    t = data.section
     # The section fails to be a chain map by a boundary-commutator that
     # lands in the sub; pulling it back gives the connecting map.
     dt = t.leibniz()
@@ -1090,23 +1095,22 @@ def rotate_ses(data: SESData) -> RotatedSES:
         raise AssertionError("connecting map failed to be a chain map")
     ident = GradedMap.identity(down)
     pad_parts, pad_pieces = _cone_layout(ident)
-    pad = _block_sum(ring, pad_parts, pad_pieces)[0]
+    pad = _block_sum(ring, pad_parts, pad_pieces)
     # The new middle is x, then the padding cone's two slots: down
     # shifted up by one (z in degree n), then down.
-    summed, sizes = _block_sum(
-        ring, ((x, 0),) + pad_parts,
+    parts = ((x, 0),) + pad_parts
+    summed = _block_sum(
+        ring, parts,
         ((0, 0, x._diff_map, False),) + tuple((i + 1, j + 1, b, neg) for i, j, b, neg in pad_pieces),
     )
-    new_incl_blocks, new_proj_blocks = {}, {}
-    for n, eye in ident.blocks:
-        new_incl_blocks[n] = block_matrix(ring, sizes(n), [eye.rows], {(0, 0): gamma.block(n), (2, 0): eye})
-    for n in summed.degrees():
-        i_n = data.incl.block(n)
-        new_proj_blocks[n] = block_matrix(
-            ring, [y.rank(n)], sizes(n), {(0, 0): i_n, (0, 1): t.block(n), (0, 2): -(i_n @ gamma.block(n))}
-        )
-    new_incl = GradedMap.build(down, summed, 0, new_incl_blocks)
-    new_proj = GradedMap.build(summed, y, 0, new_proj_blocks)
+    incl_pieces = ((0, 0, gamma._block_map, False), (2, 0, ident._block_map, False))
+    new_incl = _block_map(down, down, summed, parts, 0, incl_pieces)
+    pieces = (
+        (0, 0, data.incl._block_map, False),
+        (0, 1, {n - 1: m for n, m in t.blocks}, False),
+        (0, 2, (data.incl @ gamma)._block_map, True),
+    )
+    new_proj = _block_map(summed, parts, y, y, 0, pieces)
     rotated = validate_ses(new_incl, new_proj)
     return RotatedSES(rotated, gamma, pad)
 

@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from ._record import record
 from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
-from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, direct_sum, find_null_homotopy
+from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, _diagonal_map, direct_sum, find_null_homotopy
+
+# Most path composites, over all lengths, that one nilpotency_degree
+# search examines.  D1, D2 and D3 have at most three paths per length;
+# a three-level D0_truncated passes the cap at length 13.
+_MAX_COMPOSITES = 4096
 
 
 @record
@@ -366,11 +371,31 @@ def path_composite(x: DComplex, path, start: str | None = None) -> PathComposite
     return PathComposite(path, out, acc)
 
 
+def _path_counts(diagram: DiagramOfBimodules):
+    """Yield len(composable_paths(diagram, k)) for k = 0, 1, ..., counted
+    one step per length from the edges, listing no path."""
+    yield 1
+    ending = {v: 1 for v, _ in diagram.vertices}
+    while True:
+        ending = {v: sum(ending[e.source] for e in diagram.edges if e.target == v) for v in ending}
+        yield sum(ending.values())
+
+
 def nilpotency_degree(x: DComplex, max_n: int):
     """Smallest n <= max_n with every length-(n+1) composite
     null-homotopic, or None.  Longer composites inherit witnesses by
-    composition, so the first length that works is the answer."""
-    for n in range(max_n + 1):
+    composition, so the first length that works is the answer.  A
+    length whose paths would take the composites over _MAX_COMPOSITES
+    raises ValueError before they are listed."""
+    counts, examined = _path_counts(x.diagram), 0
+    next(counts)
+    for n, count in zip(range(max_n + 1), counts):
+        examined += count
+        if examined > _MAX_COMPOSITES:
+            raise ValueError(
+                f"{examined} composites up to length {n + 1}, {count} of that length, "
+                f"are over the limit of {_MAX_COMPOSITES}"
+            )
         paths = composable_paths(x.diagram, n + 1)
         if all(
             find_null_homotopy(path_composite(x, p).map) is not None
@@ -403,18 +428,9 @@ def dcomplex_direct_sum(x: DComplex, y: DComplex) -> DComplex:
     if x.diagram != y.diagram:
         raise ShapeMismatch("direct sum needs the same diagram of bimodules")
     diagram = x.diagram
-    sums = {v: direct_sum(x.complex_at(v), y.complex_at(v)) for v, _ in diagram.vertices}
+    sums = {v: direct_sum(x.complex_at(v), y.complex_at(v)).complex for v, _ in diagram.vertices}
     maps = {}
     for e in diagram.edges:
-        src_sum = sums[e.source]
-        tgt_sum = sums[e.target]
-        fx, fy = x.map_for(e.name), y.map_for(e.name)
-        inc_x = tensor_map_with_bimodule(tgt_sum.inclusions[0], e.bimodule)
-        inc_y = tensor_map_with_bimodule(tgt_sum.inclusions[1], e.bimodule)
-        maps[e.name] = (
-            inc_x @ fx @ src_sum.projections[0]
-            + inc_y @ fy @ src_sum.projections[1]
-        )
-    return DComplex.build(
-        diagram, {v: sums[v].complex for v, _ in diagram.vertices}, maps
-    )
+        target = tensor_with_bimodule(sums[e.target], e.bimodule)
+        maps[e.name] = _diagonal_map(sums[e.source], target, x.map_for(e.name), y.map_for(e.name))
+    return DComplex.build(diagram, sums, maps)

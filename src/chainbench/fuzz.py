@@ -21,6 +21,7 @@ from .chains import (
     ChainComplex,
     GradedMap,
     HomologySummary,
+    _block_map,
     _block_sum,
     _slot,
     leibniz_system,
@@ -225,10 +226,10 @@ def random_extension(rng: random.Random, sub: ChainComplex, quotient: ChainCompl
     w = random_graded_map(rng, quotient, sub, 0, bound)
     parts = ((sub, 0), (quotient, 0))
     pieces = ((0, 0, sub._diff_map, False), (0, 1, w.leibniz()._block_map, False), (1, 1, quotient._diff_map, False))
-    plain, sizes = _block_sum(sub.ring, parts, pieces)
+    plain = _block_sum(sub.ring, parts, pieces)
     plain.validate()
     mixed, basis, inverses = _conjugated(rng, plain)
-    incl_plain, proj_plain = _slot(plain, sizes, parts, 0)[0], _slot(plain, sizes, parts, 1)[1]
+    incl_plain, proj_plain = _slot(plain, parts, 0)[0], _slot(plain, parts, 1)[1]
     incl = GradedMap.build(sub, mixed, 0, {n: basis[n] @ m for n, m in incl_plain.blocks})
     proj = GradedMap.build(mixed, quotient, 0, {n: m @ inverses[n] for n, m in proj_plain.blocks})
     return RandomExtension(incl, proj, sub, quotient, mixed)
@@ -448,21 +449,19 @@ def random_kernel_tower(
             v_i = GradedMap.zero(bs, kernel, 0)
         parts = ((kernel, 0), (bs, 0))
         pieces = ((0, 0, kernel._diff_map, False), (0, 1, v_i.leibniz()._block_map, False), (1, 1, bs._diff_map, False))
-        level_next, sizes = _block_sum(ring, parts, pieces)
+        level_next = _block_sum(ring, parts, pieces)
         level_next.validate()
-        inc_k, theta_slot = _slot(level_next, sizes, parts, 0)
-        beta_next = _slot(level_next, sizes, parts, 1)[1]
+        inc_k, theta_slot = _slot(level_next, parts, 0)
+        beta_next = _slot(level_next, parts, 1)[1]
         q_i = tensor_map_with_bimodule(mus[-1], s) @ betas[-1]
         if i == 1:
             n_i = GradedMap.identity(kernel)
         else:
             n_i = theta_slot_prev + v_prev @ betas[-1]
         p_i = n_i - v_i @ q_i
-        mu_blocks = {
-            deg: p_i.block(deg).vstack(q_i.block(deg)) for deg in base.degrees()
-        }
         # D0Complex.build below checks that every ascent is a chain map.
-        mu_i = GradedMap.build(base, level_next, 0, mu_blocks)
+        mu_pieces = ((0, 0, p_i._block_map, False), (1, 0, q_i._block_map, False))
+        mu_i = _block_map(base, base, level_next, parts, 0, mu_pieces)
         j_map = mu_i @ j_map
         if j_map != inc_k:
             raise AssertionError("ascent moved the kernel slot")

@@ -44,7 +44,8 @@ from .chains import (
     _BlockSystem,
     _block_sum,
     _cone_complex,
-    _leibniz_rows,
+    _diagonal_map,
+        _leibniz_rows,
     cone,
     cylinder,
     direct_sum,
@@ -183,29 +184,14 @@ def d0_direct_sum(x: D0Complex, y: D0Complex) -> D0Complex:
         raise ShapeMismatch("towers use different bimodules")
     if x.top_index != y.top_index:
         raise ShapeMismatch("towers have different lengths")
-    s = x.bimodule
-    sums = [direct_sum(x.level(i), y.level(i)) for i in range(x.top_index + 1)]
-    ascents = []
-    for i in range(x.top_index):
-        here, up = sums[i], sums[i + 1]
-        ascents.append(
-            up.inclusions[0] @ x.lambda_map(i) @ here.projections[0]
-            + up.inclusions[1] @ y.lambda_map(i) @ here.projections[1]
-        )
-    descents = []
-    for i in range(1, x.top_index + 1):
-        here, down = sums[i], sums[i - 1]
-        descents.append(
-            tensor_map_with_bimodule(down.inclusions[0], s) @ x.alpha_map(i) @ here.projections[0]
-            + tensor_map_with_bimodule(down.inclusions[1], s) @ y.alpha_map(i) @ here.projections[1]
-        )
-    return D0Complex.build(
-        s,
-        [t.complex for t in sums],
-        ascents,
-        descents,
-        max(x.stabilization, y.stabilization),
-    )
+    s, top = x.bimodule, x.top_index
+    levels = [direct_sum(x.level(i), y.level(i)).complex for i in range(top + 1)]
+    ascents = [_diagonal_map(levels[i], levels[i + 1], x.lambda_map(i), y.lambda_map(i)) for i in range(top)]
+    descents = [
+        _diagonal_map(levels[i], tensor_with_bimodule(levels[i - 1], s), x.alpha_map(i), y.alpha_map(i))
+        for i in range(1, top + 1)
+    ]
+    return D0Complex.build(s, levels, ascents, descents, max(x.stabilization, y.stabilization))
 
 
 def reduction_certificates(c: D0Complex):
@@ -821,7 +807,7 @@ def exact_square_total(c: D0Complex, m: int) -> ChainComplex:
         (2, 2, s_low._diff_map, True), (3, 1, alpha_up._block_map, True),
         (3, 2, s_lam._block_map, False), (3, 3, s_high._diff_map, False),
     )
-    return _block_sum(c.bimodule.base, ((low, 2), (high, 1), (s_low, 1), (s_high, 0)), pieces)[0]
+    return _block_sum(c.bimodule.base, ((low, 2), (high, 1), (s_low, 1), (s_high, 0)), pieces)
 
 
 def check_an_local(c: D0Complex, n: int, bound: str = "inclusive") -> AnLocalReport:

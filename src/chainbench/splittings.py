@@ -29,8 +29,8 @@ from __future__ import annotations
 from itertools import product
 
 from ._record import record
-from .exact_linalg import Matrix, ShapeMismatch, block_matrix, inverse
-from .chains import ChainComplex, GradedMap, _block_sum, _slot, find_contraction
+from .exact_linalg import Matrix, ShapeMismatch, inverse
+from .chains import ChainComplex, GradedMap, _block_map, _block_sum, _slot, find_contraction
 from .diagrams import Bimodule, tensor_map_with_bimodule, tensor_with_bimodule
 from .ladder import D0Complex, reduction_certificates
 
@@ -277,29 +277,21 @@ def _assemble_total(a: D0Complex, quotients, vs):
     # The quotients' own boundaries are not pieces: the total's boundary
     # is the top level's, transported through the assembly below.
     parts = tuple((col.source, 0) for col in columns)
-    stacked, sizes = _block_sum(ring, parts, ())
+    stacked = _block_sum(ring, parts, ())
+    pieces = tuple((0, k, col._block_map, False) for k, col in enumerate(columns))
+    phi = _block_map(stacked, parts, top_level, top_level, 0, pieces)
     degrees = sorted(set(top_level.degrees()) | set(stacked.degrees()))
-    phi_blocks = {
-        deg: block_matrix(
-            ring, [top_level.rank(deg)], sizes(deg),
-            {(0, k): col.block(deg) for k, col in enumerate(columns)},
-        )
-        for deg in degrees
-    }
-    phi_inv = {}
+    phi_inv, diffs = {}, {}
     for deg in degrees:
         if stacked.rank(deg) != top_level.rank(deg):
             raise AssertionError("stacked quotients do not fill the top level")
-        inv = inverse(phi_blocks[deg])
-        if inv is None:
+        phi_inv[deg] = inverse(phi.block(deg))
+        if phi_inv[deg] is None:
             raise AssertionError("quotient assembly is not invertible")
-        phi_inv[deg] = inv
-    diffs = {}
-    for deg in degrees:
         if deg - 1 in phi_inv:
-            diffs[deg] = phi_inv[deg - 1] @ top_level.diff(deg) @ phi_blocks[deg]
+            diffs[deg] = phi_inv[deg - 1] @ top_level.diff(deg) @ phi.block(deg)
     total = ChainComplex.build(ring, stacked.ranks, diffs, validate=True)
-    assembly = GradedMap.build(total, top_level, 0, phi_blocks)
+    assembly = GradedMap.build(total, top_level, 0, phi.blocks)
     if not assembly.is_chain_map():
         raise AssertionError("assembly failed to be a chain map")
     lambda_inf = []
@@ -339,7 +331,7 @@ def _assemble_total(a: D0Complex, quotients, vs):
             raise AssertionError("transported descent is not nilpotent within the bound")
         acc = tensor_power_map(alpha_total, s, len(powers)) @ acc
     nilpotency = len(powers) + 1
-    slots = [_slot(total, sizes, parts, k) for k in range(len(parts))]
+    slots = [_slot(total, parts, k) for k in range(len(parts))]
     return TotalSpace(
         total,
         assembly,

@@ -16,6 +16,11 @@ direct sum, four composed graded maps and two cones, built with the
 library's own direct_sum, _cone_complex and tensor functions.
 detect_probe rebuilds each candidate probe through ladder.test_object
 on every call, as the library did before it kept its candidates.
+d0_direct_sum and dcomplex_direct_sum build each block-diagonal map
+of a levelwise or vertexwise sum as inc_x f proj_x + inc_y g proj_y,
+composed from the inclusions and projections of chains.direct_sum,
+tensored with diagrams.tensor_map_with_bimodule, as the library did
+before chains._block_map placed the two blocks directly.
 """
 
 from __future__ import annotations
@@ -437,3 +442,54 @@ def detect_probe(d: D0Complex):
     if m < d.top_index and d == ladder.test_object("g_m_cone", m, d.top_index, d.bimodule):
         return "g_m_cone", m
     return None, None
+
+
+def d0_direct_sum(x: D0Complex, y: D0Complex) -> D0Complex:
+    if x.bimodule != y.bimodule:
+        raise ShapeMismatch("towers use different bimodules")
+    if x.top_index != y.top_index:
+        raise ShapeMismatch("towers have different lengths")
+    s = x.bimodule
+    sums = [chains.direct_sum(x.level(i), y.level(i)) for i in range(x.top_index + 1)]
+    ascents = []
+    for i in range(x.top_index):
+        here, up = sums[i], sums[i + 1]
+        ascents.append(
+            up.inclusions[0] @ x.lambda_map(i) @ here.projections[0]
+            + up.inclusions[1] @ y.lambda_map(i) @ here.projections[1]
+        )
+    descents = []
+    for i in range(1, x.top_index + 1):
+        here, down = sums[i], sums[i - 1]
+        descents.append(
+            diagrams.tensor_map_with_bimodule(down.inclusions[0], s) @ x.alpha_map(i) @ here.projections[0]
+            + diagrams.tensor_map_with_bimodule(down.inclusions[1], s) @ y.alpha_map(i) @ here.projections[1]
+        )
+    return D0Complex.build(
+        s,
+        [t.complex for t in sums],
+        ascents,
+        descents,
+        max(x.stabilization, y.stabilization),
+    )
+
+
+def dcomplex_direct_sum(x, y):
+    if x.diagram != y.diagram:
+        raise ShapeMismatch("direct sum needs the same diagram of bimodules")
+    diagram = x.diagram
+    sums = {v: chains.direct_sum(x.complex_at(v), y.complex_at(v)) for v, _ in diagram.vertices}
+    maps = {}
+    for e in diagram.edges:
+        src_sum = sums[e.source]
+        tgt_sum = sums[e.target]
+        fx, fy = x.map_for(e.name), y.map_for(e.name)
+        inc_x = diagrams.tensor_map_with_bimodule(tgt_sum.inclusions[0], e.bimodule)
+        inc_y = diagrams.tensor_map_with_bimodule(tgt_sum.inclusions[1], e.bimodule)
+        maps[e.name] = (
+            inc_x @ fx @ src_sum.projections[0]
+            + inc_y @ fy @ src_sum.projections[1]
+        )
+    return diagrams.DComplex.build(
+        diagram, {v: sums[v].complex for v, _ in diagram.vertices}, maps
+    )

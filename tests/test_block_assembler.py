@@ -10,7 +10,11 @@ pushouts, exact-square totals and check_an_local reports pins every
 sum-shaped construction as it was before chains._block_sum laid them
 out.  exact_square_total
 must also equal, by repr, construction_oracle.exact_square_total_by_cones,
-the direct sum and two cones it replaced.
+the direct sum and two cones it replaced.  A second sha256 pins seeded
+tower sums, splitting totals, kernel towers and loop sums as they were
+before chains._block_map placed their maps, and d0_direct_sum and
+dcomplex_direct_sum must equal, by repr, the compositional routes they
+replaced.
 
 chains._BlockSystem takes each term of a condition as the factors of
 X -> a @ X @ b and writes them into rows itself; a derandomized
@@ -51,7 +55,10 @@ from chainbench.fuzz import (
     random_null_homotopic,
     random_reduced_ladder,
 )
-from chainbench.ladder import check_an_local, exact_square_total
+from chainbench.diagrams import Bimodule, dcomplex_direct_sum, loop_object, tensor_with_bimodule
+from chainbench.fuzz import random_single_degree_loop
+from chainbench.ladder import D0Complex, check_an_local, d0_direct_sum, exact_square_total
+from chainbench.splittings import derive_splittings
 
 RINGS = (ZZ, QQ, Zmod(3), Zmod(4))
 
@@ -322,3 +329,78 @@ def test_seeded_constructions_pinned():
                 count += 1
     assert count == 540
     assert digest.hexdigest() == CONSTRUCTIONS_PINNED
+
+
+def _seeded_tower_sums():
+    """(tower x, tower y, probe ladder) triples, same bimodule and length,
+    over Z, Q and Z/3, seeds 9200..9205."""
+    for ring in (ZZ, QQ, Zmod(3)):
+        for seed in range(6):
+            rng = random.Random(9200 + seed)
+            s_rank = rng.choice([1, 2])
+            x = random_kernel_tower(rng, ring, s_rank=s_rank)
+            y = random_kernel_tower(rng, ring, s_rank=s_rank)
+            a = random_reduced_ladder(rng, ring, s_rank=s_rank, acyclic_levels={1, 2, 3}).complex
+            yield x, y, a
+
+
+def _seeded_loop_sums():
+    """(x, y) pairs of loops on one bimodule over Z, Q, Z/3 and Z/6,
+    seeds 9300..9305: two single-degree loops, then a null-homotopic
+    loop on a random complex with the first of them."""
+    for ring in (ZZ, QQ, Zmod(3), Zmod(6)):
+        for seed in range(6):
+            rng = random.Random(9300 + seed)
+            s = Bimodule(ring, rng.choice([1, 2]))
+            x = random_single_degree_loop(rng, ring, s_rank=s.rank)
+            y = random_single_degree_loop(rng, ring, s_rank=s.rank)
+            c = random_complex(rng, ring, max_atoms=2).complex
+            soft = loop_object(random_null_homotopic(rng, c, tensor_with_bimodule(c, s))[0], s)
+            yield x, y
+            yield soft, x
+
+
+# sha256 of the reprs of 102 seeded outputs, recorded before
+# chains._block_map placed the maps into and out of sums: per tower
+# triple the kernel tower, d0_direct_sum and derive_splittings(...).total,
+# and per loop pair dcomplex_direct_sum.
+BLOCK_MAPS_PINNED = "669e1a8b1df9bb1b34bc0dc597da7bb58e6cb4cd761389bfb904bd120460206f"
+
+
+def test_seeded_block_maps_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for x, y, a in _seeded_tower_sums():
+        for out in (x, d0_direct_sum(x.complex, y.complex), derive_splittings(a, x.complex).total):
+            digest.update(repr(out).encode())
+            count += 1
+    for x, y in _seeded_loop_sums():
+        digest.update(repr(dcomplex_direct_sum(x, y)).encode())
+        count += 1
+    assert count == 102
+    assert digest.hexdigest() == BLOCK_MAPS_PINNED
+
+
+def test_direct_sums_match_the_compositional_route():
+    for x, y, _ in _seeded_tower_sums():
+        for p, q in ((x.complex, y.complex), (y.complex, x.complex), (x.complex, x.complex)):
+            assert repr(d0_direct_sum(p, q)) == repr(oracle.d0_direct_sum(p, q))
+    for x, y in _seeded_loop_sums():
+        for p, q in ((x, y), (y, x)):
+            assert repr(dcomplex_direct_sum(p, q)) == repr(oracle.dcomplex_direct_sum(p, q))
+
+
+def test_direct_sum_of_a_tower_holding_bools_is_equal_to_the_compositional_route():
+    """ZZ.normalize(True) is True, so a tower over Z can hold bool
+    entries.  The compositional route adds inc f proj terms, which
+    turns True into 1; the block route copies the entry.  The two sums
+    are equal by ==, and only their reprs differ."""
+    s = Bimodule(ZZ, 1)
+    zero = ChainComplex.zero_complex(ZZ)
+    c = ChainComplex.build(ZZ, {0: 1}, {})
+    up = GradedMap.build(c, c, 0, {0: Matrix.from_rows(ZZ, [[True]])})
+    tower = D0Complex.build(
+        s, [zero, c, c], [GradedMap.zero(zero, c, 0), up],
+        [GradedMap.zero(c, zero, 0), GradedMap.zero(c, c, 0)], 1,
+    )
+    assert d0_direct_sum(tower, tower) == oracle.d0_direct_sum(tower, tower)

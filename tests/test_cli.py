@@ -28,6 +28,7 @@ from chainbench.serialize import (
     dumps,
 )
 from chainbench.serialize import MAX_ENTRY_DIGITS
+from test_diagrams import two_loop_dcomplex
 
 
 def moore(k: int) -> ChainComplex:
@@ -415,6 +416,26 @@ def test_nilpotency_composite_over_the_cap_exits_2_in_a_subprocess(tmp_path):
     assert done.returncode == 2
     report = json.loads(done.stdout)
     assert report["verdict"] == "error"
+    assert "over the limit of 4096" in report["message"]
+    assert "Traceback" not in done.stderr
+
+
+def test_nilpotency_over_the_composite_cap_exits_2_in_a_subprocess(tmp_path):
+    """Two rank-1 identity loops on one vertex have 2^k paths of length
+    k: with --max-n 100 the search must refuse length 12, whose paths
+    would take the composites past 4096, with exit 2 and a message.
+    The address-space limit keeps a regression that lists every path
+    from taking the host's memory."""
+    path = write(tmp_path, "two_loops.json", dump_dcomplex(two_loop_dcomplex()))
+    limit = (1 << 30, 1 << 30)
+    done = run_child(
+        "nilpotency", path, "--max-n", "100", "--json", timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert done.returncode == 2, done.stderr
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "error"
+    assert "composites up to length 12, 4096 of that length" in report["message"]
     assert "over the limit of 4096" in report["message"]
     assert "Traceback" not in done.stderr
 

@@ -15,10 +15,12 @@ from chainbench.chains import (
 )
 from chainbench import diagrams, serialize
 from chainbench.diagrams import (
+    _MAX_COMPOSITES,
     Bimodule,
     DComplex,
     DiagramOfBimodules,
     Edge,
+    _path_counts,
     collapse_d2_to_d1,
     composable_paths,
     dcomplex_direct_sum,
@@ -337,6 +339,36 @@ def test_nilpotency_frozen_examples():
     assert nilpotency_degree(loop_object(zero, Bimodule(ZZ, 1)), 4) == 0
     ident = GradedMap.identity(plane)
     assert nilpotency_degree(loop_object(ident, Bimodule(ZZ, 1)), 4) is None
+
+
+def two_loop_dcomplex() -> DComplex:
+    """One vertex holding Z in degree 0 with two rank-1 identity loops,
+    so 2^k paths of length k, none of them null-homotopic."""
+    s = Bimodule(ZZ, 1)
+    diagram = DiagramOfBimodules((("v", ZZ),), (Edge("x", "v", "v", s), Edge("y", "v", "v", s)))
+    c = ChainComplex.build(ZZ, {0: 1}, {})
+    return DComplex.build(diagram, {"v": c}, {"x": GradedMap.identity(c), "y": GradedMap.identity(c)})
+
+
+def test_path_counts_match_the_listed_paths():
+    cases = [two_loop_dcomplex().diagram, preset_diagram("D0_truncated", ZZ, s_rank=2, levels=3)]
+    cases += [preset_diagram(name, ZZ) for name in ("D1", "D2", "D3")]
+    for diagram in cases:
+        counts = _path_counts(diagram)
+        assert [next(counts) for _ in range(11)] == [len(composable_paths(diagram, k)) for k in range(11)]
+
+
+def test_nilpotency_search_stops_at_the_composite_cap():
+    """The two loops have 2 + 4 + ... + 2^11 = 4094 composites up to
+    length 11, so a search to length 11 answers as before and the next
+    length is refused before any of its paths is listed."""
+    assert _MAX_COMPOSITES == 4096
+    x = two_loop_dcomplex()
+    assert nilpotency_degree(x, 10) is None
+    with pytest.raises(ValueError, match="^8190 composites up to length 12, 4096 of that length, are over the limit of 4096$"):
+        nilpotency_degree(x, 11)
+    with pytest.raises(ValueError, match="length 12"):
+        nilpotency_degree(x, 100)
 
 
 def test_single_degree_nilpotency_matches_matrix_oracle():
