@@ -36,10 +36,13 @@ without transforms, and over Q and Z/p the rank, the pivot count of
 one row echelon form: fraction-free over Q, on rows cleared of their
 denominators.  H_n is read off the data of d_n and
 d_(n+1), and a differential that is not stored costs nothing.  Over
-composite Z/m each degree takes exact_linalg.cycle_quotient_mod,
-which works in Z/m itself: it diagonalizes d_n with d_(n+1) following
-its column steps, then diagonalizes the relations among the cycles,
-and never factors m.
+composite Z/m the complex first loses every unit pivot, an entry u
+with gcd(u, m) == 1, by one Schur-complement step each
+(_without_unit_pivots).  Each degree is then read off the unit-free
+residual by exact_linalg.cycle_quotient_mod, which works in Z/m
+itself: it diagonalizes d_n with d_(n+1) following its column steps,
+then diagonalizes the relations among the cycles.  Neither step
+factors m.
 
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
@@ -63,12 +66,14 @@ exists.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 
 from ._record import record
 from .exact_linalg import (
     Matrix,
     Ring,
     ShapeMismatch,
+    _axpy_sparse,
     _coordinates,
     _factor_matrix,
     _is_onto,
@@ -454,14 +459,86 @@ def _composite(ring: Ring) -> bool:
     return ring.kind == "Zmod" and not ring.is_field()
 
 
+def _without_unit_pivots(c: ChainComplex) -> ChainComplex:
+    """The complex left when every unit pivot leaves c's differentials.
+
+    c is over composite Z/m.  A unit pivot is an entry u of some d_n,
+    in row a and column b, with gcd(u, m) == 1.  Removing it is one
+    Schur-complement step: every other row k of d_n loses
+    d_n[k][b] * u^-1 times row a, row a and column b leave d_n, row b
+    leaves d_(n+1) and column a leaves d_(n-1).  The pair of basis
+    elements b and d_n(b) spans a contractible subcomplex, so the
+    result has the same homology in every degree (Kaczynski, Mrozek
+    and Slusarek, Comput. Math. Appl. 35, 1998).  The step leaves
+    column b zero in every other row, so the search never meets it
+    again.  The differentials are taken in increasing degree, each
+    until no unit is left in it; a pivot of d_(n+1) only cuts columns
+    of d_n, which stays unit-free.  Every entry stays reduced mod m,
+    and m is never factored.
+    """
+    m = c.ring.modulus
+    ranks = dict(c.ranks)
+    kept, cut = {}, {}
+    for n, d in c.diffs:
+        skip = cut.get(n, ())
+        rows = [list(row) for i, row in enumerate(d.entries) if i not in skip]
+        live, pivot_rows, pivot_cols = list(range(len(rows))), set(), set()
+        scan = live[:]
+        while scan:
+            touched = set()
+            for a in scan:
+                row = rows[a]
+                for b, u in enumerate(row):
+                    if u and gcd(u, m) == 1:
+                        break
+                else:
+                    continue
+                live.remove(a)
+                w = -pow(u, -1, m)
+                for k in live:
+                    f = rows[k][b]
+                    if f:
+                        _axpy_sparse(rows[k], row, f * w % m, m)
+                        touched.add(k)
+                pivot_rows.add(a)
+                pivot_cols.add(b)
+            scan = [k for k in live if k in touched]
+        cols = [j for j in range(d.cols) if j not in pivot_cols]
+        kept[n] = [[rows[i][j] for j in cols] for i in live]
+        if pivot_rows and n - 1 in kept:
+            kept[n - 1] = [[x for j, x in enumerate(row) if j not in pivot_rows] for row in kept[n - 1]]
+        ranks[n - 1] -= len(pivot_rows)
+        ranks[n] -= len(pivot_cols)
+        cut[n + 1] = pivot_cols
+    diffs = tuple(
+        (n, Matrix(c.ring, ranks[n - 1], ranks[n], tuple(map(tuple, rows))))
+        for n, rows in kept.items()
+        if any(map(any, rows))
+    )
+    return ChainComplex(c.ring, tuple((n, r) for n, r in ranks.items() if r), diffs)
+
+
+def _cycle_quotient(c: ChainComplex, n: int) -> HomologySummary:
+    """H_n over composite Z/m: exact_linalg.cycle_quotient_mod of d_n and
+    d_(n+1), or (Z/m)^rank when neither is stored."""
+    m = c.ring.modulus
+    if n in c._diff_map or n + 1 in c._diff_map:
+        return HomologySummary(0, cycle_quotient_mod(c.diff(n), c.diff(n + 1)), m)
+    return HomologySummary(0, (m,) * c.rank(n), m)
+
+
 def homology_at(c: ChainComplex, n: int) -> HomologySummary:
     """H_n from d_n and d_(n+1); see _iter_homology for the method.
 
-    A degree of rank 0 stores no differential on either side, so its
-    trivial homology costs nothing over any ring.
+    Over composite Z/m the window of degrees n - 1 to n + 1, with d_n
+    and d_(n+1), loses its unit pivots first.  A degree of rank 0
+    stores no differential on either side, so its trivial homology
+    costs nothing over any ring.
     """
     if _composite(c.ring):
-        return HomologySummary(0, cycle_quotient_mod(c.diff(n), c.diff(n + 1)), c.ring.modulus)
+        ranks = tuple((k, c.rank(k)) for k in (n - 1, n, n + 1) if c.rank(k))
+        diffs = tuple((k, c._diff_map[k]) for k in (n, n + 1) if k in c._diff_map)
+        return _cycle_quotient(_without_unit_pivots(ChainComplex(c.ring, ranks, diffs)), n)
     return _summary(c, n, _differential_data(c, n), _differential_data(c, n + 1))
 
 
@@ -474,12 +551,15 @@ def _iter_homology(c: ChainComplex):
     d_(n+1).  This holds because the cycles Z_n are a direct summand of
     C_n, since C_n / Z_n embeds in the free module C_(n-1), so d_(n+1)
     has the same invariant factors as a map into Z_n.  Over composite
-    Z/m each degree reads d_n and d_(n+1) with
-    exact_linalg.cycle_quotient_mod.
+    Z/m, _without_unit_pivots first removes every unit pivot from the
+    whole complex, once, and each degree of c is then read off the
+    unit-free residual with exact_linalg.cycle_quotient_mod.  Both
+    give the invariant factors of the same module, which are canonical.
     """
     if _composite(c.ring):
+        residual = _without_unit_pivots(c)
         for n in c.degrees():
-            yield n, homology_at(c, n)
+            yield n, _cycle_quotient(residual, n)
         return
     data = {}
 

@@ -60,7 +60,10 @@ none.  Over composite Z/m everything runs in Z/m itself with
 extended-gcd steps, which never factor m.  Over Z and composite Z/m,
 solve_linear (q kept, b carried), _kernel (q and qinv kept) and
 _is_onto read the pivots of one diagonalization, _diagonalize, the
-same way; cycle_quotient_mod reads homology off two.  _kernel also
+same way.  cycle_quotient_mod reads the homology of one degree off
+two, of d_n and of the relations among its cycles; chains hands it
+the differentials that are left once every unit pivot of the complex
+is gone.  _kernel also
 returns a left inverse l of its basis k, the rows of qinv past the
 pivots or over a field the identity's rows at the free columns;
 _coordinates and split_with_complement read through l, and over a
@@ -1278,12 +1281,20 @@ def cycle_quotient_mod(d_n: Matrix, d_next: Matrix) -> tuple:
     coordinate, is then a multiple of m / g_i.  Dividing it out gives
     the relation matrix [rows / (m / g_i) | diag(g_i)] on generators
     of order g_i, and a second diagonalization reads off its cyclic
-    orders.
+    orders.  Each diagonalization is skipped where it has nothing to
+    do: when d_n is zero every coordinate is a cycle, and d_next alone
+    gives the relations; when no boundary meets the cycles, the
+    relations are diag(g_i).
     """
     m = d_n.ring.modulus
+    if d_n.is_zero():
+        pivots = _diagonalize_mod(_SnfWorker(d_next, ()))
+        return _invariant_chain(_cyclic_orders(pivots, d_n.cols, m))
     w = _SnfWorker(d_n, (), follow=[list(row) for row in d_next.entries])
     orders = _cyclic_orders(_diagonalize_mod(w), d_n.cols, m)
     kept = [(g, row) for g, row in zip(orders, w.qinv) if g > 1]
+    if not any(any(row) for _, row in kept):
+        return _invariant_chain(orders)
     relations = []
     for i, (g, row) in enumerate(kept):
         step = m // g

@@ -9,7 +9,11 @@ ranked over Z and Q and gave every determinant, and the fraction-free
 Gauss-Jordan elimination _rref_rational over Q), the composite Z/m
 lattice routes (kernel_lattice_basis_mod, the kernel and the solve
 built on it, _kernel_zmod_composite and _solve_zmod_composite, and the
-homology one, _homology_mod_composite), the solves over Z and over
+homology one, _homology_mod_composite), the composite homology that
+read every degree off the full differentials before the library
+removed the unit pivots of the whole complex first
+(homology_per_degree_mod) with cycle_quotient_mod as it was before it
+skipped a diagonalization with nothing to do, the solves over Z and over
 composite Z/m that kept p in the Smith worker and then multiplied
 p @ b (solve_integer_via_p and solve_zmod_composite_via_p), the four
 routes that read solves and kernels off the diagonal d = p a q one
@@ -278,6 +282,34 @@ def _homology_mod_composite(c: ChainComplex, n: int) -> HomologySummary:
         raise AssertionError("homology mod m came out infinite")
     torsion = tuple(int(x) for x in factors if x != 1)
     return HomologySummary(0, torsion, m)
+
+
+def homology_per_degree_mod(c: ChainComplex, n: int) -> HomologySummary:
+    """H_n over composite Z/m read off the full d_n and d_(n+1) by
+    cycle_quotient_mod below, with no unit pivot removed first."""
+    return HomologySummary(0, cycle_quotient_mod(c.diff(n), c.diff(n + 1)), c.ring.modulus)
+
+
+def cycle_quotient_mod(d_n: Matrix, d_next: Matrix) -> tuple:
+    """Invariant factors of ker d_n / im d_next over Z/m: two
+    diagonalizations on every input, even when d_n is zero or no
+    boundary meets the cycles."""
+    m = d_n.ring.modulus
+    w = exact_linalg._SnfWorker(d_n, (), follow=[list(row) for row in d_next.entries])
+    orders = exact_linalg._cyclic_orders(exact_linalg._diagonalize_mod(w), d_n.cols, m)
+    kept = [(g, row) for g, row in zip(orders, w.qinv) if g > 1]
+    relations = []
+    for i, (g, row) in enumerate(kept):
+        step = m // g
+        if any(x % step for x in row):
+            raise AssertionError("a boundary is not a cycle")
+        diag = [0] * len(kept)
+        diag[i] = g % m
+        relations.append(tuple(x // step for x in row) + tuple(diag))
+    shape = (len(kept), d_next.cols + len(kept))
+    relation_matrix = Matrix(d_n.ring, *shape, tuple(relations))
+    pivots = exact_linalg._diagonalize_mod(exact_linalg._SnfWorker(relation_matrix, ()))
+    return exact_linalg._invariant_chain(exact_linalg._cyclic_orders(pivots, len(kept), m))
 
 
 def _rref(a: Matrix):

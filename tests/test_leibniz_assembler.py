@@ -9,6 +9,7 @@ everything computed from them, to be identical to the oracles'.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leibniz_oracle
 from chainbench import fuzz
@@ -172,6 +173,32 @@ def test_find_null_homotopy_matches_oracle():
                 found += got is not None
                 missing += got is None
     assert found > 100 and missing > 20
+
+
+# Z and composite Z/m, where find_null_homotopy solves over a ring that
+# is not a field; the last modulus is the product of two ten-digit primes.
+SOLVE_RINGS = (ZZ, Zmod(4), Zmod(6), Zmod(1000000016000000063))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from(SOLVE_RINGS), st.sampled_from((-1, 0, 1)))
+def test_find_null_homotopy_matches_oracle_over_rings(seed, ring, degree):
+    """A "yes" from random_null_homotopic and a "no" from the identity of
+    a complex with nonzero homology, each compared with the oracle by repr."""
+    rng = random.Random(seed)
+    src = random_complex(rng, ring, max_atoms=3, degree_span=2).complex
+    tgt = random_complex(rng, ring, max_atoms=3, degree_span=2).complex
+    yes = random_null_homotopic(rng, src, tgt, degree)[0]
+    sample = random_complex(rng, ring, max_atoms=3, degree_span=2)
+    while all(h.is_trivial() for h in sample.expected.values()):
+        sample = random_complex(rng, ring, max_atoms=3, degree_span=2)
+    no = GradedMap.identity(sample.complex)
+    for f, answer in ((yes, True), (no, False)):
+        got = find_null_homotopy(f)
+        assert repr(got) == repr(leibniz_oracle.find_null_homotopy(f)), (ring, f)
+        assert (got is not None) == answer, (ring, f)
+        if got is not None:
+            assert got.leibniz() == f
 
 
 def test_block_system_stack_and_block_round_trip():
