@@ -466,13 +466,14 @@ def _without_unit_pivots(c: ChainComplex) -> ChainComplex:
     in row a and column b, with gcd(u, m) == 1.  Removing it is one
     Schur-complement step: every other row k of d_n loses
     d_n[k][b] * u^-1 times row a, row a and column b leave d_n, row b
-    leaves d_(n+1) and column a leaves d_(n-1).  The pair of basis
-    elements b and d_n(b) spans a contractible subcomplex, so the
-    result has the same homology in every degree (Kaczynski, Mrozek
-    and Slusarek, Comput. Math. Appl. 35, 1998).  The step leaves
-    column b zero in every other row, so the search never meets it
-    again.  The differentials are taken in increasing degree, each
-    until no unit is left in it; a pivot of d_(n+1) only cuts columns
+    leaves d_(n+1) and column a leaves d_(n-1).  After a change of
+    basis, b and d_n(b) span a contractible summand, so the result has
+    the same homology in every degree (Kaczynski, Mrozek and
+    Slusarek, Comput. Math. Appl. 35, 1998).  The step leaves column b
+    zero in every other row, so the search never meets it again, and
+    a row without a unit is searched again only after a step changed
+    it.  The differentials are taken in increasing degree, each until
+    no unit is left in it; a pivot of d_(n+1) only cuts columns
     of d_n, which stays unit-free.  Every entry stays reduced mod m,
     and m is never factored.
     """
