@@ -878,14 +878,20 @@ def _diagonal_map(source: ChainComplex, target: ChainComplex, *maps: GradedMap) 
     return _block_map(source, src, target, tgt, maps[0].degree, pieces)
 
 
-def direct_sum(*parts: ChainComplex) -> DirectSumData:
+def _sum_complex(*parts: ChainComplex) -> ChainComplex:
+    """direct_sum(*parts).complex, without its inclusions and projections."""
     if not parts:
         raise ValueError("direct_sum needs at least one summand")
     ring = parts[0].ring
     if any(p.ring != ring for p in parts):
         raise ShapeMismatch("summands live over different rings")
+    pieces = tuple((i, i, p._diff_map, False) for i, p in enumerate(parts))
+    return _block_sum(ring, tuple((p, 0) for p in parts), pieces)
+
+
+def direct_sum(*parts: ChainComplex) -> DirectSumData:
+    total = _sum_complex(*parts)
     layout = tuple((p, 0) for p in parts)
-    total = _block_sum(ring, layout, tuple((i, i, p._diff_map, False) for i, p in enumerate(parts)))
     inclusions, projections = zip(*(_slot(total, layout, i) for i in range(len(parts))))
     return DirectSumData(total, inclusions, projections)
 

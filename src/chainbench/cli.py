@@ -1,12 +1,21 @@
 """Batch verification commands over serialized complexes and towers.
 
 Each verb loads UTF-8 JSON files in the formats of the serialize
-module, runs one check, and reports on standard output.  Exit code 0
-means the property holds or the computation succeeded, 1 means the
-property failed and the report carries a witness, 2 means the input
-or command line could not be used.  Reports are deterministic, and
-``--json`` switches to a machine-readable object whose integers are
-decimal strings.
+module, runs one check, and reports on standard output.  Reports are
+deterministic, and ``--json`` switches to a machine-readable object
+whose integers are decimal strings.
+
+A verb handler returns (ok, lines, report) and never picks an exit
+code.  main alone maps the outcome to one: 0 ("pass") when the
+property holds or the computation succeeded, 1 ("fail") when it
+failed and the report carries a witness, 2 ("error") when the input
+could not be used.  Every such input error is an OSError or a
+ValueError, and its class names the line prefix: InvalidObject is
+"invalid input", FormatError and OSError are "input error", any other
+ValueError is "unusable input".  An AssertionError, a library
+self-check that failed, exits 1 as "internal invariant violated".  A
+command line that does not parse exits 2 from argparse, before any
+verb runs.
 
 Each verb handler imports the library calls it runs, so one invocation
 loads only the modules of its own verb: a verb on a complex loads
@@ -19,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from .exact_linalg import Ring, ShapeMismatch
+from .exact_linalg import Ring
 from .serialize import FormatError, InvalidObject, dump_ring, load_ring, loads
 
 
@@ -35,9 +44,9 @@ def _read_payload(path: str) -> dict:
         raise FormatError(f"{path}: {err}") from err
 
 
-def _emit(args, code: int, lines, report: dict) -> int:
+def _emit(args, code: int, verdict: str, lines, report: dict) -> int:
     if args.json:
-        body = {"verb": args.verb, "exit": str(code)}
+        body = {"verb": args.verb, "exit": str(code), "verdict": verdict}
         body.update(report)
         print(json.dumps(body, sort_keys=True))
     else:
@@ -63,35 +72,65 @@ def _format_homology(ring: Ring, s) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _homology_payload(ring: Ring, table) -> dict:
-    out = {}
-    for n, s in sorted(table.items()):
-        entry = {"betti": str(s.betti), "torsion": [str(t) for t in s.torsion]}
-        entry["display"] = _format_homology(ring, s)
-        out[str(n)] = entry
-    return out
-
-
 def _nontrivial(table) -> list:
     return [(n, s) for n, s in sorted(table.items()) if not s.is_trivial()]
 
 
+def _homology_lines(ring: Ring, pairs) -> list:
+    return [f"H_{n} = {_format_homology(ring, s)}" for n, s in pairs]
+
+
+def _homology_payload(ring: Ring, pairs) -> dict:
+    return {
+        str(n): {
+            "betti": str(s.betti),
+            "torsion": [str(t) for t in s.torsion],
+            "display": _format_homology(ring, s),
+        }
+        for n, s in pairs
+    }
+
+
+def _free_degrees(c) -> str:
+    from .chains import homology
+
+    return ", ".join(str(n) for n, s in sorted(homology(c).items()) if s.betti)
+
+
+def _seeded_map(args, degree: int) -> tuple:
+    """The splittings of the scenario file and a seeded map of the given
+    degree from its total complex to its kernel."""
+    import random
+
+    from .fuzz import random_graded_map
+    from .serialize import load_scenario
+    from .splittings import derive_splittings
+
+    probe, target = load_scenario(_read_payload(args.file))
+    s = derive_splittings(probe, target)
+    rng = random.Random(args.seed)
+    return s, random_graded_map(rng, s.total.complex, s.kernel, degree, bound=2)
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 # ---------------------------------------------------------------------------
-# Verb handlers
+# Verb handlers.  Each returns (ok, lines, report): whether the property
+# holds, the text report, and the fields of the --json report.
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from .serialize import load_any
 
     payload = _read_payload(args.file)
     try:
         kind, value = load_any(payload)
     except InvalidObject as err:
-        return _emit(
-            args, 1, [f"invalid: {err}"], {"verdict": "fail", "message": str(err)}
-        )
+        return False, [f"invalid: {err}"], {"message": str(err)}
     lines = []
-    report = {"verdict": "pass", "kind": kind}
+    report = {"kind": kind}
     if kind == "complex":
         lines.append(
             f"valid complex over {dump_ring(value.ring)}; ranks {value.describe()}"
@@ -100,9 +139,9 @@ def _cmd_verify(args) -> int:
     elif kind == "map":
         chain = value.leibniz().is_zero()
         lines.append(f"valid graded map of degree {value.degree}")
-        lines.append(f"chain map: {'yes' if chain else 'no'}")
+        lines.append(f"chain map: {_yes(chain)}")
         report["degree"] = str(value.degree)
-        report["chain_map"] = "yes" if chain else "no"
+        report["chain_map"] = _yes(chain)
     elif kind == "dcomplex":
         lines.append(
             f"valid diagram realization with {len(value.diagram.vertices)} vertices"
@@ -130,52 +169,33 @@ def _cmd_verify(args) -> int:
         )
         report["probe_levels"] = str(probe.top_index + 1)
         report["target_levels"] = str(target.top_index + 1)
-    return _emit(args, 0, lines, report)
+    return True, lines, report
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> tuple:
     from .chains import homology
     from .serialize import load_complex
 
     c = load_complex(_read_payload(args.file))
-    table = homology(c)
-    nontrivial = _nontrivial(table)
-    if nontrivial:
-        lines = [f"H_{n} = {_format_homology(c.ring, s)}" for n, s in nontrivial]
-    else:
-        lines = ["acyclic"]
-    report = {
-        "verdict": "pass",
-        "ring": dump_ring(c.ring),
-        "homology": _homology_payload(c.ring, {n: s for n, s in nontrivial}),
-    }
-    return _emit(args, 0, lines, report)
+    nontrivial = _nontrivial(homology(c))
+    report = {"ring": dump_ring(c.ring), "homology": _homology_payload(c.ring, nontrivial)}
+    return True, _homology_lines(c.ring, nontrivial) or ["acyclic"], report
 
 
-def _cmd_homotopy(args) -> int:
+def _cmd_homotopy(args) -> tuple:
     from .chains import find_null_homotopy
     from .serialize import dump_blocks, load_graded_map
 
     f = load_graded_map(_read_payload(args.file))
     witness = find_null_homotopy(f)
     if witness is None:
-        return _emit(
-            args,
-            1,
-            ["null-homotopic: no"],
-            {"verdict": "fail", "null_homotopic": "no"},
-        )
+        return False, ["null-homotopic: no"], {"null_homotopic": "no"}
     degrees = ", ".join(str(n) for n, _ in witness.blocks) or "none"
     lines = ["null-homotopic: yes", f"witness blocks in degrees: {degrees}"]
-    report = {
-        "verdict": "pass",
-        "null_homotopic": "yes",
-        "witness": dump_blocks(witness),
-    }
-    return _emit(args, 0, lines, report)
+    return True, lines, {"null_homotopic": "yes", "witness": dump_blocks(witness)}
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(args) -> tuple:
     from .chains import _cone_complex, _require_chain_map, homology
     from .serialize import load_graded_map
 
@@ -184,25 +204,19 @@ def _cmd_cone(args) -> int:
     # not built; the check is the one cone() makes.
     _require_chain_map(f, degree=0, what="cone input")
     folded = _cone_complex(f)
-    table = homology(folded)
-    nontrivial = _nontrivial(table)
+    nontrivial = _nontrivial(homology(folded))
     report = {
         "ring": dump_ring(folded.ring),
         "cone_ranks": {str(n): str(r) for n, r in folded.ranks},
-        "homology": _homology_payload(folded.ring, {n: s for n, s in nontrivial}),
+        "homology": _homology_payload(folded.ring, nontrivial),
     }
     if not nontrivial:
-        report["verdict"] = "pass"
-        return _emit(
-            args, 0, ["cone is acyclic; the map is a homology equivalence"], report
-        )
-    report["verdict"] = "fail"
+        return True, ["cone is acyclic; the map is a homology equivalence"], report
     lines = ["cone has nonzero homology; the map is not a homology equivalence"]
-    lines.extend(f"H_{n} = {_format_homology(folded.ring, s)}" for n, s in nontrivial)
-    return _emit(args, 1, lines, report)
+    return False, lines + _homology_lines(folded.ring, nontrivial), report
 
 
-def _cmd_nilpotency(args) -> int:
+def _cmd_nilpotency(args) -> tuple:
     from .diagrams import nilpotency_degree
     from .serialize import load_dcomplex
 
@@ -210,34 +224,33 @@ def _cmd_nilpotency(args) -> int:
     n = nilpotency_degree(x, args.max_n)
     if n is None:
         lines = [f"no degree found with composites up to length {args.max_n + 1}"]
-        return _emit(args, 1, lines, {"verdict": "fail", "max_n": str(args.max_n)})
-    return _emit(args, 0, [f"degree {n}"], {"verdict": "pass", "degree": str(n)})
+        return False, lines, {"max_n": str(args.max_n)}
+    return True, [f"degree {n}"], {"degree": str(n)}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     from .ladder import classify
     from .serialize import load_d0complex
 
     d = load_d0complex(_read_payload(args.file))
     n = args.n if args.n is not None else d.top_index
-    verdict = classify(d, n)
+    result = classify(d, n)
     lines = [
-        f"cut index {verdict.n}",
-        f"constant up to homotopy from the cut: {'yes' if verdict.in_bn else 'no'}",
-        f"cut level contractible as well: {'yes' if verdict.in_an else 'no'}",
-        f"reduced descents: {'yes' if verdict.reduced else 'no'}",
+        f"cut index {result.n}",
+        f"constant up to homotopy from the cut: {_yes(result.in_bn)}",
+        f"cut level contractible as well: {_yes(result.in_an)}",
+        f"reduced descents: {_yes(result.reduced)}",
     ]
     report = {
-        "verdict": "pass",
-        "n": str(verdict.n),
-        "in_bn": "yes" if verdict.in_bn else "no",
-        "in_an": "yes" if verdict.in_an else "no",
-        "reduced": "yes" if verdict.reduced else "no",
+        "n": str(result.n),
+        "in_bn": _yes(result.in_bn),
+        "in_an": _yes(result.in_an),
+        "reduced": _yes(result.reduced),
     }
-    return _emit(args, 0, lines, report)
+    return True, lines, report
 
 
-def _cmd_bn_local(args) -> int:
+def _cmd_bn_local(args) -> tuple:
     from .chains import homology
     from .ladder import check_bn_local
     from .serialize import load_d0complex
@@ -247,25 +260,19 @@ def _cmd_bn_local(args) -> int:
     rep = check_bn_local(d, n)
     report = {"n": str(n)}
     if rep.kernel_route is not None:
-        report["kernel_route"] = "yes" if rep.kernel_route else "no"
+        report["kernel_route"] = _yes(rep.kernel_route)
     if rep.holds:
-        report["verdict"] = "pass"
-        return _emit(args, 0, [f"levels 0..{n} are all contractible"], report)
+        return True, [f"levels 0..{n} are all contractible"], report
     failing = rep.failing_level
-    table = homology(d.level(failing))
-    lines = [f"level {failing} is not contractible"]
-    lines.extend(
-        f"H_{m} = {_format_homology(d.bimodule.base, s)}" for m, s in _nontrivial(table)
-    )
-    report["verdict"] = "fail"
+    ring = d.bimodule.base
+    witness = _nontrivial(homology(d.level(failing)))
     report["failing_level"] = str(failing)
-    report["witness_homology"] = _homology_payload(
-        d.bimodule.base, {m: s for m, s in _nontrivial(table)}
-    )
-    return _emit(args, 1, lines, report)
+    report["witness_homology"] = _homology_payload(ring, witness)
+    lines = [f"level {failing} is not contractible"]
+    return False, lines + _homology_lines(ring, witness), report
 
 
-def _cmd_an_local(args) -> int:
+def _cmd_an_local(args) -> tuple:
     from .ladder import check_an_local
     from .serialize import load_d0complex
 
@@ -275,29 +282,22 @@ def _cmd_an_local(args) -> int:
     else:
         n = d.top_index - 1 if args.bound == "inclusive" else d.top_index
     rep = check_an_local(d, n, args.bound)
-    report = {
-        "n": str(n),
-        "bound": rep.bound,
-        "square_route": "yes" if rep.square_holds else "no",
-    }
+    report = {"n": str(n), "bound": rep.bound, "square_route": _yes(rep.square_holds)}
     if rep.holds:
-        report["verdict"] = "pass"
         lines = [
             f"kernel ascents are equivalences through the {rep.bound} range at n = {n}",
-            f"exact-square route agrees: {'yes' if rep.square_holds else 'no'}",
+            f"exact-square route agrees: {_yes(rep.square_holds)}",
         ]
-        return _emit(args, 0, lines, report)
-    lines = [f"fails at m = {rep.failing_index}", "cone homology:"]
+        return True, lines, report
     ring = d.bimodule.base
     witness = rep.witness_homology or ()
-    lines.extend(f"H_{m} = {_format_homology(ring, s)}" for m, s in witness)
-    report["verdict"] = "fail"
     report["failing_m"] = str(rep.failing_index)
-    report["cone_homology"] = _homology_payload(ring, dict(witness))
-    return _emit(args, 1, lines, report)
+    report["cone_homology"] = _homology_payload(ring, witness)
+    lines = [f"fails at m = {rep.failing_index}", "cone homology:"]
+    return False, lines + _homology_lines(ring, witness), report
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple:
     from .ladder import factor_through_acyclic
     from .serialize import load_d0morphism
 
@@ -308,15 +308,10 @@ def _cmd_factor(args) -> int:
         "every middle level is contractible (witnessed)",
         "composite reproduces the map exactly",
     ]
-    report = {
-        "verdict": "pass",
-        "mid_levels": str(data.mid.top_index + 1),
-        "composite_exact": "yes",
-    }
-    return _emit(args, 0, lines, report)
+    return True, lines, {"mid_levels": str(data.mid.top_index + 1), "composite_exact": "yes"}
 
 
-def _cmd_tp_check(args) -> int:
+def _cmd_tp_check(args) -> tuple:
     from .serialize import load_scenario
     from .splittings import derive_splittings, t_differential_holds, t_operator
 
@@ -333,133 +328,76 @@ def _cmd_tp_check(args) -> int:
         state = "holds" if holds else "FAILS"
         tail = "operator vanishes" if vanishes else "operator is nonzero"
         lines.append(f"p = {p}: differential relation {state}; {tail}")
-        results[str(p)] = {
-            "relation": "pass" if holds else "fail",
-            "vanishes": "yes" if vanishes else "no",
-        }
+        results[str(p)] = {"relation": "pass" if holds else "fail", "vanishes": _yes(vanishes)}
     if args.max_n > room:
         lines.append(
             f"p > {room} not expressible on a tower with {s.top_index + 1} levels"
         )
-    report = {
-        "verdict": "pass" if ok else "fail",
-        "relations": results,
-        "expressible_max": str(room),
-    }
-    return _emit(args, 0 if ok else 1, lines, report)
+    return ok, lines, {"relations": results, "expressible_max": str(room)}
 
 
-def _cmd_delta_check(args) -> int:
-    import random
+def _cmd_delta_check(args) -> tuple:
+    from .splittings import delta_differential
 
-    from .fuzz import random_graded_map
-    from .serialize import load_scenario
-    from .splittings import delta_differential, derive_splittings
-
-    probe, target = load_scenario(_read_payload(args.file))
-    s = derive_splittings(probe, target)
-    rng = random.Random(args.seed)
-    f = random_graded_map(rng, s.total.complex, s.kernel, args.n, bound=2)
+    s, f = _seeded_map(args, args.n)
     once = delta_differential(s, f)
-    twice = delta_differential(s, once)
-    ok = twice.is_zero()
+    ok = delta_differential(s, once).is_zero()
     lines = [
         f"seeded map of degree {args.n} (seed {args.seed})",
-        f"twisted differential applied twice vanishes: {'yes' if ok else 'no'}",
+        f"twisted differential applied twice vanishes: {_yes(ok)}",
         f"single application {'is zero' if once.is_zero() else 'is nonzero'}",
     ]
-    report = {
-        "verdict": "pass" if ok else "fail",
-        "degree": str(args.n),
-        "seed": str(args.seed),
-        "square_zero": "yes" if ok else "no",
-    }
-    return _emit(args, 0 if ok else 1, lines, report)
+    return ok, lines, {"degree": str(args.n), "seed": str(args.seed), "square_zero": _yes(ok)}
 
 
-def _cmd_invert(args) -> int:
-    import random
+def _cmd_invert(args) -> tuple:
+    from .splittings import delta_differential, invert_homotopy
 
-    from .fuzz import random_graded_map
-    from .serialize import load_scenario
-    from .splittings import delta_differential, derive_splittings, invert_homotopy
-
-    probe, target = load_scenario(_read_payload(args.file))
-    s = derive_splittings(probe, target)
-    rng = random.Random(args.seed)
-    raw = random_graded_map(rng, s.total.complex, s.kernel, args.n + 1, bound=2)
+    s, raw = _seeded_map(args, args.n + 1)
     cycle = delta_differential(s, raw)
     # Raises unless the twisted differential of the preimage is the cycle.
     invert_homotopy(s, s.total, cycle)
+    zero = cycle.is_zero()
     lines = [
-        f"seeded cycle of degree {args.n} (seed {args.seed})"
-        + (" is zero" if cycle.is_zero() else ""),
+        f"seeded cycle of degree {args.n} (seed {args.seed})" + (" is zero" if zero else ""),
         "inversion reproduces the cycle exactly",
     ]
-    report = {
-        "verdict": "pass",
-        "degree": str(args.n),
-        "seed": str(args.seed),
-        "cycle_zero": "yes" if cycle.is_zero() else "no",
-    }
-    return _emit(args, 0, lines, report)
+    return True, lines, {"degree": str(args.n), "seed": str(args.seed), "cycle_zero": _yes(zero)}
 
 
-def _cmd_order(args) -> int:
-    from .chains import homology
+def _cmd_order(args) -> tuple:
     from .orders import homology_order
     from .serialize import load_complex
 
     c = load_complex(_read_payload(args.file))
     rep = homology_order(c)
     if rep.finite:
-        return _emit(
-            args,
-            0,
-            [f"order = {rep.order}"],
-            {"verdict": "pass", "finite": "yes", "order": str(rep.order)},
-        )
-    table = homology(c)
-    degrees = ", ".join(str(n) for n, s in sorted(table.items()) if s.betti)
-    lines = ["homology is infinite; no finite order", f"free part in degrees: {degrees}"]
-    return _emit(args, 1, lines, {"verdict": "fail", "finite": "no"})
+        return True, [f"order = {rep.order}"], {"finite": "yes", "order": str(rep.order)}
+    lines = ["homology is infinite; no finite order", f"free part in degrees: {_free_degrees(c)}"]
+    return False, lines, {"finite": "no"}
 
 
-def _cmd_annihilator(args) -> int:
+def _cmd_annihilator(args) -> tuple:
     from .orders import annihilator_exponent
     from .serialize import dump_blocks, load_complex
 
     c = load_complex(_read_payload(args.file))
     rep = annihilator_exponent(c)
     if rep.exponent is None:
-        lines = ["no finite exponent; homology is infinite"]
-        return _emit(args, 1, lines, {"verdict": "fail", "exponent": "none"})
-    lines = [
-        f"exponent = {rep.exponent}",
-        "witness solves dH = exponent times the identity",
-    ]
-    report = {
-        "verdict": "pass",
-        "exponent": str(rep.exponent),
-        "witness": dump_blocks(rep.witness),
-    }
-    return _emit(args, 0, lines, report)
+        return False, ["no finite exponent; homology is infinite"], {"exponent": "none"}
+    lines = [f"exponent = {rep.exponent}", "witness solves dH = exponent times the identity"]
+    return True, lines, {"exponent": str(rep.exponent), "witness": dump_blocks(rep.witness)}
 
 
-def _cmd_q_acyclic(args) -> int:
-    from .chains import homology
+def _cmd_q_acyclic(args) -> tuple:
     from .orders import rational_acyclicity
     from .serialize import load_complex
 
     c = load_complex(_read_payload(args.file))
     if rational_acyclicity(c):
-        return _emit(
-            args, 0, ["rationally acyclic: yes"], {"verdict": "pass", "acyclic": "yes"}
-        )
-    table = homology(c)
-    degrees = ", ".join(str(n) for n, s in sorted(table.items()) if s.betti)
-    lines = ["rationally acyclic: no", f"free homology in degrees: {degrees}"]
-    return _emit(args, 1, lines, {"verdict": "fail", "acyclic": "no"})
+        return True, ["rationally acyclic: yes"], {"acyclic": "yes"}
+    lines = ["rationally acyclic: no", f"free homology in degrees: {_free_degrees(c)}"]
+    return False, lines, {"acyclic": "no"}
 
 
 def _divisibility_ok(diagonal) -> bool:
@@ -472,7 +410,7 @@ def _divisibility_ok(diagonal) -> bool:
     return True
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> tuple:
     import random
 
     from .chains import GradedMap, cone, homology, is_contractible
@@ -540,7 +478,6 @@ def _cmd_fuzz(args) -> int:
     lines.extend(failures)
     lines.append("all invariants held" if not failures else f"{len(failures)} failures")
     report = {
-        "verdict": "pass" if not failures else "fail",
         "seed": str(args.seed),
         "ring": dump_ring(ring),
         "instances": {
@@ -550,7 +487,7 @@ def _cmd_fuzz(args) -> int:
         },
         "failures": failures,
     }
-    return _emit(args, 0 if not failures else 1, lines, report)
+    return not failures, lines, report
 
 
 # ---------------------------------------------------------------------------
@@ -639,22 +576,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_prefix(err: Exception) -> str:
+    if isinstance(err, InvalidObject):
+        return "invalid input"
+    if isinstance(err, (FormatError, OSError)):
+        return "input error"
+    return "unusable input"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except FormatError as err:
-        return _emit(args, 2, [f"input error: {err}"], {"verdict": "error", "message": str(err)})
-    except InvalidObject as err:
-        return _emit(args, 2, [f"invalid input: {err}"], {"verdict": "error", "message": str(err)})
-    except OSError as err:
-        return _emit(args, 2, [f"input error: {err}"], {"verdict": "error", "message": str(err)})
-    except (ValueError, ShapeMismatch) as err:
-        return _emit(args, 2, [f"unusable input: {err}"], {"verdict": "error", "message": str(err)})
+        ok, lines, report = args.handler(args)
+    except (OSError, ValueError) as err:
+        code, verdict = 2, "error"
+        lines, report = [f"{_error_prefix(err)}: {err}"], {"message": str(err)}
     except AssertionError as err:
-        return _emit(
-            args, 1, [f"internal invariant violated: {err}"], {"verdict": "fail", "message": str(err)}
-        )
+        code, verdict = 1, "fail"
+        lines, report = [f"internal invariant violated: {err}"], {"message": str(err)}
+    else:
+        code, verdict = (0, "pass") if ok else (1, "fail")
+    return _emit(args, code, verdict, lines, report)
 
 
 if __name__ == "__main__":

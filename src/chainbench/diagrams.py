@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ._record import record
 from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
-from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, _diagonal_map, direct_sum, find_null_homotopy
+from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, _diagonal_map, _sum_complex, find_null_homotopy
 
 # Most path composites, over all lengths, that one nilpotency_degree
 # search examines.  D1, D2 and D3 have at most three paths per length;
@@ -428,7 +428,7 @@ def dcomplex_direct_sum(x: DComplex, y: DComplex) -> DComplex:
     if x.diagram != y.diagram:
         raise ShapeMismatch("direct sum needs the same diagram of bimodules")
     diagram = x.diagram
-    sums = {v: direct_sum(x.complex_at(v), y.complex_at(v)).complex for v, _ in diagram.vertices}
+    sums = {v: _sum_complex(x.complex_at(v), y.complex_at(v)) for v, _ in diagram.vertices}
     maps = {}
     for e in diagram.edges:
         target = tensor_with_bimodule(sums[e.target], e.bimodule)

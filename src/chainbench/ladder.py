@@ -45,10 +45,10 @@ from .chains import (
     _block_sum,
     _cone_complex,
     _diagonal_map,
-        _leibniz_rows,
+    _leibniz_rows,
+    _sum_complex,
     cone,
     cylinder,
-    direct_sum,
     find_contraction,
     homology,
     is_acyclic,
@@ -185,7 +185,7 @@ def d0_direct_sum(x: D0Complex, y: D0Complex) -> D0Complex:
     if x.top_index != y.top_index:
         raise ShapeMismatch("towers have different lengths")
     s, top = x.bimodule, x.top_index
-    levels = [direct_sum(x.level(i), y.level(i)).complex for i in range(top + 1)]
+    levels = [_sum_complex(x.level(i), y.level(i)) for i in range(top + 1)]
     ascents = [_diagonal_map(levels[i], levels[i + 1], x.lambda_map(i), y.lambda_map(i)) for i in range(top)]
     descents = [
         _diagonal_map(levels[i], tensor_with_bimodule(levels[i - 1], s), x.alpha_map(i), y.alpha_map(i))
@@ -250,15 +250,18 @@ class ClassMembership:
     descent_sections: tuple | None
 
 
-def classify(x: D0Complex, n: int) -> ClassMembership:
+def _ascent_cone_contractions(x: D0Complex, n: int):
+    """(i, a contraction of the cone on ascent i, or None) for each
+    ascent from the cut index n on, in increasing i."""
     if not 0 <= n <= x.top_index:
         raise ValueError(f"cut index {n} out of range")
-    cones = []
-    constant = True
     for i in range(n, x.top_index):
-        k = find_contraction(_cone_complex(x.lambda_map(i)))
-        cones.append((i, k))
-        constant = constant and k is not None
+        yield i, find_contraction(_cone_complex(x.lambda_map(i)))
+
+
+def classify(x: D0Complex, n: int) -> ClassMembership:
+    cones = tuple(_ascent_cone_contractions(x, n))
+    constant = all(k is not None for _, k in cones)
     level_k = find_contraction(x.level(n))
     sections = reduction_certificates(x)
     return ClassMembership(
@@ -266,7 +269,7 @@ def classify(x: D0Complex, n: int) -> ClassMembership:
         constant,
         constant and level_k is not None,
         sections is not None,
-        tuple(cones),
+        cones,
         level_k,
         sections,
     )
@@ -878,9 +881,10 @@ def factor_through_acyclic(f: D0Morphism, n: int) -> FactorizationData:
     """
     d, target = f.source, f.target
     top = d.top_index
-    if not 0 <= n <= top:
-        raise ValueError(f"cut index {n} out of range")
-    if not classify(d, n).in_bn:
+    # The membership verdict alone: no level contraction or descent
+    # section is solved, and the first ascent with no cone contraction
+    # ends the check.
+    if any(k is None for _, k in _ascent_cone_contractions(d, n)):
         raise ValueError("source tower is not constant up to homotopy from the cut index")
     s = d.bimodule
     contractions = []

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap
-from .exact_linalg import MAX_MODULUS, QQ, ZZ, Matrix, Ring, ShapeMismatch, Zmod
+from .exact_linalg import MAX_MODULUS, QQ, ZZ, Matrix, Ring, Zmod
 
 # The diagram and tower loaders import their modules when called, so a
 # payload that holds only a complex or a map loads neither.
@@ -66,6 +66,15 @@ class InvalidObject(ValueError):
 def _check_size(value: int, where: str, what: str) -> None:
     if value > MAX_TOTAL_RANK:
         raise FormatError(f"{where}: {what} {value} exceeds the limit of {MAX_TOTAL_RANK}")
+
+
+def _valid(where: str, build, *args):
+    """build(*args), with a broken defining identity (any ValueError of
+    the constructor) raised as InvalidObject at where."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise InvalidObject(f"{where}: {err}") from err
 
 
 def _tensor_target(c: ChainComplex, s: Bimodule, where: str) -> ChainComplex:
@@ -201,7 +210,7 @@ def load_blocks(value, source: ChainComplex, target: ChainComplex, degree: int, 
         )
     try:
         return GradedMap.build(source, target, degree, blocks)
-    except (ValueError, ShapeMismatch) as err:
+    except ValueError as err:
         raise FormatError(f"{where}: {err}") from err
 
 
@@ -238,10 +247,7 @@ def load_complex(value, where: str = "complex") -> ChainComplex:
         diffs[n] = load_matrix(
             val, ring, ranks.get(n - 1, 0), ranks.get(n, 0), f"{where}.differentials[{key[:40]}]"
         )
-    try:
-        return ChainComplex.build(ring, ranks, diffs)
-    except ValueError as err:
-        raise InvalidObject(f"{where}: {err}") from err
+    return _valid(where, ChainComplex.build, ring, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +336,10 @@ def load_diagram(value, where: str = "diagram") -> DiagramOfBimodules:
         edges.append(
             Edge(espec["name"], espec["source"], espec["target"], Bimodule(rings[espec["target"]], rank))
         )
+    if not isinstance(obj.get("relations", []), list):
+        raise FormatError(f"{where}.relations: expected a list")
     relations = []
-    for i, pair in enumerate(value.get("relations", [])):
+    for i, pair in enumerate(obj.get("relations", [])):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise FormatError(f"{where}.relations[{i}]: expected [path, path]")
         left, right = pair
@@ -381,10 +389,7 @@ def load_dcomplex(value, where: str = "dcomplex") -> DComplex:
             0,
             f"{where}.edge_maps[{e.name[:40]}]",
         )
-    try:
-        return DComplex.build(diagram, complexes, maps)
-    except (ValueError, ShapeMismatch) as err:
-        raise InvalidObject(f"{where}: {err}") from err
+    return _valid(where, DComplex.build, diagram, complexes, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +458,7 @@ def load_d0complex(value, where: str = "d0complex") -> D0Complex:
         for i, item in enumerate(obj["descents"])
     ]
     stab = load_int(obj["stabilization"], f"{where}.stabilization")
-    try:
-        return D0Complex.build(bim, levels, ascents, descents, stab)
-    except (ValueError, ShapeMismatch) as err:
-        raise InvalidObject(f"{where}: {err}") from err
+    return _valid(where, D0Complex.build, bim, levels, ascents, descents, stab)
 
 
 def dump_d0morphism(f: D0Morphism) -> dict:
@@ -480,10 +482,7 @@ def load_d0morphism(value, where: str = "morphism") -> D0Morphism:
         load_blocks(item, source.level(i), target.level(i), 0, f"{where}.components[{i}]")
         for i, item in enumerate(obj["components"])
     ]
-    try:
-        return D0Morphism.build(source, target, components)
-    except (ValueError, ShapeMismatch) as err:
-        raise InvalidObject(f"{where}: {err}") from err
+    return _valid(where, D0Morphism.build, source, target, components)
 
 
 def dump_scenario(probe: D0Complex, target: D0Complex) -> dict:

@@ -746,6 +746,16 @@ def test_unknown_relation_edge_exits_2_in_a_subprocess(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_relations_that_are_not_a_list_exit_2_in_a_subprocess(tmp_path):
+    payload = _jordan_payload()
+    for bad in (5, {"a": 1}):
+        payload["diagram"]["relations"] = bad
+        done = run_child("nilpotency", write(tmp_path, "relations.json", payload))
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "input error: dcomplex.diagram.relations: expected a list\n"
+        assert "Traceback" not in done.stderr
+
+
 def test_huge_edge_source_exits_2_with_one_short_line_in_a_subprocess(tmp_path):
     payload = _jordan_payload()
     payload["diagram"]["edges"][0]["source"] = "n" * 10**6

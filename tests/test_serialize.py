@@ -368,3 +368,11 @@ def test_vertex_and_edge_names_are_quoted_at_most_40_characters():
     assert got == "dcomplex.edge_maps: missing edge '" + "n" * 40 + "'"
     got = _message(load_dcomplex, {"diagram": diagram, "complexes": {"v": unit}, "edge_maps": {name: []}})
     assert got == "dcomplex.edge_maps[" + "n" * 40 + "]: expected an object of degree-indexed blocks"
+
+
+def test_diagram_relations_that_are_not_a_list_are_format_errors():
+    explicit = dump_diagram(preset_diagram("D1", ZZ))
+    for bad in (5, {"a": 1}, "x"):
+        explicit["relations"] = bad
+        with pytest.raises(FormatError, match=r"^diagram\.relations: expected a list$"):
+            load_diagram(explicit)

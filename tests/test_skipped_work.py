@@ -5,7 +5,10 @@ and compose returns the other factor when one factor is that shared
 identity; tests/compose_oracle.py keeps both as they were before.
 _cone_complex builds a cone's complex without its structure maps, and
 is_reduced decides reducedness without solving for the sections that
-reduction_certificates returns.  Hypothesis (derandomized, no example
+reduction_certificates returns.  _sum_complex builds a direct sum's
+complex without its slot maps, and factor_through_acyclic solves the
+ascent cones of its source up to the first that fails, but no level
+contraction or descent section.  Hypothesis (derandomized, no example
 database) draws the inputs over Z, Q, Z/3, Z/4 and Z/6, and every
 result must equal the old route's by repr.  Caching the identity
 blocks, or the negated differentials that even-degree graded
@@ -24,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 import compose_oracle
 import construction_oracle
-from chainbench.chains import ChainComplex, GradedMap, _cone, _cone_complex, cone, find_contraction
+from chainbench.chains import ChainComplex, GradedMap, _cone, _cone_complex, _sum_complex, cone, direct_sum, find_contraction
 from chainbench.cli import main
 from chainbench.exact_linalg import QQ, ZZ, Matrix, Zmod
 from chainbench.fuzz import (
@@ -36,7 +39,9 @@ from chainbench.fuzz import (
     random_null_homotopic,
     random_reduced_ladder,
 )
-from chainbench.ladder import D0Complex, is_reduced, reduction_certificates
+from chainbench.diagrams import Bimodule
+from chainbench.ladder import D0Complex, D0Morphism, factor_through_acyclic, is_reduced, reduction_certificates
+from chainbench.ladder import test_object as probe
 from chainbench.serialize import dump_graded_map
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -222,3 +227,45 @@ def test_cone_verb_rejects_what_cone_rejects(tmp_path, capsys, degree):
     path.write_text(json.dumps(dump_graded_map(f)))
     assert main(["cone", str(path)]) == 2
     assert capsys.readouterr().out == f"unusable input: {err.value}\n"
+
+
+@st.composite
+def summands(draw):
+    """One to three complexes over one ring, each the zero complex a
+    third of the time."""
+    rng = random.Random(draw(SEEDS))
+    ring = draw(RINGS)
+    return [_complex(rng, ring, draw(st.integers(0, 2)) == 0) for _ in range(draw(st.integers(1, 3)))]
+
+
+@PROPERTY
+@given(summands())
+def test_sum_complex_matches_the_direct_sum(parts):
+    got = repr(_sum_complex(*parts))
+    assert got == repr(direct_sum(*parts).complex)
+    assert got == repr(construction_oracle.direct_sum(*parts).complex)
+
+
+def test_factoring_solves_only_the_ascent_cones_it_needs(monkeypatch):
+    """The first ascent of g_1 (zero into the unit) has a cone with no
+    contraction, so factoring at cut 0 stops after that one cone."""
+    import chainbench.ladder as ladder
+
+    tower = probe("g_m", 1, 3, Bimodule(ZZ, 1))
+    zero = D0Morphism.build(
+        tower, tower, [GradedMap.zero(tower.level(i), tower.level(i)) for i in range(4)]
+    )
+    solved = []
+
+    def counted(c):
+        solved.append(c)
+        return find_contraction(c)
+
+    def unread(c):
+        raise AssertionError("descent sections solved for a factorization")
+
+    monkeypatch.setattr(ladder, "find_contraction", counted)
+    monkeypatch.setattr(ladder, "reduction_certificates", unread)
+    with pytest.raises(ValueError, match="not constant up to homotopy"):
+        factor_through_acyclic(zero, 0)
+    assert [repr(c) for c in solved] == [repr(_cone_complex(tower.lambda_map(0)))]
