@@ -281,6 +281,8 @@ def _cmd_an_local(args) -> tuple:
         n = args.n
     else:
         n = d.top_index - 1 if args.bound == "inclusive" else d.top_index
+        if n < 0:
+            raise ValueError(f"a tower with {d.top_index + 1} level has no inclusive range; use --bound strict")
     rep = check_an_local(d, n, args.bound)
     report = {"n": str(n), "bound": rep.bound, "square_route": _yes(rep.square_holds)}
     if rep.holds:
@@ -400,7 +402,9 @@ def _cmd_q_acyclic(args) -> tuple:
     return False, lines, {"acyclic": "no"}
 
 
-def _divisibility_ok(diagonal) -> bool:
+def _divisibility_ok(diagonal, field) -> bool:
+    if field and any(x != 0 and x != 1 for x in diagonal):
+        return False
     for a, b in zip(diagonal, diagonal[1:]):
         if a == 0:
             if b != 0:
@@ -423,17 +427,18 @@ def _cmd_fuzz(args) -> tuple:
     count = args.n
     failures = []
 
+    smith_ring = ring if ring.is_field() or ring.kind == "Z" else ZZ  # smith_normal_form rejects composite Z/m
     for i in range(count):
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
         m = Matrix.from_rows(
-            ZZ, [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        ) if rows else Matrix.zero(ZZ, 0, cols)
+            smith_ring, [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        ) if rows else Matrix.zero(smith_ring, 0, cols)
         snf = smith_normal_form(m)
         if snf.p @ m @ snf.q != snf.d:
             failures.append(f"smith instance {i}: factorization mismatch")
-        if snf.p @ snf.pinv != Matrix.identity(ZZ, rows) or snf.q @ snf.qinv != Matrix.identity(ZZ, cols):
+        if snf.p @ snf.pinv != Matrix.identity(smith_ring, rows) or snf.q @ snf.qinv != Matrix.identity(smith_ring, cols):
             failures.append(f"smith instance {i}: recorded inverses are wrong")
-        if not _divisibility_ok(snf.diagonal):
+        if not _divisibility_ok(snf.diagonal, smith_ring.is_field()):
             failures.append(f"smith instance {i}: diagonal divisibility broken")
 
     n_complexes = max(1, count // 2)

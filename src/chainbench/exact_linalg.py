@@ -44,9 +44,11 @@ window: every row at or below the current pivot is zero left of the
 pivot column, and every finished pivot row is zero off its diagonal,
 so a step on rows i and j starts at column min(i, j).  q and qinv
 only see column steps; both are kept as rows (q transposed), so a
-column step is a row update too.  Every such update, _axpy_sparse,
-works in place and touches only the positions where the source row is
-nonzero.  Each caller eliminates only what it reads.  The Smith
+column step is a row update too.  Every such update works in place
+and touches only the positions where the source row is nonzero; a run
+of steps from one source row, as in a sweep from one pivot row, finds
+those positions once (see _SnfWorker).  Each caller eliminates only
+what it reads.  The Smith
 reduction builds only the transforms its caller asks for, and tracks
 only p, q and qinv step by step.  pinv is derived once the reduction
 ends: its row steps are recorded, and when q is kept and every row of
@@ -704,6 +706,32 @@ def _axpy_sparse(x, y, c, m, start=0):
             x[k] = (x[k] + c * y[k]) % m
 
 
+# Building a row's nonzero pairs costs about what reading them saves
+# over two steps, so only runs that can reach this many steps keep them.
+_PAIRS_MIN_RUN = 5
+
+
+def _run_step(x, y, c, m, start, pairs):
+    """_axpy_sparse(x, y, c, m, start) as a later step of a run from y.
+
+    pairs is None after the run's first step and () after its second;
+    the third builds y's nonzero (position, entry) pairs from start on,
+    and it and every later step read them.  Returns pairs for the next.
+    """
+    if pairs is None:
+        _axpy_sparse(x, y, c, m, start)
+        return ()
+    if not pairs:
+        pairs = [p for p in enumerate(islice(y, start, None), start) if p[1]]
+    if m is None:
+        for k, v in pairs:
+            x[k] += c * v
+    else:
+        for k, v in pairs:
+            x[k] = (x[k] + c * v) % m
+    return pairs
+
+
 TRANSFORMS = ("p", "pinv", "q", "qinv")
 
 
@@ -731,7 +759,15 @@ class _SnfWorker:
     place of qinv, so that the worker ends with qinv @ follow: rows
     indexed like the columns of a that follow each column step with its
     inverse.  Every row update, on rows, q_t and qinv alike, is made in
-    place by _axpy_sparse, only where the source row is nonzero.
+    place, only where the source row is nonzero.  Downward row steps
+    from row _src, which start at column _src, and column steps from
+    row _col_src of q_t form runs; from a run's third step on they read
+    the source's nonzero pairs (_run_step).  A run that cannot reach
+    _PAIRS_MIN_RUN steps, one per row from its first target on (per
+    column, for q), is not tracked.  A step that can change the source
+    ends the run: swap_rows, negate_row, scale_row and add_col for rows,
+    swap_cols for both, and a row step from another source, such as the
+    divisibility step add_row(t, bad_row, 1) into the pivot row.
 
     Only the transforms named in keep are built and updated; the others
     stay None.  The operations on d do not depend on keep, so every
@@ -761,18 +797,22 @@ class _SnfWorker:
         # (i, j, c) adds c times row j to row i, (i, j, None) swaps
         # rows i and j, and (i, None, u) scales row i by u.
         self.steps = [] if "pinv" in keep else None
-        # The lists whose rows a column swap moves.
-        self._col_lists = [x for x in (self.q_t, self.qinv) if x is not None]
+        # The runs of row and column steps (see _run_step).
+        self._src = self._src_pairs = self._col_src = self._col_pairs = None
 
     def _eye(self, n):
         z, o = self.ring.zero, self.ring.one
-        return [[o if i == j else z for j in range(n)] for i in range(n)]
+        rows = [[z] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = o
+        return rows
 
     def swap_rows(self, i, j):
         if i == j:
             return
         rows = self.rows
         rows[i], rows[j] = rows[j], rows[i]
+        self._src = None
         if self.steps is not None:
             self.steps.append((i, j, None))
 
@@ -781,12 +821,18 @@ class _SnfWorker:
             return
         for row in self.rows:
             row[i], row[j] = row[j], row[i]
-        for rows in self._col_lists:
-            rows[i], rows[j] = rows[j], rows[i]
+        for rows in (self.q_t, self.qinv):
+            if rows is not None:
+                rows[i], rows[j] = rows[j], rows[i]
+        self._src = self._col_src = None
 
     def add_row(self, i, j, c):
         """row_i += c * row_j from column min(i, j) on; the inverse step is recorded for pinv."""
-        _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
+        if j == self._src and i > j:
+            self._src_pairs = _run_step(self.rows[i], self.rows[j], c, self.mod, j, self._src_pairs)
+        else:
+            _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
+            self._src, self._src_pairs = (j if i > j and self.r - i >= _PAIRS_MIN_RUN else None), None
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
@@ -797,8 +843,14 @@ class _SnfWorker:
             x = row[i]
             if x:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
-        if self.q_t is not None:
-            _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
+        self._src = None
+        q_t = self.q_t
+        if q_t is not None:
+            if i == self._col_src:
+                self._col_pairs = _run_step(q_t[j], q_t[i], c, m, 0, self._col_pairs)
+            else:
+                _axpy_sparse(q_t[j], q_t[i], c, m)
+                self._col_src, self._col_pairs = (i if self.c - j >= _PAIRS_MIN_RUN else None), None
         if self.qinv is not None:
             _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)
 
@@ -806,6 +858,7 @@ class _SnfWorker:
         """row_i *= -1 (over Z only) from column i on, for pivot row i."""
         x = self.rows[i]
         x[i:] = [-v for v in x[i:]]
+        self._src = None
         if self.steps is not None:
             self.steps.append((i, None, -1))
 
@@ -813,6 +866,7 @@ class _SnfWorker:
         """row_i *= u for a unit u (fields only) from column i on, for pivot row i."""
         x = self.rows[i]
         x[i:] = _scaled(x[i:], u, self.mod)
+        self._src = None
         if self.steps is not None:
             self.steps.append((i, None, self.ring.invert(u)))
 

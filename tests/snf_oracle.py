@@ -23,9 +23,11 @@ kernel_zmod_composite_diagonal over composite Z/m) with the
 three-branch _is_onto that solved for a section over composite Z/m,
 the trial-division invariant factors of a sum of cyclic groups that
 fuzz once built its expected homology with
-(invariant_factors_of_cyclics), and the Smith worker that kept d, p
+(invariant_factors_of_cyclics), the Smith worker that kept d, p
 and carry as separate lists and updated whole rows (DenseSnfWorker),
-with the composite kernel and solve run on it.  The lattice routes
+with the composite kernel and solve run on it, and the row and column
+steps that found the nonzero positions of their source row again on
+every step (StepwiseSnfWorker).  The lattice routes
 solve and take kernels over Z with this module's _solve_integer and
 _kernel_integer, not with the library's read-off that they check.
 The Smith reduction normalises every entry through Ring.normalize
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from chainbench.chains import ChainComplex, HomologySummary
 from fractions import Fraction
+from itertools import compress, islice
 
 from chainbench import exact_linalg
 
@@ -910,3 +913,45 @@ def solve_zmod_composite_dense(a: Matrix, b: Matrix) -> Matrix | None:
         y.append(ks)
     y += [(0,) * b.cols] * (a.cols - len(pivots))
     return w.result().q @ Matrix._trusted(a.ring, a.cols, b.cols, tuple(y))
+
+
+# ---------------------------------------------------------------------------
+# The Smith worker that reads its source row on every step
+
+
+def _axpy_sparse(x, y, c, m, start=0):
+    """x += c * y in place from position start on, only where y is
+    nonzero; each entry written is reduced % m unless m is None."""
+    if m is None:
+        for k in compress(range(start, len(y)), islice(y, start, None)):
+            x[k] += c * y[k]
+    else:
+        for k in compress(range(start, len(y)), islice(y, start, None)):
+            x[k] = (x[k] + c * y[k]) % m
+
+
+class StepwiseSnfWorker(exact_linalg._SnfWorker):
+    """The library's Smith worker with its row and column steps as they
+    were before it kept the nonzero pairs of its last source row: each
+    add_row and add_col finds the nonzero positions of its source row
+    again with _axpy_sparse.  Everything else is inherited, so with this
+    class in place of exact_linalg._SnfWorker the library runs its exact
+    step sequence on it."""
+
+    def add_row(self, i, j, c):
+        """row_i += c * row_j from column min(i, j) on; the inverse step is recorded for pinv."""
+        _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
+        if self.steps is not None:
+            self.steps.append((j, i, -c))
+
+    def add_col(self, j, i, c):
+        """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
+        m = self.mod
+        for row in self.rows:
+            x = row[i]
+            if x:
+                row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
+        if self.q_t is not None:
+            _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
+        if self.qinv is not None:
+            _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)

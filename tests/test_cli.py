@@ -642,6 +642,49 @@ def test_an_local_rejects_a_negative_range_bound(tmp_path, capsys):
         assert "range bound -7 must be nonnegative" in report["message"]
 
 
+def test_an_local_on_a_one_level_tower_names_the_strict_bound_in_a_subprocess(tmp_path):
+    """A one-level tower has no inclusive range of ascents.  Without --n,
+    an-local exits 2 with the level count and --bound strict in its
+    message, not with a range bound of -1 that was never passed; on the
+    same file --bound strict, bn-local and classify exit 0."""
+    tower = random_reduced_ladder(random.Random(5), ZZ, n_levels=0).complex
+    assert tower.top_index == 0
+    path = write(tmp_path, "one.json", dump_d0complex(tower))
+    done = run_child("an-local", path)
+    assert done.returncode == 2
+    assert done.stdout == "unusable input: a tower with 1 level has no inclusive range; use --bound strict\n"
+    assert "Traceback" not in done.stderr
+    done = run_child("an-local", path, "--json")
+    assert done.returncode == 2
+    report = json.loads(done.stdout)
+    assert report["verdict"] == "error"
+    assert report["message"] == "a tower with 1 level has no inclusive range; use --bound strict"
+    for argv in (["an-local", path, "--bound", "strict"], ["bn-local", path], ["classify", path]):
+        done = run_child(*argv)
+        assert done.returncode == 0, (argv, done.stdout, done.stderr)
+
+
+def test_fuzz_builds_its_smith_instances_over_the_ring(monkeypatch, capsys):
+    """Over Q and a prime field the Smith instances take smith_normal_form's
+    field branch; over composite Z/m, which it rejects, they stay over Z."""
+    import chainbench.exact_linalg as exact_linalg
+
+    seen = []
+    smith = exact_linalg.smith_normal_form
+
+    def recording(a):
+        seen.append(str(a.ring))
+        return smith(a)
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recording)
+    for ring, want in (("Q", "Q"), ("Z/5", "Z/5"), ("Z/4", "Z"), ("Z", "Z")):
+        seen.clear()
+        assert main(["fuzz", "--seed", "0", "--n", "20", "--ring", ring, "--json"]) == 0, ring
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "pass" and report["instances"]["smith"] == "20"
+        assert seen[:20] == [want] * 20, ring
+
+
 def test_fuzz_over_a_product_of_two_large_primes_finishes_in_a_subprocess():
     """The generator's expected homology pairs cyclic orders by gcd and
     lcm, so it never factors m = 1000000007 * 1000000009."""
