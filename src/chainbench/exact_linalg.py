@@ -45,10 +45,10 @@ pivot column, and every finished pivot row is zero off its diagonal,
 so a step on rows i and j starts at column min(i, j).  q and qinv
 only see column steps; both are kept as rows (q transposed), so a
 column step is a row update too.  Every such update works in place
-and touches only the positions where the source row is nonzero; a run
-of steps from one source row, as in a sweep from one pivot row, finds
-those positions once (see _SnfWorker).  Each caller eliminates only
-what it reads.  The Smith
+and touches only the positions where the source row is nonzero; a
+long sweep from one pivot row, or from one row of q transposed, finds
+its source's nonzero pairs once and hands them to each step (see
+_SnfWorker).  Each caller eliminates only what it reads.  The Smith
 reduction builds only the transforms its caller asks for, and tracks
 only p, q and qinv step by step.  pinv is derived once the reduction
 ends: its row steps are recorded, and when q is kept and every row of
@@ -706,30 +706,26 @@ def _axpy_sparse(x, y, c, m, start=0):
             x[k] = (x[k] + c * y[k]) % m
 
 
-# Building a row's nonzero pairs costs about what reading them saves
-# over two steps, so only runs that can reach this many steps keep them.
-_PAIRS_MIN_RUN = 5
+# Finding a row's nonzero pairs costs about what reading them saves
+# over two steps, so a sweep finds them only when more than this many
+# targets can follow.
+_SWEEP_PAIRS = 4
 
 
-def _run_step(x, y, c, m, start, pairs):
-    """_axpy_sparse(x, y, c, m, start) as a later step of a run from y.
+def _pairs(y, start=0):
+    """The nonzero (position, entry) pairs of y from position start on."""
+    return [p for p in enumerate(islice(y, start, None), start) if p[1]]
 
-    pairs is None after the run's first step and () after its second;
-    the third builds y's nonzero (position, entry) pairs from start on,
-    and it and every later step read them.  Returns pairs for the next.
-    """
-    if pairs is None:
-        _axpy_sparse(x, y, c, m, start)
-        return ()
-    if not pairs:
-        pairs = [p for p in enumerate(islice(y, start, None), start) if p[1]]
+
+def _axpy_pairs(x, pairs, c, m):
+    """x += c * y in place, y given by its nonzero pairs; each entry
+    written is reduced % m unless m is None."""
     if m is None:
         for k, v in pairs:
             x[k] += c * v
     else:
         for k, v in pairs:
             x[k] = (x[k] + c * v) % m
-    return pairs
 
 
 TRANSFORMS = ("p", "pinv", "q", "qinv")
@@ -759,15 +755,11 @@ class _SnfWorker:
     place of qinv, so that the worker ends with qinv @ follow: rows
     indexed like the columns of a that follow each column step with its
     inverse.  Every row update, on rows, q_t and qinv alike, is made in
-    place, only where the source row is nonzero.  Downward row steps
-    from row _src, which start at column _src, and column steps from
-    row _col_src of q_t form runs; from a run's third step on they read
-    the source's nonzero pairs (_run_step).  A run that cannot reach
-    _PAIRS_MIN_RUN steps, one per row from its first target on (per
-    column, for q), is not tracked.  A step that can change the source
-    ends the run: swap_rows, negate_row, scale_row and add_col for rows,
-    swap_cols for both, and a row step from another source, such as the
-    divisibility step add_row(t, bad_row, 1) into the pivot row.
+    place, only where the source row is nonzero.  add_row and add_col
+    find those positions with _axpy_sparse, unless the caller passes
+    the source row's nonzero pairs: a sweep from one pivot row, or from
+    one row of q_t, finds them once (_pairs) and hands them to each
+    step, since none of its steps changes its source.
 
     Only the transforms named in keep are built and updated; the others
     stay None.  The operations on d do not depend on keep, so every
@@ -797,8 +789,6 @@ class _SnfWorker:
         # (i, j, c) adds c times row j to row i, (i, j, None) swaps
         # rows i and j, and (i, None, u) scales row i by u.
         self.steps = [] if "pinv" in keep else None
-        # The runs of row and column steps (see _run_step).
-        self._src = self._src_pairs = self._col_src = self._col_pairs = None
 
     def _eye(self, n):
         z, o = self.ring.zero, self.ring.one
@@ -812,7 +802,6 @@ class _SnfWorker:
             return
         rows = self.rows
         rows[i], rows[j] = rows[j], rows[i]
-        self._src = None
         if self.steps is not None:
             self.steps.append((i, j, None))
 
@@ -824,33 +813,29 @@ class _SnfWorker:
         for rows in (self.q_t, self.qinv):
             if rows is not None:
                 rows[i], rows[j] = rows[j], rows[i]
-        self._src = self._col_src = None
 
-    def add_row(self, i, j, c):
-        """row_i += c * row_j from column min(i, j) on; the inverse step is recorded for pinv."""
-        if j == self._src and i > j:
-            self._src_pairs = _run_step(self.rows[i], self.rows[j], c, self.mod, j, self._src_pairs)
-        else:
+    def add_row(self, i, j, c, pairs=None):
+        """row_i += c * row_j from column min(i, j) on, reading pairs, when
+        given, as _pairs(row_j, min(i, j)); the inverse step is recorded for pinv."""
+        if pairs is None:
             _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
-            self._src, self._src_pairs = (j if i > j and self.r - i >= _PAIRS_MIN_RUN else None), None
+        else:
+            _axpy_pairs(self.rows[i], pairs, c, self.mod)
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
-    def add_col(self, j, i, c):
-        """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
+    def add_col(self, j, i, c, pairs=None):
+        """col_j += c * col_i (on d and q), reading pairs, when given, as
+        _pairs(q_t[i]); inverse op recorded on qinv."""
         m = self.mod
         for row in self.rows:
             x = row[i]
             if x:
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
-        self._src = None
-        q_t = self.q_t
-        if q_t is not None:
-            if i == self._col_src:
-                self._col_pairs = _run_step(q_t[j], q_t[i], c, m, 0, self._col_pairs)
-            else:
-                _axpy_sparse(q_t[j], q_t[i], c, m)
-                self._col_src, self._col_pairs = (i if self.c - j >= _PAIRS_MIN_RUN else None), None
+        if pairs is not None:
+            _axpy_pairs(self.q_t[j], pairs, c, m)
+        elif self.q_t is not None:
+            _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
         if self.qinv is not None:
             _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)
 
@@ -858,7 +843,6 @@ class _SnfWorker:
         """row_i *= -1 (over Z only) from column i on, for pivot row i."""
         x = self.rows[i]
         x[i:] = [-v for v in x[i:]]
-        self._src = None
         if self.steps is not None:
             self.steps.append((i, None, -1))
 
@@ -866,7 +850,6 @@ class _SnfWorker:
         """row_i *= u for a unit u (fields only) from column i on, for pivot row i."""
         x = self.rows[i]
         x[i:] = _scaled(x[i:], u, self.mod)
-        self._src = None
         if self.steps is not None:
             self.steps.append((i, None, self.ring.invert(u)))
 
@@ -982,25 +965,28 @@ def _smith(a: Matrix, keep=TRANSFORMS, carry=None) -> _SnfWorker:
             w.negate_row(t)
         piv = d[t][t]
         restart = False
+        # No step of a sweep changes its source row, d[t] or q_t[t].
+        pairs = _pairs(d[t], t) if w.r - t - 1 > _SWEEP_PAIRS else None
         for i in range(t + 1, w.r):
             x = d[i][t]
             if not x:
                 continue
             qq = x if field else x // piv  # over a field the pivot is 1
             if qq:
-                w.add_row(i, t, -qq)
+                w.add_row(i, t, -qq, pairs)
             if d[i][t]:
                 restart = True
         if restart:
             continue
         top = d[t]
+        pairs = _pairs(w.q_t[t]) if w.q_t is not None and w.c - t - 1 > _SWEEP_PAIRS else None
         for j in range(t + 1, w.c):
             x = top[j]
             if not x:
                 continue
             qq = x if field else x // piv
             if qq:
-                w.add_col(j, t, -qq)
+                w.add_col(j, t, -qq, pairs)
             if top[j]:
                 restart = True
         if restart:
@@ -1272,21 +1258,27 @@ def _diagonalize_mod(w: _SnfWorker) -> list:
             break
         w.swap_rows(t, bi)
         w.swap_cols(t, bj)
+        # As in _smith, each sweep finds its source's pairs once, and
+        # again after each Euclid swap replaces the source.
+        pairs = _pairs(d[t], t) if w.r - t - 1 > _SWEEP_PAIRS else None
         for i in range(t + 1, w.r):
             while d[i][t]:
                 k, q = _multiplier(d[t][t], d[i][t], m)
-                w.add_row(i, t, -(q if k is None else k))
+                w.add_row(i, t, -(q if k is None else k), pairs)
                 if k is not None:
                     break
                 w.swap_rows(t, i)
+                pairs = None if pairs is None else _pairs(d[t], t)
         top = d[t]
+        pairs = _pairs(w.q_t[t]) if w.q_t is not None and w.c - t - 1 > _SWEEP_PAIRS else None
         for j in range(t + 1, w.c):
             while top[j]:
                 k, q = _multiplier(top[t], top[j], m)
-                w.add_col(j, t, -(q if k is None else k))
+                w.add_col(j, t, -(q if k is None else k), pairs)
                 if k is not None:
                     break
                 w.swap_cols(t, j)
+                pairs = None if pairs is None else _pairs(w.q_t[t])
         if not any(d[i][t] for i in range(t + 1, w.r)):
             t += 1
     return [d[i][i] for i in range(t)]

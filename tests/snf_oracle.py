@@ -726,9 +726,10 @@ class DenseSnfWorker:
     d, p and carry are separate lists, and every step acts on whole
     rows; each column step on q_t and qinv is a whole-row update.  The
     code is the library's as it was, except that rows also names d, the
-    list that exact_linalg._diagonalize_mod reads, so that the library's
-    composite diagonalization runs its exact step sequence on these
-    dense rows.  Its earlier docstring follows.
+    list that exact_linalg._diagonalize_mod reads, and that add_row and
+    add_col take the pairs that a long sweep passes and ignore them, so
+    that the library's composite diagonalization runs its exact step
+    sequence on these dense rows.  Its earlier docstring follows.
 
     Entries are raw ring values and every operation is plain arithmetic
     on whole rows: integers and fractions are closed and canonical, so
@@ -790,7 +791,7 @@ class DenseSnfWorker:
         for rows in self._col_lists:
             rows[i], rows[j] = rows[j], rows[i]
 
-    def add_row(self, i, j, c):
+    def add_row(self, i, j, c, pairs=None):
         """row_i += c * row_j (on d and p); the inverse step is recorded for pinv."""
         d, p, m = self.d, self.p, self.mod
         d[i] = _axpy(d[i], d[j], c, m)
@@ -799,7 +800,7 @@ class DenseSnfWorker:
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
-    def add_col(self, j, i, c):
+    def add_col(self, j, i, c, pairs=None):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
         m = self.mod
         for row in self.d:
@@ -932,19 +933,19 @@ def _axpy_sparse(x, y, c, m, start=0):
 
 class StepwiseSnfWorker(exact_linalg._SnfWorker):
     """The library's Smith worker with its row and column steps as they
-    were before it kept the nonzero pairs of its last source row: each
-    add_row and add_col finds the nonzero positions of its source row
-    again with _axpy_sparse.  Everything else is inherited, so with this
-    class in place of exact_linalg._SnfWorker the library runs its exact
-    step sequence on it."""
+    were before a sweep handed them its source row's nonzero pairs: each
+    add_row and add_col ignores pairs and finds the nonzero positions of
+    its source row again with _axpy_sparse.  Everything else is
+    inherited, so with this class in place of exact_linalg._SnfWorker the
+    library runs its exact step sequence on it."""
 
-    def add_row(self, i, j, c):
+    def add_row(self, i, j, c, pairs=None):
         """row_i += c * row_j from column min(i, j) on; the inverse step is recorded for pinv."""
         _axpy_sparse(self.rows[i], self.rows[j], c, self.mod, i if i < j else j)
         if self.steps is not None:
             self.steps.append((j, i, -c))
 
-    def add_col(self, j, i, c):
+    def add_col(self, j, i, c, pairs=None):
         """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
         m = self.mod
         for row in self.rows:

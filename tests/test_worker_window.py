@@ -133,10 +133,10 @@ def upward(monkeypatch):
     seen = []
     add_row = exact_linalg._SnfWorker.add_row
 
-    def counting(self, i, j, c):
+    def counting(self, i, j, c, pairs=None):
         if i < j:
             seen.append((i, j, c))
-        add_row(self, i, j, c)
+        add_row(self, i, j, c, pairs)
 
     monkeypatch.setattr(exact_linalg._SnfWorker, "add_row", counting)
     return seen
