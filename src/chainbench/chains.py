@@ -30,7 +30,9 @@ composed from inclusions and projections.  block_matrix assembles
 every block matrix from its nonzero blocks alone, so nothing here pads
 with zero matrices.
 
-Homology costs one elimination per stored differential and reads
+homology, homology_at, is_acyclic and same_homology all read one
+generator, _homology, the only place that asks which ring a complex
+is over.  It costs one elimination per stored differential and reads
 only what that elimination leaves: over Z the Smith diagonal, built
 without transforms, and over Q and Z/p the rank, the pivot count of
 one row echelon form: fraction-free over Q, on rows cleared of their
@@ -42,7 +44,8 @@ with gcd(u, m) == 1, by one Schur-complement step each
 residual by exact_linalg.cycle_quotient_mod, which works in Z/m
 itself: it diagonalizes d_n with d_(n+1) following its column steps,
 then diagonalizes the relations among the cycles.  Neither step
-factors m.
+factors m.  homology_at(c, n) is the generator on the window of c
+from degree n - 1 to n + 1, which holds d_n and d_(n+1) alone.
 
 Null-homotopies, chain maps and tower morphisms are kernel or preimage
 certificates of one operator, the graded differential on blocks of
@@ -431,30 +434,6 @@ class HomologySummary:
         return self.betti == 0 and not self.torsion
 
 
-_TRIVIAL = HomologySummary(0, ())
-
-
-def _differential_data(c: ChainComplex, n: int):
-    """Rank and non-unit invariant factors of d_n, over Z or a field.
-
-    Over Z this is one Smith form without transforms, over a field one
-    rank.  A differential that is not stored is zero and costs nothing.
-    """
-    d = c._diff_map.get(n)
-    if d is None:
-        return 0, ()
-    if c.ring.kind == "Z":
-        factors = invariant_factors(d)
-        return len(factors), tuple(x for x in factors if x != 1)
-    return matrix_rank(d), ()
-
-
-def _summary(c: ChainComplex, n: int, below, above) -> HomologySummary:
-    """H_n from the (rank, torsion) data of d_n (below) and d_(n+1) (above)."""
-    modulus = c.ring.modulus if c.ring.kind == "Zmod" else None
-    return HomologySummary(c.rank(n) - below[0] - above[0], above[1], modulus)
-
-
 def _composite(ring: Ring) -> bool:
     return ring.kind == "Zmod" and not ring.is_field()
 
@@ -519,75 +498,76 @@ def _without_unit_pivots(c: ChainComplex) -> ChainComplex:
     return ChainComplex(c.ring, tuple((n, r) for n, r in ranks.items() if r), diffs)
 
 
-def _cycle_quotient(c: ChainComplex, n: int) -> HomologySummary:
-    """H_n over composite Z/m: exact_linalg.cycle_quotient_mod of d_n and
-    d_(n+1), or (Z/m)^rank when neither is stored."""
-    m = c.ring.modulus
-    if n in c._diff_map or n + 1 in c._diff_map:
-        return HomologySummary(0, cycle_quotient_mod(c.diff(n), c.diff(n + 1)), m)
-    return HomologySummary(0, (m,) * c.rank(n), m)
-
-
-def homology_at(c: ChainComplex, n: int) -> HomologySummary:
-    """H_n from d_n and d_(n+1); see _iter_homology for the method.
-
-    Over composite Z/m the window of degrees n - 1 to n + 1, with d_n
-    and d_(n+1), loses its unit pivots first.  A degree of rank 0
-    stores no differential on either side, so its trivial homology
-    costs nothing over any ring.
-    """
-    if _composite(c.ring):
-        ranks = tuple((k, c.rank(k)) for k in (n - 1, n, n + 1) if c.rank(k))
-        diffs = tuple((k, c._diff_map[k]) for k in (n, n + 1) if k in c._diff_map)
-        return _cycle_quotient(_without_unit_pivots(ChainComplex(c.ring, ranks, diffs)), n)
-    return _summary(c, n, _differential_data(c, n), _differential_data(c, n + 1))
-
-
-def _iter_homology(c: ChainComplex):
-    """Yield (n, H_n) for every degree of c in increasing order.
+def _homology(c: ChainComplex, degrees):
+    """Yield (n, H_n) for each n of degrees; every homology entry point
+    reads this generator, and only it asks which ring c is over.
 
     Over Z and over a field each stored differential is eliminated
-    once, when first needed: H_n has betti rank C_n - rank d_n -
-    rank d_(n+1), and its torsion is the non-unit invariant factors of
-    d_(n+1).  This holds because the cycles Z_n are a direct summand of
-    C_n, since C_n / Z_n embeds in the free module C_(n-1), so d_(n+1)
-    has the same invariant factors as a map into Z_n.  Over composite
-    Z/m, _without_unit_pivots first removes every unit pivot from the
-    whole complex, once, and each degree of c is then read off the
-    unit-free residual with exact_linalg.cycle_quotient_mod.  Both
-    give the invariant factors of the same module, which are canonical.
+    once, when first needed: invariant_factors over Z, rank over a
+    field.  H_n has betti rank C_n - rank d_n - rank d_(n+1), and its
+    torsion is the non-unit invariant factors of d_(n+1).  This holds
+    because the cycles Z_n are a direct summand of C_n, since
+    C_n / Z_n embeds in the free module C_(n-1), so d_(n+1) has the
+    same invariant factors as a map into Z_n.  Over composite Z/m,
+    _without_unit_pivots first removes every unit pivot from the whole
+    complex, once, and each degree is then read off the unit-free
+    residual with exact_linalg.cycle_quotient_mod, or is (Z/m)^rank
+    when the residual keeps neither of its differentials.  Both give
+    the invariant factors of the same module, which are canonical.
     """
-    if _composite(c.ring):
+    ring = c.ring
+    if _composite(ring):
         residual = _without_unit_pivots(c)
-        for n in c.degrees():
-            yield n, _cycle_quotient(residual, n)
+        for n in degrees:
+            if n in residual._diff_map or n + 1 in residual._diff_map:
+                torsion = cycle_quotient_mod(residual.diff(n), residual.diff(n + 1))
+            else:
+                torsion = (ring.modulus,) * residual.rank(n)
+            yield n, HomologySummary(0, torsion, ring.modulus)
         return
     data = {}
 
-    def at(k):
+    def eliminated(k):
         if k not in data:
-            data[k] = _differential_data(c, k)
+            d = c._diff_map.get(k)
+            if d is None:
+                data[k] = 0, ()
+            elif ring.kind == "Z":
+                factors = invariant_factors(d)
+                data[k] = len(factors), tuple(x for x in factors if x != 1)
+            else:
+                data[k] = matrix_rank(d), ()
         return data[k]
 
-    for n in c.degrees():
-        yield n, _summary(c, n, at(n), at(n + 1))
+    for n in degrees:
+        (below, _), (above, torsion) = eliminated(n), eliminated(n + 1)
+        yield n, HomologySummary(c.rank(n) - below - above, torsion, ring.modulus)
+
+
+def homology_at(c: ChainComplex, n: int) -> HomologySummary:
+    """H_n: _homology on the window of degrees n - 1 to n + 1, which
+    holds d_n and d_(n+1) alone, so nothing else is eliminated."""
+    ranks = tuple((k, c.rank(k)) for k in (n - 1, n, n + 1) if c.rank(k))
+    diffs = tuple((k, c._diff_map[k]) for k in (n, n + 1) if k in c._diff_map)
+    return next(_homology(ChainComplex(c.ring, ranks, diffs), (n,)))[1]
 
 
 def homology(c: ChainComplex) -> dict:
-    return dict(_iter_homology(c))
+    return dict(_homology(c, c.degrees()))
 
 
 def is_acyclic(c: ChainComplex) -> bool:
-    return all(h.is_trivial() for _, h in _iter_homology(c))
+    return all(h.is_trivial() for _, h in _homology(c, c.degrees()))
+
+
+def _modules(c: ChainComplex) -> dict:
+    """Degree -> (betti, torsion) of every nonzero H_n of c; two
+    complexes have isomorphic homology exactly when these are equal."""
+    return {n: (h.betti, h.torsion) for n, h in _homology(c, c.degrees()) if not h.is_trivial()}
 
 
 def same_homology(a: ChainComplex, b: ChainComplex) -> bool:
-    ha, hb = homology(a), homology(b)
-    for n in set(ha) | set(hb):
-        sa, sb = ha.get(n, _TRIVIAL), hb.get(n, _TRIVIAL)
-        if (sa.betti, sa.torsion) != (sb.betti, sb.torsion):
-            return False
-    return True
+    return _modules(a) == _modules(b)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,13 +1199,10 @@ def is_homology_equivalence(f: GradedMap) -> bool:
     if _composite(ring):
         raise ValueError("homology equivalence over composite Z/m is not supported")
     src, tgt = f.source, f.target
-    hsrc, htgt = homology(src), homology(tgt)
-    for n in sorted(set(hsrc) | set(htgt)):
-        hs, ht = hsrc.get(n, _TRIVIAL), htgt.get(n, _TRIVIAL)
-        if (hs.betti, hs.torsion) != (ht.betti, ht.torsion):
-            return False
-        if ht.is_trivial():
-            continue
+    target = _modules(tgt)
+    if _modules(src) != target:
+        return False
+    for n in target:
         ks = kernel_basis(src.diff(n))
         kt, lt = _kernel(tgt.diff(n))
         induced = _coordinates(kt, lt, f.block(n) @ ks, "cycles were not carried into cycles")

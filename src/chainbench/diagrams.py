@@ -19,9 +19,15 @@ then e2 lands in C (x) S_e2 (x) S_e1.  A realization is nilpotent of
 degree n when every composite of length n + 1 is null-homotopic; a
 null-homotopy for one length yields witnesses for all longer lengths
 by composing with the extra edge maps, so the scan below is monotone.
+
+Vertices, edges, vertex complexes and edge maps are looked up by name
+through dicts that each diagram or realization builds once, so loading
+and validating a diagram takes time linear in its size.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ._record import record
 from .exact_linalg import Matrix, Ring, ShapeMismatch, kron
@@ -31,6 +37,14 @@ from .chains import MAX_TOTAL_RANK, ChainComplex, GradedMap, _diagonal_map, _sum
 # search examines.  D1, D2 and D3 have at most three paths per length;
 # a three-level D0_truncated passes the cap at length 13.
 _MAX_COMPOSITES = 4096
+
+
+def _named(table: dict, name, missing: str):
+    """table[name]; KeyError(missing.format(name)) when it is absent."""
+    got = table.get(name)
+    if got is None:
+        raise KeyError(missing.format(name))
+    return got
 
 
 @record
@@ -127,15 +141,13 @@ class DiagramOfBimodules:
     relations: tuple = ()
 
     def __post_init__(self) -> None:
-        names = [v for v, _ in self.vertices]
-        if len(set(names)) != len(names):
+        if len(self._rings) != len(self.vertices):
             raise ValueError("vertex names must be distinct")
-        edge_names = [e.name for e in self.edges]
-        if len(set(edge_names)) != len(edge_names):
+        if len(self._edges) != len(self.edges):
             raise ValueError("edge names must be distinct")
         for e in self.edges:
             for endpoint in (e.source, e.target):
-                if endpoint not in names:
+                if endpoint not in self._rings:
                     raise ValueError(f"edge {e.name[:40]!r} touches unknown vertex {endpoint[:40]!r}")
             if (
                 self.vertex_ring(e.source) != e.bimodule.base
@@ -150,31 +162,32 @@ class DiagramOfBimodules:
             if ra != rb:
                 raise ValueError("relation sides have different bimodule ranks")
 
+    @cached_property
+    def _rings(self):
+        return dict(self.vertices)
+
+    @cached_property
+    def _edges(self):
+        return {e.name: e for e in self.edges}
+
     def vertex_ring(self, name: str) -> Ring:
-        for v, ring in self.vertices:
-            if v == name:
-                return ring
-        raise KeyError(f"no vertex named {name}")
+        return _named(self._rings, name, "no vertex named {}")
 
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise KeyError(f"no edge named {name}")
+        return _named(self._edges, name, "no edge named {}")
 
     def _path_profile(self, path):
         """(start, end, accumulated bimodule rank) of a nonempty path."""
         path = tuple(path)
         if not path:
             raise ValueError("relation paths must be nonempty")
-        edges = {e.name: e for e in self.edges}
         for name in path:
-            if name not in edges:
+            if name not in self._edges:
                 raise ValueError(f"relation path names unknown edge {name[:40]!r}")
-        start = here = edges[path[0]].source
+        start = here = self._edges[path[0]].source
         rank = 1
         for name in path:
-            e = edges[name]
+            e = self._edges[name]
             if e.source != here:
                 raise ValueError(f"path breaks at edge {name[:40]!r}")
             here = e.target
@@ -269,17 +282,19 @@ class DComplex:
         out.validate()
         return out
 
+    @cached_property
+    def _complexes(self):
+        return dict(self.vertex_complexes)
+
+    @cached_property
+    def _maps(self):
+        return dict(self.edge_maps)
+
     def complex_at(self, vertex: str) -> ChainComplex:
-        for v, c in self.vertex_complexes:
-            if v == vertex:
-                return c
-        raise KeyError(f"no complex at vertex {vertex}")
+        return _named(self._complexes, vertex, "no complex at vertex {}")
 
     def map_for(self, edge_name: str) -> GradedMap:
-        for name, f in self.edge_maps:
-            if name == edge_name:
-                return f
-        raise KeyError(f"no map for edge {edge_name}")
+        return _named(self._maps, edge_name, "no map for edge {}")
 
     def validate(self) -> None:
         for v, ring in self.diagram.vertices:
@@ -312,19 +327,17 @@ def composable_paths(diagram: DiagramOfBimodules, length: int, start: str | None
     """All edge-name sequences of the given length that compose."""
     if length == 0:
         return [()]
-    paths = []
-    frontier = [
-        (e.name,) for e in diagram.edges if start is None or e.source == start
-    ]
+    paths, leaving = [], {}
+    for e in diagram.edges:
+        leaving.setdefault(e.source, []).append(e)
+    first = diagram.edges if start is None else leaving.get(start, ())
+    frontier = [((e.name,), e.target) for e in first]
     while frontier:
-        p = frontier.pop()
+        p, tip = frontier.pop()
         if len(p) == length:
             paths.append(p)
             continue
-        tip = diagram.edge(p[-1]).target
-        for e in diagram.edges:
-            if e.source == tip:
-                frontier.append(p + (e.name,))
+        frontier.extend((p + (e.name,), e.target) for e in leaving.get(tip, ()))
     return sorted(paths)
 
 
@@ -377,7 +390,9 @@ def _path_counts(diagram: DiagramOfBimodules):
     yield 1
     ending = {v: 1 for v, _ in diagram.vertices}
     while True:
-        ending = {v: sum(ending[e.source] for e in diagram.edges if e.target == v) for v in ending}
+        ending, before = dict.fromkeys(ending, 0), ending
+        for e in diagram.edges:
+            ending[e.target] += before[e.source]
         yield sum(ending.values())
 
 

@@ -64,8 +64,9 @@ solve_linear (q kept, b carried), _kernel (q and qinv kept) and
 _is_onto read the pivots of one diagonalization, _diagonalize, the
 same way.  cycle_quotient_mod reads the homology of one degree off
 two, of d_n and of the relations among its cycles; chains hands it
-the differentials that are left once every unit pivot of the complex
-is gone.  _kernel also
+d_n and d_(n+1) of what is left once every unit pivot of the complex,
+or of homology_at's window, is gone, for each degree where one of the
+two is left.  _kernel also
 returns a left inverse l of its basis k, the rows of qinv past the
 pivots or over a field the identity's rows at the free columns;
 _coordinates and split_with_complement read through l, and over a

@@ -22,15 +22,17 @@ only.
 from __future__ import annotations
 
 from chainbench.chains import (
-    _TRIVIAL,
     ChainComplex,
     GradedMap,
+    HomologySummary,
     _composite,
     _require_chain_map,
     homology,
 )
 from chainbench.exact_linalg import Matrix, _is_onto, inverse, is_split_injection, kernel_basis, solve_linear
 from chainbench.ladder import D0Complex, KernelData
+
+_TRIVIAL = HomologySummary(0, ())
 
 
 def coordinates(k: Matrix, l: Matrix, v: Matrix, what: str) -> Matrix:

@@ -1,6 +1,7 @@
 """Tests for bimodule-twisted diagrams, path composites, nilpotency."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -533,3 +534,35 @@ def test_diagram_messages_quote_at_most_40_characters_of_a_name(site):
     message = str(err.value)
     assert site in message and QUOTED in message, message[:200]
     assert len(message) < 200, message[:200]
+
+
+def test_lookups_of_unknown_names_raise_key_error_naming_them():
+    x = two_loop_dcomplex()
+    lookups = {
+        "no vertex named w": lambda: x.diagram.vertex_ring("w"),
+        "no edge named z": lambda: x.diagram.edge("z"),
+        "no complex at vertex w": lambda: x.complex_at("w"),
+        "no map for edge z": lambda: x.map_for("z"),
+    }
+    for message, lookup in lookups.items():
+        with pytest.raises(KeyError) as err:
+            lookup()
+        assert err.value.args == (message,)
+    assert x.diagram.vertex_ring("v") == ZZ and x.diagram.edge("y").name == "y"
+    assert x.complex_at("v").rank(0) == 1 and x.map_for("y") == GradedMap.identity(x.complex_at("v"))
+
+
+def test_composable_paths_match_every_composable_edge_sequence():
+    diagrams = [two_loop_dcomplex().diagram, preset_diagram("D0_truncated", ZZ, levels=3)]
+    diagrams += [preset_diagram(name, ZZ) for name in ("D1", "D2", "D3")]
+    for diagram in diagrams:
+        for length in range(1, 4):
+            every = [
+                tuple(e.name for e in p)
+                for p in product(diagram.edges, repeat=length)
+                if all(a.target == b.source for a, b in zip(p, p[1:]))
+            ]
+            assert composable_paths(diagram, length) == sorted(every)
+            for v, _ in diagram.vertices + (("nowhere", ZZ),):
+                want = sorted(p for p in every if diagram.edge(p[0]).source == v)
+                assert composable_paths(diagram, length, start=v) == want
