@@ -26,9 +26,10 @@ each part sits in a slot at a degree shift, and _block_map places a
 map's nonzero blocks between the slots of its source and target.  The
 boundary of _block_sum is such a map of degree -1, and _slot and
 _diagonal_map give slot and block-diagonal maps, so no map of a sum is
-composed from inclusions and projections.  block_matrix assembles
-every block matrix from its nonzero blocks alone, so nothing here pads
-with zero matrices.
+composed from inclusions and projections.  direct_sum builds its
+complex at once and its slot maps when they are first read.
+block_matrix assembles every block matrix from its nonzero blocks
+alone, so nothing here pads with zero matrices.
 
 homology, homology_at, is_acyclic and same_homology all read one
 generator, _homology, the only place that asks which ring a complex
@@ -801,9 +802,30 @@ def shift_unsigned(c: ChainComplex, k: int) -> ChainComplex:
 
 @record
 class DirectSumData:
+    """A direct sum with each part's inclusion and projection.
+
+    direct_sum builds the complex at once and leaves the slot maps to
+    the first read of inclusions or projections, which builds both
+    through _slot and keeps them.  An instance made by the constructor
+    holds all three fields from the start.
+    """
+
     complex: ChainComplex
     inclusions: tuple
     projections: tuple
+
+    def __init__(self, complex: ChainComplex, inclusions: tuple, projections: tuple) -> None:
+        self.__dict__.update(complex=complex, inclusions=inclusions, projections=projections)
+
+    def __getattr__(self, name):
+        # Only reached for a name missing from __dict__: the slot maps
+        # of an instance direct_sum made, before their first read.
+        layout = self.__dict__.get("_layout")
+        if layout is None or name not in ("inclusions", "projections"):
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        inclusions, projections = zip(*(_slot(self.complex, layout, j) for j in range(len(layout))))
+        self.__dict__.update(inclusions=inclusions, projections=projections)
+        return self.__dict__[name]
 
 
 def _sizes(parts, n: int) -> list:
@@ -870,10 +892,10 @@ def _sum_complex(*parts: ChainComplex) -> ChainComplex:
 
 
 def direct_sum(*parts: ChainComplex) -> DirectSumData:
-    total = _sum_complex(*parts)
-    layout = tuple((p, 0) for p in parts)
-    inclusions, projections = zip(*(_slot(total, layout, i) for i in range(len(parts))))
-    return DirectSumData(total, inclusions, projections)
+    """The sum of parts; its slot maps are built on their first read."""
+    data = object.__new__(DirectSumData)
+    data.__dict__.update(complex=_sum_complex(*parts), _layout=tuple((p, 0) for p in parts))
+    return data
 
 
 @record

@@ -7,6 +7,10 @@ homology; random chain maps are sampled from the exact kernel of the
 chain condition; random extensions twist by a boundary so the total
 complex is conjugate to the direct sum.  Tests lean on these knowns as
 oracles that are independent of the code paths under test.
+
+Every change of basis goes through _conjugated, which draws it with
+random_unimodular's elementary steps and carries its inverse along
+them, so no inverse is solved for.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, inverse, kernel_basis
+from .exact_linalg import Matrix, Ring, ZZ, _invariant_chain, kernel_basis
 from .chains import (
     ChainComplex,
     GradedMap,
@@ -28,18 +32,30 @@ from .chains import (
 )
 
 
+def _elementary_steps(rng: random.Random, n: int, steps: int):
+    """The steps row i += c * row j of a random n x n unimodular matrix.
+
+    Each of the steps draws i and j, and a c only when i != j; a draw
+    with i == j is no step.  Consume the steps before the next draw
+    from rng.
+    """
+    for _ in range(steps if n else 0):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i != j:
+            yield i, j, rng.choice([-2, -1, 1, 2])
+
+
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def random_unimodular(rng: random.Random, ring: Ring, n: int, steps: int = 6) -> Matrix:
     """Random product of elementary matrices; invertible over any ring."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i = rng.randrange(n) if n else 0
-        j = rng.randrange(n) if n else 0
-        if n == 0 or i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            rows[i][k] += c * rows[j][k]
-    return Matrix.from_rows(ZZ, rows).to_ring(ring) if n else Matrix.zero(ring, 0, 0)
+    rows = _identity_rows(n)
+    for i, j, c in _elementary_steps(rng, n, steps):
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix.from_rows(ring, rows)
 
 
 def random_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int = 3) -> Matrix:
@@ -67,10 +83,18 @@ def _conjugated(rng: random.Random, c: ChainComplex):
 
     Returns (mixed, basis, inverses): basis[n] carries c_n onto mixed_n
     and inverses[n] carries it back.  Conjugation moves no homology and
-    no splitting property.
+    no splitting property.  basis[n] is random_unimodular's matrix for
+    the same draws, and each of its steps row i += c * row j is undone
+    on the inverse as column j -= c * column i, so nothing is solved.
     """
-    basis = {n: random_unimodular(rng, c.ring, r) for n, r in c.ranks}
-    inverses = {n: inverse(u) for n, u in basis.items()}
+    basis, inverses = {}, {}
+    for n, r in c.ranks:
+        u, v = _identity_rows(r), _identity_rows(r)
+        for i, j, k in _elementary_steps(rng, r, 6):
+            u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+            for row in v:
+                row[j] -= k * row[i]
+        basis[n], inverses[n] = Matrix.from_rows(c.ring, u), Matrix.from_rows(c.ring, v)
     diffs = {n: basis[n - 1] @ d @ inverses[n] for n, d in c.diffs}
     return ChainComplex.build(c.ring, dict(c.ranks), diffs), basis, inverses
 

@@ -18,7 +18,8 @@ the cap is a FormatError rather than a computation that never ends.
 Likewise every integer of a payload, JSON numbers included, may spell
 out at most MAX_ENTRY_DIGITS decimal digits; a rational counts its
 numerator and denominator apart.  A ring modulus lies between 2 and
-exact_linalg.MAX_MODULUS (2**64).
+exact_linalg.MAX_MODULUS (2**64).  An object that names one key twice
+is a FormatError, since JSON leaves open which of its values is meant.
 """
 
 from __future__ import annotations
@@ -536,9 +537,22 @@ def dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook for json.loads: an object that names one key
+    twice is ambiguous, so it is refused rather than read as its last."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"payload: duplicate key {key[:40]!r}")
+            seen.add(key)
+    return value
+
+
 def loads(text: str) -> dict:
     try:
-        value = json.loads(text, parse_int=_parse_json_int)
+        value = json.loads(text, parse_int=_parse_json_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FormatError(f"payload: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
     except RecursionError as err:

@@ -21,9 +21,15 @@ of a levelwise or vertexwise sum as inc_x f proj_x + inc_y g proj_y,
 composed from the inclusions and projections of chains.direct_sum,
 tensored with diagrams.tensor_map_with_bimodule, as the library did
 before chains._block_map placed the two blocks directly.
+random_unimodular and _conjugated are fuzz's change of basis as it
+was before _conjugated carried each inverse along its steps: the
+matrix is built over Z and moved into the ring, and each inverse is
+solved for by exact_linalg.inverse.
 """
 
 from __future__ import annotations
+
+import random
 
 from chainbench import chains, diagrams, exact_linalg, ladder
 from chainbench.chains import (
@@ -40,7 +46,7 @@ from chainbench.chains import (
     validate_ses,
 )
 from chainbench.diagrams import Bimodule
-from chainbench.exact_linalg import Matrix, ShapeMismatch, kron, solve_linear, split_with_complement
+from chainbench.exact_linalg import ZZ, Matrix, Ring, ShapeMismatch, inverse, kron, solve_linear, split_with_complement
 from chainbench.ladder import D0Complex
 
 
@@ -493,3 +499,30 @@ def dcomplex_direct_sum(x, y):
     return diagrams.DComplex.build(
         diagram, {v: sums[v].complex for v, _ in diagram.vertices}, maps
     )
+
+
+def random_unimodular(rng: random.Random, ring: Ring, n: int, steps: int = 6) -> Matrix:
+    """Random product of elementary matrices; invertible over any ring."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i = rng.randrange(n) if n else 0
+        j = rng.randrange(n) if n else 0
+        if n == 0 or i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            rows[i][k] += c * rows[j][k]
+    return Matrix.from_rows(ZZ, rows).to_ring(ring) if n else Matrix.zero(ring, 0, 0)
+
+
+def _conjugated(rng: random.Random, c: ChainComplex):
+    """c with a random unimodular change of basis in every degree.
+
+    Returns (mixed, basis, inverses): basis[n] carries c_n onto mixed_n
+    and inverses[n] carries it back.  Conjugation moves no homology and
+    no splitting property.
+    """
+    basis = {n: random_unimodular(rng, c.ring, r) for n, r in c.ranks}
+    inverses = {n: inverse(u) for n, u in basis.items()}
+    diffs = {n: basis[n - 1] @ d @ inverses[n] for n, d in c.diffs}
+    return ChainComplex.build(c.ring, dict(c.ranks), diffs), basis, inverses

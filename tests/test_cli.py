@@ -379,6 +379,17 @@ def test_payload_that_is_not_utf8_exits_2_naming_the_file_in_a_subprocess(tmp_pa
     assert json.loads(done.stdout)["message"] == f"{path}: payload: not UTF-8 text (invalid start byte)"
 
 
+def test_payload_naming_a_key_twice_exits_2_in_a_subprocess(tmp_path):
+    """A repeated key is ambiguous: verify refuses it, naming the key,
+    instead of reading the last value."""
+    path = tmp_path / "twice.json"
+    path.write_text('{"ring": "Z", "ranks": {"0": "1", "0": "2"}, "differentials": {}}', encoding="utf-8")
+    done = run_child("verify", str(path))
+    assert done.returncode == 2
+    assert done.stdout == f"input error: {path}: payload: duplicate key '0'\n"
+    assert "Traceback" not in done.stderr
+
+
 def test_homology_of_a_large_free_degree_finishes_in_a_subprocess(tmp_path):
     """A complex of rank 4096 with no differentials has H_0 = Z^4096.
 

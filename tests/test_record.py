@@ -6,7 +6,9 @@ must agree: which calls construct and which raise TypeError, the
 __post_init__ calls, repr, == and != (equal, unequal and
 different-class operands), hash, and AttributeError on assignment and
 deletion.  The value classes with hand-written constructors must take
-their fields by position and keyword in annotation order.
+their fields by position and keyword in annotation order; among them
+are direct sums whose slot maps are built on first read, both before
+and after that read.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from itertools import combinations
 import pytest
 
 from chainbench._record import record
-from chainbench.chains import ChainComplex, GradedMap, HomologySummary
+from chainbench.chains import ChainComplex, DirectSumData, GradedMap, HomologySummary, direct_sum
 from chainbench.diagrams import Bimodule
 from chainbench.exact_linalg import QQ, ZZ, Matrix, Ring, Zmod, smith_normal_form
 
@@ -125,11 +127,15 @@ def _hand_written():
     """One instance of every value class whose constructor is written by hand."""
     z2 = Matrix.from_rows(ZZ, [[2, 4], [6, 8]])
     c = ChainComplex.build(ZZ, {0: 2, 1: 2}, {1: z2})
+    summed = direct_sum(c, c)
+    lazy, read = direct_sum(c, summed.complex), direct_sum(summed.complex, c)
+    read.inclusions
     return [
         Ring("Zmod", 6), Ring("Z"), QQ,
         z2, Matrix.from_rows(QQ, [[1, 2]]), Matrix.zero(Zmod(5), 0, 3),
         c, GradedMap.identity(c), HomologySummary(1, (2,)), HomologySummary(0, (), 4),
         smith_normal_form(z2), Bimodule(ZZ, 3), Bimodule(Zmod(4), 2, (1, 5)),
+        DirectSumData(summed.complex, summed.inclusions, summed.projections), lazy, read,
     ]
 
 

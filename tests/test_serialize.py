@@ -350,6 +350,18 @@ def test_object_keys_are_quoted_at_most_40_characters():
     assert len(got) < 200, got[:200]
 
 
+def test_a_key_named_twice_is_a_format_error_quoting_at_most_40_characters():
+    got = _message(loads, '{"ring": "Z", "ranks": {"0": "1", "0": "2"}, "differentials": {}}')
+    assert got == "payload: duplicate key '0'"
+    # Equal values do not make a repeated key unambiguous, at any depth.
+    long_key = "k" * HUGE
+    got = _message(loads, '{"ring": "Z", "%s": 1, "%s": 1}' % (long_key, long_key))
+    assert got == "payload: duplicate key '" + "k" * 40 + "'"
+    got = _message(loads, '{"a": [{"b": {"c": 1, "c": 1}}]}')
+    assert got == "payload: duplicate key 'c'"
+    assert loads('{"ring": "Z", "ranks": {"0": "1", "1": "2"}, "differentials": {}}')["ranks"] == {"0": "1", "1": "2"}
+
+
 def test_vertex_and_edge_names_are_quoted_at_most_40_characters():
     name = "n" * HUGE
     got = _message(

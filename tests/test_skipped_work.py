@@ -6,9 +6,13 @@ identity; tests/compose_oracle.py keeps both as they were before.
 _cone_complex builds a cone's complex without its structure maps, and
 is_reduced decides reducedness without solving for the sections that
 reduction_certificates returns.  _sum_complex builds a direct sum's
-complex without its slot maps, and factor_through_acyclic solves the
-ascent cones of its source up to the first that fails, but no level
-contraction or descent section.  Hypothesis (derandomized, no example
+complex without its slot maps, direct_sum builds them only when they
+are first read, and factor_through_acyclic solves the ascent cones of
+its source up to the first that fails, but no level contraction or
+descent section.  fuzz._conjugated carries the inverse of each change
+of basis along its elementary steps instead of solving for it, and
+must leave the same matrices and the same random state as the solving
+route.  Hypothesis (derandomized, no example
 database) draws the inputs over Z, Q, Z/3, Z/4 and Z/6, and every
 result must equal the old route's by repr.  Caching the identity
 blocks, or the negated differentials that even-degree graded
@@ -27,17 +31,21 @@ from hypothesis import given, settings, strategies as st
 
 import compose_oracle
 import construction_oracle
+from chainbench import chains
 from chainbench.chains import ChainComplex, GradedMap, _cone, _cone_complex, _sum_complex, cone, direct_sum, find_contraction
 from chainbench.cli import main
 from chainbench.exact_linalg import QQ, ZZ, Matrix, Zmod
 from chainbench.fuzz import (
+    _conjugated,
     random_chain_map,
     random_complex,
     random_extension,
     random_graded_map,
     random_kernel_tower,
+    random_matrix,
     random_null_homotopic,
     random_reduced_ladder,
+    random_unimodular,
 )
 from chainbench.diagrams import Bimodule
 from chainbench.ladder import D0Complex, D0Morphism, factor_through_acyclic, is_reduced, reduction_certificates
@@ -244,6 +252,51 @@ def test_sum_complex_matches_the_direct_sum(parts):
     got = repr(_sum_complex(*parts))
     assert got == repr(direct_sum(*parts).complex)
     assert got == repr(construction_oracle.direct_sum(*parts).complex)
+
+
+@PROPERTY
+@given(summands())
+def test_direct_sum_builds_its_slot_maps_on_first_read(parts):
+    slot, built = chains._slot, []
+
+    def counted(total, layout, j):
+        built.append(j)
+        return slot(total, layout, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chains, "_slot", counted)
+        data = direct_sum(*parts)
+        assert repr(data.complex) == repr(construction_oracle.direct_sum(*parts).complex)
+        assert built == []
+        data.inclusions
+        assert built == list(range(len(parts)))
+        assert repr(data) == repr(construction_oracle.direct_sum(*parts))
+        assert built == list(range(len(parts)))
+
+
+@st.composite
+def changes_of_basis(draw):
+    """A complex over one of six rings with ranks 0 to 8 in degrees 0,
+    1 and 2 and a random d_1, and the seed its change of basis is drawn
+    from."""
+    ring = draw(st.sampled_from((ZZ, QQ, Zmod(4), Zmod(5), Zmod(6), Zmod(1000000016000000063))))
+    ranks = {n: draw(st.integers(0, 8)) for n in range(3)}
+    rng = random.Random(draw(SEEDS))
+    c = ChainComplex.build(ring, ranks, {1: random_matrix(rng, ring, ranks[0], ranks[1])})
+    return c, draw(SEEDS)
+
+
+@PROPERTY
+@given(changes_of_basis())
+def test_conjugation_carries_the_inverses_the_solve_found(case):
+    c, seed = case
+    mine, theirs = random.Random(seed), random.Random(seed)
+    assert repr(_conjugated(mine, c)) == repr(construction_oracle._conjugated(theirs, c))
+    assert mine.getstate() == theirs.getstate()
+    for n in range(9):
+        got = random_unimodular(mine, c.ring, n, steps=2 * n)
+        assert repr(got) == repr(construction_oracle.random_unimodular(theirs, c.ring, n, steps=2 * n))
+        assert mine.getstate() == theirs.getstate()
 
 
 def test_factoring_solves_only_the_ascent_cones_it_needs(monkeypatch):
