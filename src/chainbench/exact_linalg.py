@@ -51,10 +51,12 @@ its source's nonzero pairs once and hands them to each step (see
 _SnfWorker).  Each caller eliminates only what it reads.  The Smith
 reduction builds only the transforms its caller asks for, and tracks
 only p, q and qinv step by step.  pinv is derived once the reduction
-ends: its row steps are recorded, and when q is kept and every row of
-d holds a nonzero pivot, pinv @ d == a @ q makes column j of pinv
-column j of a @ q divided by d_jj (exactly over Z; d_jj is 1 over a
-field); otherwise the recorded steps are replayed on the identity.  A
+ends, from a @ q, which the worker carries when pinv is kept: kept
+transposed like q, one row per column of a, it sees every column step
+that q sees, so no product is formed.  When every row of d holds a
+nonzero pivot, pinv @ d == a @ q makes column j of pinv row j of the
+carried a @ q divided by d_jj (exactly over Z; d_jj is 1 over a
+field); otherwise the recorded row steps are replayed on the identity.  A
 right-hand side is carried: a solve joins the rows of b to the rows of
 a in place of p, so the same row steps leave p @ b there.
 smith_normal_form asks for all four transforms, invariant_factors for
@@ -95,11 +97,15 @@ entries.  Any other product builds each row as a sum of whole rows of
 the right factor, one term per nonzero entry of the left row; a left
 row whose only nonzero entry is a 1 is that row of the right factor,
 taken whole, so a left identity factor multiplies and reduces nothing.
-Over Q a left identity factor is caught first, and otherwise that loop
-runs on integers: each left row is scaled by the lcm of its
-denominators, the right factor by one common denominator, and each
-nonzero entry of the result is one Fraction.  QQ.zero and QQ.one are
-one shared Fraction each.
+Over Z a wide product, one whose right factor has at least _DOT_WIDTH
+columns, takes a dense left row, one with at most a quarter zeros,
+as one dot product per entry instead, against the right factor's
+columns, found once per product; that builds no list per term.  Over
+Q a left identity factor is caught first, and otherwise the product
+runs on integers, dense rows included: each left row is scaled by the
+lcm of its denominators, the right factor by one common denominator,
+and each nonzero entry of the result is one Fraction.  QQ.zero and
+QQ.one are one shared Fraction each.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm, prod
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from ._record import record
 
@@ -400,9 +406,12 @@ class Matrix:
         A right identity factor gives a new Matrix on self's entries.
         Over Z and Z/m a row of self whose only nonzero entry is a 1 at
         k is row k of other, taken whole with no % m pass, so a left
-        identity factor gives a new Matrix on other's rows.  Over Q a
-        left identity factor is caught before _rational_product clears
-        any denominators.
+        identity factor gives a new Matrix on other's rows.  Over Z,
+        and over Q on the cleared integer rows, a row of self with at
+        most a quarter zeros takes one dot product per entry when other
+        is at least _DOT_WIDTH wide (see _product_rows).  Over Q a left
+        identity factor is caught before _rational_product clears any
+        denominators.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -526,12 +535,35 @@ def _is_identity(a: Matrix) -> bool:
     return True
 
 
+# Over Z a product whose right factor is at least this wide computes
+# each entry of a dense left row, one with at most a quarter zeros, as
+# one dot product with a column of the right factor.  The dense Smith
+# data of bench/'s homology workload, up to 40 x 40, make such products;
+# none of its contraction or towers workloads is wider than 7.
+_DOT_WIDTH = 16
+
+
 def _product_rows(arows, brows, zero_row, m) -> tuple:
     """The rows of a product over Z (m None) or Z/m: row i is the sum
     of a_ik times row k of brows, reduced % m.  A row of arows whose
-    only nonzero entry is a 1 at k is brows[k], taken whole."""
+    only nonzero entry is a 1 at k is brows[k], taken whole.
+
+    Over Z, when brows has at least _DOT_WIDTH columns and at least
+    two rows, a row of arows with at most a quarter zeros takes one
+    dot product per entry, sum(map(mul, row, column)), instead of one
+    new list per nonzero entry; the columns of brows are found once,
+    at the first such row.  Such a row has two nonzero entries at
+    least, so a unit row is never dense.  Sparse rows, narrower
+    products and Z/m keep the row loop."""
+    dots = m is None and len(zero_row) >= _DOT_WIDTH and len(brows) > 1
+    cols = None
     data = []
     for arow in arows:
+        if dots and 4 * arow.count(0) <= len(arow):
+            if cols is None:
+                cols = list(zip(*brows))
+            data.append(tuple([sum(map(mul, arow, col)) for col in cols]))
+            continue
         acc = None
         for aik, brow in zip(arow, brows):
             if aik:
@@ -653,8 +685,9 @@ class SNFResult:
     """Smith data:  d == p @ a @ q  with p, q invertible over the ring.
 
     pinv and qinv are the exact inverses of p and q: qinv accumulated
-    during the reduction, pinv derived from d == p @ a @ q or from the
-    recorded row steps once it ends, neither by inverting a matrix.
+    during the reduction, pinv derived once it ends, from d == p @ a @ q
+    with a @ q carried through the column steps, or from the recorded
+    row steps; neither by inverting a matrix or forming a product.
     Internal callers that ask the reduction for fewer transforms get
     None in the others.
     """
@@ -766,8 +799,12 @@ class _SnfWorker:
     stay None.  The operations on d do not depend on keep, so every
     kept transform is the same whichever others are kept.  pinv is not
     updated inline.  With pinv kept, the row steps are recorded in
-    steps, and result() derives pinv from d == p @ a @ q when it can
-    and replays the steps on the identity otherwise (see _pinv).
+    steps, and a @ q is carried as aq_t, kept transposed like q_t: it
+    starts as a transposed, c rows of length r (c empty rows for a 0 x
+    c input), and each column swap and column addition updates it as
+    it updates q_t, in place where the source row is nonzero.  result()
+    reads pinv off aq_t when every row of d has a pivot and replays the
+    steps on the identity otherwise (see _pinv); it forms no product.
     """
 
     def __init__(self, a: Matrix, keep=TRANSFORMS, carry=None, follow=None):
@@ -786,6 +823,9 @@ class _SnfWorker:
             self.rows = [list(row) for row in a.entries]
         self.q_t = self._eye(self.c) if "q" in keep else None
         self.qinv = self._eye(self.c) if "qinv" in keep else follow
+        # a @ q transposed, one row per column of a (c empty rows when a
+        # has none): every column step acts on it as on q_t.
+        self.aq_t = [[row[j] for row in a.entries] for j in range(self.c)] if "pinv" in keep else None
         # Each row step as it acts on the rows of pinv transposed:
         # (i, j, c) adds c times row j to row i, (i, j, None) swaps
         # rows i and j, and (i, None, u) scales row i by u.
@@ -811,7 +851,7 @@ class _SnfWorker:
             return
         for row in self.rows:
             row[i], row[j] = row[j], row[i]
-        for rows in (self.q_t, self.qinv):
+        for rows in (self.q_t, self.aq_t, self.qinv):
             if rows is not None:
                 rows[i], rows[j] = rows[j], rows[i]
 
@@ -826,8 +866,8 @@ class _SnfWorker:
             self.steps.append((j, i, -c))
 
     def add_col(self, j, i, c, pairs=None):
-        """col_j += c * col_i (on d and q), reading pairs, when given, as
-        _pairs(q_t[i]); inverse op recorded on qinv."""
+        """col_j += c * col_i (on d, q and a @ q), reading pairs, when
+        given, as _pairs(q_t[i]); inverse op recorded on qinv."""
         m = self.mod
         for row in self.rows:
             x = row[i]
@@ -837,6 +877,8 @@ class _SnfWorker:
             _axpy_pairs(self.q_t[j], pairs, c, m)
         elif self.q_t is not None:
             _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
+        if self.aq_t is not None:
+            _axpy_sparse(self.aq_t[j], self.aq_t[i], c, m)
         if self.qinv is not None:
             _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)
 
@@ -865,31 +907,26 @@ class _SnfWorker:
         data = tuple(zip(*cols)) if cols else ((),) * c
         return Matrix._trusted(self.ring, c, len(cols), data)
 
-    def _pinv(self, q: Matrix | None) -> Matrix:
+    def _pinv(self) -> Matrix:
         """p^-1, derived from the finished reduction.
 
-        When q is kept and d has a nonzero diagonal entry in every row,
-        pinv @ d == a @ q determines pinv: its column j is column j of
-        a @ q divided by d_jj, exactly over Z; over a field every d_jj
-        is 1.  Otherwise the recorded row steps are replayed on the
-        identity, so the reduction never runs twice.
+        When d has a nonzero diagonal entry in every row, pinv @ d ==
+        a @ q determines pinv: its column j is row j of aq_t divided by
+        d_jj, exactly over Z; over a field every d_jj is 1.  Otherwise
+        the recorded row steps are replayed on the identity, so the
+        reduction never runs twice.
         """
         ring, r, m = self.ring, self.r, self.mod
         diag = self.diagonal()
-        if q is not None and len(diag) == r and all(diag):
-            aq = self.a @ (q if r == self.c else q.cols_slice(0, r))
-            divided = [j for j, e in enumerate(diag) if e != 1]
-            if not divided:
-                return aq
-            data = []
-            for row in aq.entries:
-                row = list(row)
-                for j in divided:
-                    row[j], rem = divmod(row[j], diag[j])
-                    if rem:
+        if len(diag) == r and all(diag):
+            cols = self.aq_t[:r]
+            for j, e in enumerate(diag):
+                if e != 1:
+                    quotients = [divmod(x, e) for x in cols[j]]
+                    if any(rem for _, rem in quotients):
                         raise AssertionError("a @ q is not a multiple of the Smith diagonal")
-                data.append(tuple(row))
-            return Matrix._trusted(ring, r, r, tuple(data))
+                    cols[j] = [x for x, _ in quotients]
+            return Matrix._trusted(ring, r, r, tuple(zip(*cols)))
         pt = self._eye(r)
         for i, j, c in self.steps:
             if j is None:
@@ -903,12 +940,11 @@ class _SnfWorker:
     def result(self) -> SNFResult:
         """The Smith data; a transform that was not kept is None."""
         ring, r, c, keep, rows = self.ring, self.r, self.c, self.keep, self.rows
-        q = self.q_columns() if "q" in keep else None
         return SNFResult(
             d=Matrix._trusted(ring, r, c, tuple(tuple(row[:c]) for row in rows)),
             p=Matrix._trusted(ring, r, r, tuple(tuple(row[c:]) for row in rows)) if "p" in keep else None,
-            q=q,
-            pinv=self._pinv(q) if "pinv" in keep else None,
+            q=self.q_columns() if "q" in keep else None,
+            pinv=self._pinv() if "pinv" in keep else None,
             qinv=Matrix._trusted(ring, c, c, tuple(map(tuple, self.qinv))) if "qinv" in keep else None,
         )
 

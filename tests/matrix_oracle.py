@@ -7,6 +7,12 @@ other.entries[k][j] one scalar at a time, and the graded-map methods
 visit every degree of the source, multiplying zero matrices where no
 block is stored.  tests/test_lean_matrix.py requires the library's
 results to be equal to these, entry types included.
+
+product_rows is the library's _product_rows as it was before a dense
+left row of a wide product took one dot product per entry: every left
+row is built as a sum of whole rows of the right factor, one term per
+nonzero entry.  tests/test_dense_products.py puts it in place of the
+library's and requires every product to be equal by repr.
 """
 
 from __future__ import annotations
@@ -57,6 +63,30 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             out.append(s)
         data.append(tuple(out))
     return Matrix(a.ring, a.rows, b.cols, tuple(data))
+
+
+def product_rows(arows, brows, zero_row, m) -> tuple:
+    """The rows of a product over Z (m None) or Z/m: row i is the sum
+    of a_ik times row k of brows, reduced % m.  A row of arows whose
+    only nonzero entry is a 1 at k is brows[k], taken whole."""
+    data = []
+    for arow in arows:
+        acc = None
+        for aik, brow in zip(arow, brows):
+            if aik:
+                if acc is None:
+                    acc = brow if aik == 1 else [aik * b for b in brow]
+                else:
+                    acc = [s + aik * b for s, b in zip(acc, brow)]
+        if acc is None:
+            data.append(zero_row)
+        elif acc.__class__ is tuple:
+            data.append(acc)
+        elif m is None:
+            data.append(tuple(acc))
+        else:
+            data.append(tuple(s % m for s in acc))
+    return tuple(data)
 
 
 def transpose(a: Matrix) -> Matrix:

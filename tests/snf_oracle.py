@@ -27,7 +27,9 @@ fuzz once built its expected homology with
 and carry as separate lists and updated whole rows (DenseSnfWorker),
 with the composite kernel and solve run on it, and the row and column
 steps that found the nonzero positions of their source row again on
-every step (StepwiseSnfWorker).  The lattice routes
+every step (StepwiseSnfWorker), and the Smith worker that derived
+pinv by multiplying a @ q once the reduction ended instead of carrying
+a @ q through the column steps (ProductPinvSnfWorker).  The lattice routes
 solve and take kernels over Z with this module's _solve_integer and
 _kernel_integer, not with the library's read-off that they check.
 The Smith reduction normalises every entry through Ring.normalize
@@ -946,7 +948,7 @@ class StepwiseSnfWorker(exact_linalg._SnfWorker):
             self.steps.append((j, i, -c))
 
     def add_col(self, j, i, c, pairs=None):
-        """col_j += c * col_i (on d and q); inverse op recorded on qinv."""
+        """col_j += c * col_i (on d, q and a @ q); inverse op recorded on qinv."""
         m = self.mod
         for row in self.rows:
             x = row[i]
@@ -954,5 +956,68 @@ class StepwiseSnfWorker(exact_linalg._SnfWorker):
                 row[j] = row[j] + c * x if m is None else (row[j] + c * x) % m
         if self.q_t is not None:
             _axpy_sparse(self.q_t[j], self.q_t[i], c, m)
+        if self.aq_t is not None:
+            _axpy_sparse(self.aq_t[j], self.aq_t[i], c, m)
         if self.qinv is not None:
             _axpy_sparse(self.qinv[i], self.qinv[j], -c, m)
+
+
+# ---------------------------------------------------------------------------
+# The Smith worker that multiplies a @ q for pinv
+
+
+class ProductPinvSnfWorker(exact_linalg._SnfWorker):
+    """The library's Smith worker with _pinv and result as they were
+    before the worker carried a @ q: when q is kept and every row of d
+    has a nonzero pivot, _pinv multiplies a by q once the reduction
+    ends and divides column j of the product by d_jj.  Everything else
+    is inherited, so with this class in place of exact_linalg._SnfWorker
+    the library runs its exact step sequence on it; the carried rows
+    aq_t are updated and never read."""
+
+    def _pinv(self, q: Matrix | None) -> Matrix:
+        """p^-1, derived from the finished reduction.
+
+        When q is kept and d has a nonzero diagonal entry in every row,
+        pinv @ d == a @ q determines pinv: its column j is column j of
+        a @ q divided by d_jj, exactly over Z; over a field every d_jj
+        is 1.  Otherwise the recorded row steps are replayed on the
+        identity, so the reduction never runs twice.
+        """
+        ring, r, m = self.ring, self.r, self.mod
+        diag = self.diagonal()
+        if q is not None and len(diag) == r and all(diag):
+            aq = self.a @ (q if r == self.c else q.cols_slice(0, r))
+            divided = [j for j, e in enumerate(diag) if e != 1]
+            if not divided:
+                return aq
+            data = []
+            for row in aq.entries:
+                row = list(row)
+                for j in divided:
+                    row[j], rem = divmod(row[j], diag[j])
+                    if rem:
+                        raise AssertionError("a @ q is not a multiple of the Smith diagonal")
+                data.append(tuple(row))
+            return Matrix._trusted(ring, r, r, tuple(data))
+        pt = self._eye(r)
+        for i, j, c in self.steps:
+            if j is None:
+                pt[i] = exact_linalg._scaled(pt[i], c, m)
+            elif c is None:
+                pt[i], pt[j] = pt[j], pt[i]
+            else:
+                _axpy_sparse(pt[i], pt[j], c, m)
+        return Matrix._trusted(ring, r, r, tuple(zip(*pt)))
+
+    def result(self) -> SNFResult:
+        """The Smith data; a transform that was not kept is None."""
+        ring, r, c, keep, rows = self.ring, self.r, self.c, self.keep, self.rows
+        q = self.q_columns() if "q" in keep else None
+        return SNFResult(
+            d=Matrix._trusted(ring, r, c, tuple(tuple(row[:c]) for row in rows)),
+            p=Matrix._trusted(ring, r, r, tuple(tuple(row[c:]) for row in rows)) if "p" in keep else None,
+            q=q,
+            pinv=self._pinv(q) if "pinv" in keep else None,
+            qinv=Matrix._trusted(ring, c, c, tuple(map(tuple, self.qinv))) if "qinv" in keep else None,
+        )

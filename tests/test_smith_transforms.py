@@ -78,9 +78,10 @@ def test_both_pinv_routes_match_oracle_bit_for_bit(ring, monkeypatch):
         products.clear()
         got = smith_normal_form(a)
         assert workers == [a], label
-        # The division route multiplies a by q once; the replay never does.
+        # The division route reads a @ q off the worker's carried rows,
+        # and the replay never forms it: neither multiplies a by q.
         divided = sum(1 for x in products if x is a)
-        assert divided == (1 if got.rank == a.rows else 0), label
+        assert divided == 0, label
         assert repr(got) == repr(snf_oracle.smith_normal_form(a)), label
 
 
